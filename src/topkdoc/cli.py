@@ -40,7 +40,9 @@ def _build_parser():
     b.add_argument("--rank-step", type=int, default=64,
                    help="bits per rank directory sample")
     b.add_argument("--line-docs", action="store_true",
-                   help="treat each line of the input file as one document")
+                   help="treat each line of the input file as one document "
+                        "(a trailing \\r is dropped; empty lines are skipped, "
+                        "so ids count non-empty lines)")
     b.add_argument("--include-sa", action="store_true",
                    help="store the suffix array instead of rebuilding it on load")
     b.set_defaults(func=cmd_build)
@@ -79,7 +81,8 @@ def _read_documents(path, line_docs):
     with open(path, "rb") as fh:
         data = fh.read()
     if line_docs:
-        return [line for line in data.split(b"\n") if line]
+        lines = (line.removesuffix(b"\r") for line in data.split(b"\n"))
+        return [line for line in lines if line]
     return [data]
 
 

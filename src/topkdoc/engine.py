@@ -7,8 +7,10 @@ the chosen strategy: a length-ordered greedy traversal, a pruned DFS, or a
 per-position select scan.  Whenever no marked ancestor applies (sampling
 too sparse, k above the precomputed ceiling, or the sampled tree disabled)
 the engine falls back to a full greedy traversal of the whole interval.
-Final frequencies are recounted exactly over the full interval and ties
-always resolve toward lower document ids.
+Final frequencies are recounted exactly over the full interval: they are
+the exact top-k, listed by (-freq, doc).  Among documents tied at the k-th
+frequency, a query answered through a marked node may return any of them;
+only the full traversal picks the lowest ids.
 """
 
 import heapq
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 from .corpus import Corpus, ingest
 from .errors import OutOfRangeError, UnknownStrategyError
 from .sgst import SGST, build_sgst, candidates_of, find_locus
-from .suffixes import SuffixIndex, build_suffix_array, pattern_interval
+from .suffixes import SuffixIndex, as_pattern_bytes, build_suffix_array, pattern_interval
 from .wavelet import WaveletTree, tracked_root
 
 GREEDY = "greedy"
@@ -122,7 +124,12 @@ class QueryStats:
 
 @dataclass(frozen=True)
 class TopKResult:
-    """Ranked (doc, freq) pairs, most frequent first, ties to lower ids."""
+    """Ranked (doc, freq) pairs, listed by (-freq, doc).
+
+    The frequencies are the exact top-k.  Which documents tied at the k-th
+    frequency are listed is up to the strategy unless the query took the
+    full traversal, which lists the lowest ids.
+    """
 
     pairs: list
     pattern: bytes
@@ -170,8 +177,8 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
     x = index.sgst
     stats = QueryStats(kstar=kstar(k), g=kstar(k) * x.g_prime)
 
-    interval = pattern_interval(index.suffixes, index.corpus, pattern)
-    pat = pattern.encode("utf-8") if isinstance(pattern, str) else bytes(pattern)
+    pat = as_pattern_bytes(pattern)
+    interval = pattern_interval(index.suffixes, index.corpus, pat)
     if interval.is_empty:
         return TopKResult([], pat, k, x.variant, stats)
     sp, ep = interval.sp, interval.ep

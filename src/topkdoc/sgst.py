@@ -12,9 +12,11 @@ that marked it), and the c most frequent documents of its interval; the
 them and recounts through the wavelet tree on demand.
 
 Ancestor intervals are computed without materializing a suffix tree: the
-node spanning sample slots p < q is the maximal interval around [p, q]
-whose internal lcp values all reach min(lcp[p+1..q]), found with a sparse
-table of range-minimum queries over the lcp array.
+node spanning sample slots p < q is the lcp-interval of h = min(lcp[p+1..q]),
+bounded by the nearest lcp values below h on either side.  One stack pass
+each way over the lcp array gives every slot those neighbours (Abouelhoda,
+Kurtz and Ohlebusch, "Replacing suffix trees with enhanced suffix arrays",
+2004), so marking needs O(n) memory.
 """
 
 from collections import defaultdict
@@ -103,63 +105,40 @@ def build_sgst(corpus, s, w: WaveletTree, g_prime=400, k_max=16,
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
 
+    x = SGST(g_prime, k_max, variant, None, [], [], [], [0], [],
+             [] if variant == "light" else None, {})
     n = len(s.sa)
     lcp = _lcp_array(corpus.text, s.sa)
-    rmq = _RangeMin(lcp[2:]) if n >= 2 else None
-
-    levels = []
-    k = 1
-    while k <= k_max:
-        levels.append(k)
-        k <<= 1
+    prev, nxt = _smaller_neighbours(lcp, n)
 
     level_sets = {}
     classes = {}
-    for k in levels:
+    for k in x.levels():
         g = k * g_prime
-        marked = set()
-        prev = None
-        for slot in range(1, n + 1, g):
-            if prev is not None:
-                marked.add(_ancestor_interval(lcp, rmq, n, prev, slot))
-            prev = slot
-        level_sets[k] = marked
-        for iv in marked:
+        level_sets[k] = {_ancestor_interval(lcp, prev, nxt, p, p + g)
+                         for p in range(1, n - g + 1, g)}
+        for iv in level_sets[k]:
             classes[iv] = k  # levels ascend, so the last write is the max
-
     if not classes:
-        return SGST(g_prime, k_max, variant, None, [], [], [], [0], [],
-                    None if variant == "xlight" else [], {})
+        return x
 
-    children = _containment_children(classes.keys())
-    tau, order = _encode_forest(children, classes.keys(), sample_step)
+    x.tau, order = _containment_tree(classes, sample_step)
     tau_rank = {iv: i + 1 for i, iv in enumerate(order)}
-
-    sp_arr = [iv[0] for iv in order]
-    ep_arr = [iv[1] for iv in order]
-    cls_arr = [classes[iv] for iv in order]
-
-    cand_off = [0]
-    cand_docs = []
-    cand_freqs = [] if variant == "light" else None
+    x.sp_arr = [iv[0] for iv in order]
+    x.ep_arr = [iv[1] for iv in order]
+    x.cls_arr = [classes[iv] for iv in order]
     for iv in order:
         for doc, freq in w.greedy_topk(iv[0], iv[1], classes[iv]):
-            cand_docs.append(doc)
-            if cand_freqs is not None:
-                cand_freqs.append(freq)
-        cand_off.append(len(cand_docs))
+            x.cand_docs.append(doc)
+            if x.cand_freqs is not None:
+                x.cand_freqs.append(freq)
+        x.cand_off.append(len(x.cand_docs))
 
-    skeletons = {}
-    for k in levels[1:]:
-        subset = level_sets[k]
-        if not subset:
-            continue
-        sub_children = _containment_children(subset)
-        louds, sub_order = _encode_forest(sub_children, subset, sample_step)
-        skeletons[k] = (louds, tuple(tau_rank[iv] for iv in sub_order))
-
-    return SGST(g_prime, k_max, variant, tau, sp_arr, ep_arr, cls_arr,
-                cand_off, cand_docs, cand_freqs, skeletons)
+    for k in x.levels()[1:]:
+        if level_sets[k]:
+            louds, sub_order = _containment_tree(level_sets[k], sample_step)
+            x.skeletons[k] = (louds, tuple(tau_rank[iv] for iv in sub_order))
+    return x
 
 
 def find_locus(x: SGST, k_star, sp, ep):
@@ -277,64 +256,59 @@ def _lcp_array(text, sa):
     return lcp
 
 
-class _RangeMin:
-    """Sparse table of range minima over a fixed integer array."""
+def _smaller_neighbours(lcp, n):
+    """Nearest slots on each side whose lcp value is strictly smaller.
 
-    def __init__(self, values):
-        values = np.asarray(values, dtype=np.int64)
-        self._rows = [values]
-        span = 1
-        while 2 * span <= len(values):
-            prev = self._rows[-1]
-            self._rows.append(np.minimum(prev[:len(prev) - span], prev[span:]))
-            span *= 2
+    Returns lists prev and nxt over slots 1..n: prev[i] is the largest
+    t < i with lcp[t] < lcp[i], or 0 if there is none, and nxt[i] the
+    smallest t > i with lcp[t] < lcp[i], or n + 1.  Each pass pushes every
+    slot once and pops the entries at or above the current value.
+    """
+    vals = lcp.tolist()
+    vals[0] = -1            # sentinels below every lcp value, at 0 and n + 1
+    vals.append(-1)
+    prev = [0] * (n + 2)
+    stack = [0]
+    for i in range(1, n + 1):
+        v = vals[i]
+        while vals[stack[-1]] >= v:
+            stack.pop()
+        prev[i] = stack[-1]
+        stack.append(i)
+    nxt = [n + 1] * (n + 2)
+    stack = [n + 1]
+    for i in range(n, 0, -1):
+        v = vals[i]
+        while vals[stack[-1]] >= v:
+            stack.pop()
+        nxt[i] = stack[-1]
+        stack.append(i)
+    return prev, nxt
 
-    def min(self, i, j):
-        """Minimum of values[i..j], 0-based inclusive."""
-        level = (j - i + 1).bit_length() - 1
-        row = self._rows[level]
-        return int(min(row[i], row[j - (1 << level) + 1]))
 
-
-def _ancestor_interval(lcp, rmq, n, p, q):
+def _ancestor_interval(lcp, prev, nxt, p, q):
     """Suffix-array interval of the lowest suffix-tree node spanning slots p..q.
 
-    That node's interval is the maximal [L, R] containing [p, q] whose
-    internal lcp values all reach h = min(lcp[p+1..q]); the boundaries are
-    the nearest smaller lcp values, located by binary search over range
-    minima.
+    That node is the lcp-interval of h = min(lcp[p+1..q]).  At m, the
+    leftmost slot of p+1..q holding h, the lcp values stay above h between
+    p+1 and m and at least h between m and q, so the nearest smaller values
+    around m are the interval's boundaries.  For h = 0 there are none, and
+    the node is the root (1, n).
     """
-    h = rmq.min(p + 1 - 2, q - 2)
-    if h == 0:
-        return (1, n)
-    # Largest t <= p with lcp[t] < h starts the interval.
-    lo, hi, left = 2, p, None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if rmq.min(mid - 2, p - 2) < h:
-            left = mid
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    # Smallest t > q with lcp[t] < h ends it just before t.
-    lo, hi, right = q + 1, n, None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if rmq.min(q + 1 - 2, mid - 2) < h:
-            right = mid
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    return (left or 1, n if right is None else right - 1)
+    m = p + 1 + int(np.argmin(lcp[p + 1:q + 1]))
+    return (max(prev[m], 1), nxt[m] - 1)
 
 
-def _containment_children(intervals):
-    """Child lists of the containment tree of a laminar interval family."""
-    order = sorted(intervals, key=lambda iv: (iv[0], -iv[1]))
+def _containment_tree(intervals, sample_step):
+    """LOUDS-encoded containment tree of a laminar interval family.
+
+    Returns (tree, intervals in level order), as LoudsTree.encode does.
+    Children are listed left to right.
+    """
     children = defaultdict(list)
     stack = []
     roots = []
-    for iv in order:
+    for iv in sorted(intervals, key=lambda iv: (iv[0], -iv[1])):
         while stack and not (stack[-1][0] <= iv[0] and iv[1] <= stack[-1][1]):
             stack.pop()
         if stack:
@@ -344,11 +318,5 @@ def _containment_children(intervals):
         stack.append(iv)
     if len(roots) != 1:
         raise AssertionError(f"marked intervals split into {len(roots)} unrelated groups")
-    children["__root__"] = roots
-    return children
-
-
-def _encode_forest(children, intervals, sample_step):
-    root = children["__root__"][0]
-    return LoudsTree.encode(root, children=lambda iv: children.get(iv, ()),
+    return LoudsTree.encode(roots[0], children=lambda iv: children.get(iv, ()),
                             sample_step=sample_step)

@@ -62,9 +62,10 @@ def test_build_single_file(tmp_path, capsys):
 
 def test_build_line_docs(tmp_path, capsys):
     src = tmp_path / "lines.txt"
-    src.write_bytes(b"abab\nabba\n\nbab\n")
-    assert main(["build", str(src), str(tmp_path / "l.idx"), "--line-docs"]) == 0
-    assert "n=14 d=3" in capsys.readouterr().out
+    for data in (b"abab\nabba\n\nbab\n", b"abab\r\nabba\r\n\r\nbab\r\n"):
+        src.write_bytes(data)
+        assert main(["build", str(src), str(tmp_path / "l.idx"), "--line-docs"]) == 0
+        assert "n=14 d=3" in capsys.readouterr().out
 
 
 def test_query_worked(worked_file, capsys):

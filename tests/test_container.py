@@ -1,3 +1,4 @@
+import hashlib
 import random
 import struct
 
@@ -61,6 +62,52 @@ def test_roundtrip_preserves_everything(variant):
     for k in x.skeletons:
         assert y.skeletons[k][1] == x.skeletons[k][1]
     assert answers(back, docs) == answers(idx, docs)
+
+
+def acgt_corpus(rng):
+    return ["".join(rng.choice("acgt") for _ in range(200)) for _ in range(30)]
+
+
+def revisions_corpus(rng):
+    """Base texts of words, each followed by revisions that change a few words."""
+    words = ["".join(rng.choice("abcdefgh") for _ in range(rng.randint(2, 6)))
+             for _ in range(40)]
+    docs = []
+    for _ in range(4):
+        text = [rng.choice(words) for _ in range(60)]
+        for _ in range(6):
+            docs.append(" ".join(text))
+            text = list(text)
+            for _ in range(2):
+                text[rng.randrange(len(text))] = rng.choice(words)
+    return docs
+
+
+# sha256 of serialize_index for fixed seeded corpora, every level of each
+# holding marked nodes.  A change to the container bytes needs a format
+# version bump, not new digests.
+FROZEN_CONTAINERS = {
+    "acgt-light": (
+        acgt_corpus, 211, dict(g_prime=10, k_max=16, variant="light"),
+        "57a06253fbef22998d0390e59121961acb2d6c7ffc0ee80aceb61f1b6c87bdf7"),
+    # Revisions repeat long stretches: lcp values reach several hundred.
+    "revisions-xlight": (
+        revisions_corpus, 223, dict(g_prime=8, k_max=16, variant="xlight"),
+        "56434cd1c9107cce410945863ae874387756fa25decd74741da37a2d719d997a"),
+    # g' = 1 samples every slot.
+    "dense-light": (
+        lambda rng: random_docs(rng, max_docs=6, max_total=150, sigma=2), 227,
+        dict(g_prime=1, k_max=8, variant="light"),
+        "29456ceef88001b6ba626704077355af98beeeb54637cf3da52b26cf5491bd80"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_CONTAINERS))
+def test_container_bytes_frozen(name):
+    make, seed, params, digest = FROZEN_CONTAINERS[name]
+    idx = build_index(make(random.Random(seed)), **params)
+    assert all(idx.sgst.level_nodes(k) for k in idx.sgst.levels())
+    assert hashlib.sha256(serialize_index(idx)).hexdigest() == digest
 
 
 def test_rewrite_is_bit_identical():

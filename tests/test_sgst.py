@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from topkdoc import build_suffix_array, candidates_of, find_locus, ingest
 from topkdoc.errors import KStarNotPrecomputedError
-from topkdoc.sgst import _RangeMin, _ancestor_interval, _lcp_array, build_sgst
+from topkdoc.sgst import _ancestor_interval, _lcp_array, _smaller_neighbours, build_sgst
 from topkdoc.wavelet import WaveletTree
 
 from conftest import random_docs
@@ -74,14 +76,24 @@ def test_lcp_array_random_vs_oracle():
         assert list(got) == brute_lcp(c.text, list(s.sa))
 
 
-def test_range_min_vs_oracle():
+def brute_smaller_neighbours(values):
+    """O(n^2) nearest strictly smaller slot on each side, for slots 1..n of values."""
+    n = len(values) - 1
+    prev = [max((t for t in range(1, i) if values[t] < values[i]), default=0)
+            for i in range(1, n + 1)]
+    nxt = [min((t for t in range(i + 1, n + 1) if values[t] < values[i]), default=n + 1)
+           for i in range(1, n + 1)]
+    return prev, nxt
+
+
+def test_smaller_neighbours_vs_oracle():
     rng = random.Random(103)
-    values = [rng.randint(0, 50) for _ in range(200)]
-    rm = _RangeMin(values)
-    for _ in range(200):
-        i = rng.randint(0, 199)
-        j = rng.randint(i, 199)
-        assert rm.min(i, j) == min(values[i:j + 1])
+    for _ in range(40):
+        n = rng.randint(1, 120)
+        # Few distinct values, so runs of equal lcp are common.
+        values = [0] + [rng.randint(0, rng.choice([1, 3, 8])) for _ in range(n)]
+        prev, nxt = _smaller_neighbours(np.array(values, dtype=np.int64), n)
+        assert (prev[1:n + 1], nxt[1:n + 1]) == brute_smaller_neighbours(values)
 
 
 def test_ancestor_interval_random_vs_oracle():
@@ -91,14 +103,31 @@ def test_ancestor_interval_random_vs_oracle():
         s = build_suffix_array(c)
         n = c.n
         lcp = _lcp_array(c.text, s.sa)
-        rmq = _RangeMin(lcp[2:])
+        prev, nxt = _smaller_neighbours(lcp, n)
         for _ in range(30):
             p = rng.randint(1, n - 1)
             q = rng.randint(p + 1, n)
-            got = _ancestor_interval(lcp, rmq, n, p, q)
+            got = _ancestor_interval(lcp, prev, nxt, p, q)
             want = brute_ancestor(c.text, list(s.sa), p, q)
             assert got == want
             assert got[0] <= p and q <= got[1]
+
+
+def test_build_memory_budget():
+    # At most 100 bytes per symbol of traced allocation on top of the
+    # inputs.  A structure of O(n log n) bytes, such as a sparse table of
+    # range minima over the lcp array, exceeds it.
+    rng = random.Random(241)
+    c = ingest(["".join(rng.choice("acgt") for _ in range(1000)) for _ in range(50)])
+    s = build_suffix_array(c)
+    w = WaveletTree(s.doc_ids, c.d)
+    tracemalloc.start()
+    try:
+        build_sgst(c, s, w, g_prime=200, k_max=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * c.n
 
 
 def test_build_parameter_validation(worked_corpus, worked_suffixes, worked_wavelet):
