@@ -12,7 +12,8 @@ Sections: 1 corpus (text plus boundary bit vector), 2 wavelet bitmaps,
 3 sampled tree, 4 suffix array (optional, rebuilt from the text when
 absent).  Unknown section ids are skipped so the format can grow; a
 version mismatch is an error, as is any declared length that does not
-match its payload.
+match its payload, or a sampled-tree node or candidate list that no build
+could have written (see _check_nodes and _check_candidates).
 """
 
 import io
@@ -134,7 +135,7 @@ def deserialize_index(data: bytes) -> Index:
         store_sa = False
 
     wavelet = _read_wavelet(sections[SECTION_WAVELET], d, n, rank_step)
-    sgst = _read_sgst(sections[SECTION_SGST], g_prime, k_max, variant, rank_step)
+    sgst = _read_sgst(sections[SECTION_SGST], n, d, g_prime, k_max, variant, rank_step)
     return Index(corpus=corpus, suffixes=suffixes, wavelet=wavelet, sgst=sgst,
                  rank_step=rank_step, store_suffix_array=store_sa)
 
@@ -170,11 +171,11 @@ class _Reader:
         return chunk
 
     def u64_array(self, count):
-        return np.frombuffer(self.raw(8 * count), dtype="<u8").tolist()
+        return np.frombuffer(self.raw(8 * count), dtype="<u8")
 
     def bitvector(self, rank_step):
         nbits = self.u64()
-        words = self.u64_array((nbits + 63) // 64)
+        words = self.u64_array((nbits + 63) // 64).tolist()
         return RankBitVector.from_words(words, nbits, rank_step)
 
     def done(self):
@@ -263,7 +264,7 @@ def _sgst_payload(x: SGST) -> bytes:
     return b"".join(parts)
 
 
-def _read_sgst(payload, g_prime, k_max, variant, rank_step):
+def _read_sgst(payload, n, d, g_prime, k_max, variant, rank_step):
     r = _Reader(payload)
     node_count = r.u64()
     if node_count == 0:
@@ -282,14 +283,56 @@ def _read_sgst(payload, g_prime, k_max, variant, rank_step):
         raise ContainerFormatError("candidate offsets disagree with the store size")
     cand_docs = r.u64_array(total)
     cand_freqs = None if variant == "xlight" else r.u64_array(total)
+    _check_nodes(sp_arr, ep_arr, cls_arr, n, k_max)
+    _check_candidates(sp_arr, ep_arr, cls_arr, cand_off, cand_docs, cand_freqs, d)
     skeletons = {}
     for _ in range(r.u64()):
         k = r.u64()
         louds = LoudsTree.from_bits(r.bitvector(rank_step))
-        refs = tuple(r.u64_array(r.u64()))
+        refs = tuple(r.u64_array(r.u64()).tolist())
         if louds.node_count != len(refs):
             raise ContainerFormatError("skeleton bits disagree with its reference list")
         skeletons[k] = (louds, refs)
     r.done()
-    return SGST(g_prime, k_max, variant, tau, sp_arr, ep_arr, cls_arr,
-                cand_off, cand_docs, cand_freqs, skeletons)
+    return SGST(g_prime, k_max, variant, tau, sp_arr.tolist(), ep_arr.tolist(),
+                cls_arr.tolist(), cand_off.tolist(), cand_docs.tolist(),
+                None if cand_freqs is None else cand_freqs.tolist(), skeletons)
+
+
+def _check_nodes(sp, ep, cls, n, k_max):
+    """Reject node intervals outside 1..n and classes that are no level."""
+    if not ((1 <= sp) & (sp <= ep) & (ep <= n)).all():
+        raise ContainerFormatError("a marked node's interval lies outside 1..n")
+    if not ((1 <= cls) & (cls <= k_max) & (cls & (cls - 1) == 0)).all():
+        raise ContainerFormatError("a marked node's class is not a power of two "
+                                   "up to k_max")
+
+
+def _check_candidates(sp, ep, cls, off, docs, freqs, d):
+    """Reject candidate lists a query could not return as they are.
+
+    Light nodes that span a pattern's interval exactly answer it from the
+    store without a recount, so their lists must be plausible answers:
+    distinct docs in 1..d, at most cls of them, frequencies in
+    1..interval length, ranked by (-freq, doc).
+    """
+    if off[0] != 0 or not (off[1:] >= off[:-1]).all():
+        raise ContainerFormatError("candidate offsets are not monotone from 0")
+    counts = (off[1:] - off[:-1]).astype(np.int64)
+    if not (counts <= cls).all():
+        raise ContainerFormatError("a marked node stores more candidates than its class")
+    if not ((1 <= docs) & (docs <= d)).all():
+        raise ContainerFormatError("a candidate document lies outside 1..d")
+    node = np.repeat(np.arange(len(counts)), counts)
+    same = node[1:] == node[:-1]        # adjacent entries of one node
+    order = np.lexsort((docs, node))
+    if (same & (docs[order][1:] == docs[order][:-1])).any():
+        raise ContainerFormatError("a marked node lists a document twice")
+    if freqs is None:
+        return
+    if not ((1 <= freqs) & (freqs <= np.repeat(ep - sp + 1, counts))).all():
+        raise ContainerFormatError("a candidate frequency lies outside 1..interval length")
+    ranked = (freqs[:-1] > freqs[1:]) | ((freqs[:-1] == freqs[1:]) & (docs[:-1] < docs[1:]))
+    if (same & ~ranked).any():
+        raise ContainerFormatError("a marked node's candidates are not ranked "
+                                   "by (-freq, doc)")

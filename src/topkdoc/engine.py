@@ -1,16 +1,18 @@
 """Query engine tying the pieces together.
 
-A query locates the pattern's suffix-array interval, asks the sampled tree
-for a marked ancestor contained in it, seeds a bounded min-heap with that
-node's precomputed candidates, and repairs the two uncovered flanks with
-the chosen strategy: a length-ordered greedy traversal, a pruned DFS, or a
-per-position select scan.  Whenever no marked ancestor applies (sampling
-too sparse, k above the precomputed ceiling, or the sampled tree disabled)
-the engine falls back to a full greedy traversal of the whole interval.
-Final frequencies are recounted exactly over the full interval: they are
-the exact top-k, listed by (-freq, doc).  Among documents tied at the k-th
-frequency, a query answered through a marked node may return any of them;
-only the full traversal picks the lowest ids.
+A query locates the pattern's suffix-array interval and asks the sampled
+tree for a marked ancestor contained in it.  When that node spans the
+whole interval, its stored candidates, counted over that same interval,
+are the answer.  Otherwise a bounded min-heap is seeded with them and the
+two uncovered flanks are repaired with the chosen strategy: a
+length-ordered greedy traversal, a pruned DFS, or a per-position select
+scan; the heap's members are then recounted exactly over the full
+interval.  Whenever no marked ancestor applies (sampling too sparse, k
+above the precomputed ceiling, or the sampled tree disabled) the engine
+falls back to a full greedy traversal of the whole interval.  Either way
+the frequencies are the exact top-k, listed by (-freq, doc).  Among
+documents tied at the k-th frequency, a query answered through a marked
+node may return any of them; only the full traversal picks the lowest ids.
 """
 
 import heapq
@@ -167,7 +169,13 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
     """The k documents where pattern occurs most often.
 
     Returns fewer than k pairs when fewer documents match, and an empty
-    result when the pattern does not occur at all.
+    result when the pattern does not occur at all.  When the marked node
+    found spans exactly the pattern's interval, its first k stored
+    candidates are the answer: no heap, flank traversal or final recount
+    runs, and only xlight counts, once per stored candidate.  When
+    flanks remain, the node's candidates seed a heap, the flanks are
+    repaired with the chosen strategy, and every heap member is recounted
+    over the whole interval.
     """
     if strategy not in STRATEGIES:
         raise UnknownStrategyError(f"strategy must be one of {STRATEGIES}")
@@ -194,9 +202,16 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
 
     stats.locus_found = True
     stats.locus_sp, stats.locus_ep = locus.sp, locus.ep
+    seeds = candidates_of(x, locus, w)[:k]
+
+    if (locus.sp, locus.ep) == (sp, ep):
+        # The node's candidates are counted over [sp, ep] itself: exact.
+        stats.heap_offers = len(seeds)
+        seeds.sort(key=lambda p: (-p[1], p[0]))
+        return TopKResult(seeds, pat, k, x.variant, stats)
 
     heap = CandidateHeap(k)
-    for doc, freq in candidates_of(x, locus, w)[:k]:
+    for doc, freq in seeds:
         heap.offer(doc, freq)
         stats.heap_offers += 1
 

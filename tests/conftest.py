@@ -94,6 +94,26 @@ def random_docs(rng: random.Random, max_docs=10, max_total=500, sigma=3):
     return docs
 
 
+def acgt_corpus(rng):
+    """Thirty uniform random acgt documents of 200 symbols each."""
+    return ["".join(rng.choice("acgt") for _ in range(200)) for _ in range(30)]
+
+
+def revisions_corpus(rng):
+    """Base texts of words, each followed by revisions that change a few words."""
+    words = ["".join(rng.choice("abcdefgh") for _ in range(rng.randint(2, 6)))
+             for _ in range(40)]
+    docs = []
+    for _ in range(4):
+        text = [rng.choice(words) for _ in range(60)]
+        for _ in range(6):
+            docs.append(" ".join(text))
+            text = list(text)
+            for _ in range(2):
+                text[rng.randrange(len(text))] = rng.choice(words)
+    return docs
+
+
 def occurring_patterns(docs, max_len):
     """Every distinct substring of each length 1..max_len, sorted."""
     seen = set()

@@ -2,13 +2,14 @@ import hashlib
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from topkdoc import STRATEGIES, build_index, load_index, query_topk, save_index
 from topkdoc.container import deserialize_index, serialize_index
 from topkdoc.errors import ContainerFormatError, VersionMismatchError
 
-from conftest import occurring_patterns, random_docs
+from conftest import acgt_corpus, occurring_patterns, random_docs, revisions_corpus
 
 HEADER_LEN = 6 + 7 * 8
 
@@ -23,6 +24,23 @@ def section_spans(blob):
         spans.append((sec_id, offset, offset + 16 + length))
         offset += 16 + length
     return spans
+
+
+def sgst_fields(index, blob):
+    """Byte offset in blob of each array of the sampled-tree section."""
+    (start,) = [start for sec_id, start, _ in section_spans(blob) if sec_id == 3]
+    x = index.sgst
+    nodes, total = x.node_count, len(x.cand_docs)
+    pos = start + 16 + 8 + 8 + 8 * ((len(x.tau.bits) + 63) // 64)
+    at = {}
+    for name, count in (("sp", nodes), ("ep", nodes), ("cls", nodes),
+                        ("off", nodes + 1), ("total", 1), ("docs", total),
+                        ("freqs", total)):
+        at[name] = pos
+        pos += 8 * count
+    assert list(np.frombuffer(blob, "<u8", nodes, at["sp"])) == x.sp_arr
+    assert list(np.frombuffer(blob, "<u8", total, at["docs"])) == x.cand_docs
+    return at
 
 
 def answers(index, docs):
@@ -62,25 +80,6 @@ def test_roundtrip_preserves_everything(variant):
     for k in x.skeletons:
         assert y.skeletons[k][1] == x.skeletons[k][1]
     assert answers(back, docs) == answers(idx, docs)
-
-
-def acgt_corpus(rng):
-    return ["".join(rng.choice("acgt") for _ in range(200)) for _ in range(30)]
-
-
-def revisions_corpus(rng):
-    """Base texts of words, each followed by revisions that change a few words."""
-    words = ["".join(rng.choice("abcdefgh") for _ in range(rng.randint(2, 6)))
-             for _ in range(40)]
-    docs = []
-    for _ in range(4):
-        text = [rng.choice(words) for _ in range(60)]
-        for _ in range(6):
-            docs.append(" ".join(text))
-            text = list(text)
-            for _ in range(2):
-                text[rng.randrange(len(text))] = rng.choice(words)
-    return docs
 
 
 # sha256 of serialize_index for fixed seeded corpora, every level of each
@@ -210,3 +209,88 @@ def test_header_payload_disagreement_rejected():
     struct.pack_into("<Q", blob, 6, 99)                # claim n=99
     with pytest.raises(ContainerFormatError):
         deserialize_index(bytes(blob))
+
+
+@pytest.mark.parametrize("variant", ["light", "xlight"])
+def test_sgst_arrays_validated_at_load(variant):
+    idx = build_index(["abab", "abba", "bab"], g_prime=1, k_max=4, variant=variant)
+    blob = serialize_index(idx)
+    at = sgst_fields(idx, blob)
+    x, n, d = idx.sgst, idx.corpus.n, idx.corpus.d
+    # A node holding at least two candidates, and the slot of its first one.
+    r = next(r for r in range(x.node_count) if x.cand_off[r + 1] - x.cand_off[r] >= 2)
+    c = x.cand_off[r]
+    corruptions = [
+        ("sp", 0, 0),                          # interval starts before 1
+        ("ep", 0, n + 1),                      # interval ends after n
+        ("sp", r, x.ep_arr[r] + 1),            # sp > ep
+        ("cls", 0, 3),                         # not a power of two
+        ("cls", 0, 2 * x.k_max),               # above k_max
+        ("cls", r, 1),                         # more candidates than its class
+        ("off", 0, 1),                         # offsets do not start at 0
+        ("off", r + 1, x.cand_off[r + 2] + 1),  # offsets decrease
+        ("docs", c, 0),                        # doc below 1
+        ("docs", c, d + 1),                    # doc above d
+        ("docs", c + 1, x.cand_docs[c]),       # doc listed twice in one node
+    ]
+    for field, i, value in corruptions:
+        bad = bytearray(blob)
+        struct.pack_into("<Q", bad, at[field] + 8 * i, value)
+        with pytest.raises(ContainerFormatError):
+            deserialize_index(bytes(bad))
+
+
+def test_candidate_store_bit_flips():
+    # A single-bit flip of the light candidate store is rejected at load
+    # exactly when it leaves a list that is no plausible answer: a doc
+    # outside 1..d or repeated, a frequency outside 1..interval length, or
+    # an order other than (-freq, doc).
+    docs = random_docs(random.Random(229), max_docs=6, max_total=150, sigma=2)
+    idx = build_index(docs, g_prime=1, k_max=4, variant="light")
+    blob = serialize_index(idx)
+    at = sgst_fields(idx, blob)
+    x, d = idx.sgst, idx.corpus.d
+    owner = [r for r in range(x.node_count)
+             for _ in range(x.cand_off[r], x.cand_off[r + 1])]
+    patterns = occurring_patterns(docs, 3)
+    rejected = {"doc": 0, "freq": 0, "order": 0, "repeat": 0}
+    loaded = 0
+    for field in ("docs", "freqs"):
+        for i, r in enumerate(owner):
+            for bit in range(64):
+                cand_docs, cand_freqs = list(x.cand_docs), list(x.cand_freqs)
+                column = cand_docs if field == "docs" else cand_freqs
+                column[i] ^= 1 << bit
+                pairs = [(cand_docs[j], cand_freqs[j])
+                         for j in range(x.cand_off[r], x.cand_off[r + 1])]
+                keys = [(-f, doc) for doc, f in pairs]
+                length = x.ep_arr[r] - x.sp_arr[r] + 1
+                if not 1 <= cand_docs[i] <= d:
+                    kind = "doc"
+                elif not 1 <= cand_freqs[i] <= length:
+                    kind = "freq"
+                elif any(a >= b for a, b in zip(keys, keys[1:])):
+                    kind = "order"
+                elif len({doc for doc, _ in pairs}) < len(pairs):
+                    kind = "repeat"
+                else:
+                    kind = None
+                bad = bytearray(blob)
+                struct.pack_into("<Q", bad, at[field] + 8 * i, column[i])
+                try:
+                    back = deserialize_index(bytes(bad))
+                except ContainerFormatError:
+                    assert kind is not None, (field, i, bit)
+                    rejected[kind] += 1
+                    continue
+                assert kind is None, (field, i, bit, kind)
+                loaded += 1
+                # A plausible store answers every query without raising,
+                # though not always rightly: a low-bit flip can swap in
+                # another in-range doc or frequency.
+                for pattern in patterns:
+                    for k in (1, 2, 4):
+                        for strat in STRATEGIES:
+                            query_topk(back, pattern, k, strategy=strat)
+    assert rejected["doc"] and rejected["freq"] and rejected["order"], rejected
+    assert loaded

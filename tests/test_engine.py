@@ -1,21 +1,44 @@
+import dataclasses
+import hashlib
 import random
 
 import pytest
 
 import topkdoc.engine as engine_module
-from topkdoc import GREEDY, SELECT, STRATEGIES, build_index, query_topk
+from topkdoc import DFS, GREEDY, SELECT, STRATEGIES, build_index, query_topk
 from topkdoc.engine import CandidateHeap, kstar, select_scan
 from topkdoc.errors import (
     EmptyPatternError,
     OutOfRangeError,
     UnknownStrategyError,
 )
+from topkdoc.sgst import find_locus
+from topkdoc.suffixes import pattern_interval
+from topkdoc.wavelet import WaveletTree
 
-from conftest import naive_topk, occurring_patterns, random_docs
+from conftest import (
+    acgt_corpus,
+    naive_topk,
+    occurring_patterns,
+    random_docs,
+    revisions_corpus,
+)
+
+EQUAL, FLANK, FALLBACK = "equal", "flank", "fallback"
 
 
 def ranked_freqs(pairs):
     return sorted((f for _, f in pairs), reverse=True)
+
+
+def regime(index, result):
+    """Which of the three query paths answered result."""
+    if not result.stats.locus_found:
+        return FALLBACK
+    iv = pattern_interval(index.suffixes, index.corpus, result.pattern)
+    if (result.stats.locus_sp, result.stats.locus_ep) == (iv.sp, iv.ep):
+        return EQUAL
+    return FLANK
 
 
 def check_against_oracle(docs, result, pattern, k):
@@ -261,13 +284,91 @@ def test_threshold_never_decreases(monkeypatch):
             self.trace.append(super().kth_frequency())
 
     monkeypatch.setattr(engine_module, "CandidateHeap", Recording)
-    rng = random.Random(179)
-    for _ in range(5):
-        docs = random_docs(rng, max_docs=10, max_total=300)
-        idx = build_index(docs, g_prime=2, k_max=8)
-        for pattern in occurring_patterns(docs, 2)[::2]:
+    # Only flank queries build a heap, so every corpus here has loci that
+    # sit strictly inside their pattern intervals.
+    corpora = [(["bb", "aaaaaaaaaaaa"], 1), (["bbbbb", "aaaaa", "bbbbbb"], 1)]
+    corpora += [(revisions_corpus(random.Random(seed)), 4) for seed in (179, 181)]
+    flank = dict.fromkeys(STRATEGIES, 0)
+    emitted = dict.fromkeys(STRATEGIES, 0)
+    for docs, g_prime in corpora:
+        idx = build_index(docs, g_prime=g_prime, k_max=8)
+        for pattern in occurring_patterns(docs, 3):
             for strat in STRATEGIES:
-                query_topk(idx, pattern, 3, strategy=strat)
+                r = query_topk(idx, pattern, 3, strategy=strat)
+                if regime(idx, r) == FLANK:
+                    flank[strat] += 1
+                    emitted[strat] += r.stats.docs_emitted
+    assert min(flank.values()) >= 20
+    assert emitted[GREEDY] >= 1 and emitted[DFS] >= 1
+    assert len(created) == sum(flank.values())
     assert created                    # loci must actually have been found
     for heap in created:
         assert heap.trace == sorted(heap.trace)
+
+
+def test_equal_regime_counts_only_xlight_candidates(monkeypatch):
+    calls = []
+    real_doc_freq = WaveletTree.doc_freq
+
+    def counting(self, doc, l, r):
+        calls.append((doc, l, r))
+        return real_doc_freq(self, doc, l, r)
+
+    monkeypatch.setattr(WaveletTree, "doc_freq", counting)
+    docs = acgt_corpus(random.Random(211))
+    for variant in ("light", "xlight"):
+        idx = build_index(docs, g_prime=10, k_max=16, variant=variant)
+        x = idx.sgst
+        equal = 0
+        for pattern in occurring_patterns(docs, 3):
+            for k in (1, 3, 10):
+                for strat in STRATEGIES:
+                    calls.clear()
+                    r = query_topk(idx, pattern, k, strategy=strat)
+                    if regime(idx, r) != EQUAL:
+                        continue
+                    equal += 1
+                    node = find_locus(x, kstar(k), r.stats.locus_sp, r.stats.locus_ep)
+                    stored = x.cand_docs[x.cand_off[node.rank - 1]:x.cand_off[node.rank]]
+                    recounts = [(doc, node.sp, node.ep) for doc in stored]
+                    assert calls == (recounts if variant == "xlight" else [])
+                    assert r.stats.heap_offers == len(r.pairs) == min(k, len(stored))
+        assert equal >= 300
+
+
+def answer_digest(index, docs):
+    """sha256 over (pattern, k, strategy, pairs, stats) of every query, and
+    the set of regimes those queries took."""
+    h = hashlib.sha256()
+    seen = set()
+    for pattern in occurring_patterns(docs, 3):
+        for k in (1, 3, 10, 17):
+            for strat in STRATEGIES:
+                r = query_topk(index, pattern, k, strategy=strat)
+                row = (pattern, k, strat, [(int(d), int(f)) for d, f in r.pairs],
+                       tuple(int(v) for v in dataclasses.astuple(r.stats)))
+                h.update(repr(row).encode())
+                seen.add(regime(index, r))
+    return h.hexdigest(), seen
+
+
+# sha256 of answer_digest over seeded corpora that reach the listed query
+# regimes: a change to any answer or work counter changes it.  Both layouts
+# answer alike, so they share one digest.
+PINNED_ANSWERS = {
+    "acgt": (
+        acgt_corpus, 211, dict(g_prime=10, k_max=16), {EQUAL, FALLBACK},
+        "a4fdad3de692f65e92ad509ee025dc2be43c5c31d5d75346d46d7c380be6d52a"),
+    "revisions": (
+        revisions_corpus, 223, dict(g_prime=4, k_max=8), {EQUAL, FLANK, FALLBACK},
+        "c8100f0cfce3b60fe30bdc267d229b0667b1fee1b04d3c6f728fb60c45d75dfd"),
+}
+
+
+@pytest.mark.parametrize("variant", ["light", "xlight"])
+@pytest.mark.parametrize("name", sorted(PINNED_ANSWERS))
+def test_answers_and_counters_pinned(name, variant):
+    make, seed, params, regimes, digest = PINNED_ANSWERS[name]
+    docs = make(random.Random(seed))
+    idx = build_index(docs, variant=variant, **params)
+    assert answer_digest(idx, docs) == (digest, regimes)
