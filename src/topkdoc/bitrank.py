@@ -47,16 +47,6 @@ class RankBitVector:
         self._init_from_words(words, n, sample_step)
         return self
 
-    @classmethod
-    def from_ones(cls, positions, n, sample_step=64):
-        """Build a length-n vector with ones at the given 1-based positions."""
-        arr = np.zeros(n, dtype=np.uint8)
-        for pos in positions:
-            if not 1 <= pos <= n:
-                raise OutOfRangeError(f"position {pos} outside 1..{n}")
-            arr[pos - 1] = 1
-        return cls(arr, sample_step)
-
     def _init_from_words(self, words, n, sample_step):
         if sample_step < 1:
             raise ValueError("sample_step must be positive")

@@ -10,8 +10,11 @@ Layout, all integers little-endian:
 
 Sections: 1 corpus (text plus boundary bit vector), 2 wavelet bitmaps,
 3 sampled tree, 4 suffix array (optional, rebuilt from the text when
-absent).  Unknown section ids are skipped so the format can grow; a
-version mismatch is an error, as is any declared length that does not
+absent).  The boundary bit vector, a one at each terminator, is derived
+from the text when saving; at load it must equal the one derived from
+the stored text, and that text must end with a terminator and hold no
+empty document.  Unknown section ids are skipped so the format can grow;
+a version mismatch is an error, as is any declared length that does not
 match its payload, or a sampled-tree node or candidate list that no build
 could have written (see _check_nodes and _check_candidates).
 """
@@ -22,13 +25,13 @@ import struct
 import numpy as np
 
 from .bitrank import RankBitVector
-from .corpus import ingest
+from .corpus import SENTINEL, Corpus
 from .engine import Index
-from .errors import ContainerFormatError, VersionMismatchError
+from .errors import ContainerFormatError, EmptyDocumentError, VersionMismatchError
 from .louds import LoudsTree
 from .sgst import SGST
 from .suffixes import SuffixIndex, build_suffix_array
-from .wavelet import WaveletTree, _Node as _WNode
+from .wavelet import WaveletTree
 
 MAGIC = b"TKDI"
 VERSION = 1
@@ -117,7 +120,7 @@ def deserialize_index(data: bytes) -> Index:
         if required not in sections:
             raise ContainerFormatError(f"missing required section {required}")
 
-    corpus = _read_corpus(sections[SECTION_CORPUS], n, rank_step)
+    corpus = _read_corpus(sections[SECTION_CORPUS], n)
     if corpus.d != d or corpus.sigma != sigma:
         raise ContainerFormatError("header does not match the stored corpus")
 
@@ -126,9 +129,7 @@ def deserialize_index(data: bytes) -> Index:
         if len(payload) != 8 * n:
             raise ContainerFormatError("suffix array section has the wrong length")
         sa = np.frombuffer(payload, dtype="<u8").astype(np.int64)
-        ends = np.cumsum([len(doc) + 1 for doc in corpus.docs])
-        doc_ids = (np.searchsorted(ends, sa, side="left") + 1).astype(np.int32)
-        suffixes = SuffixIndex(sa=sa, doc_ids=doc_ids)
+        suffixes = SuffixIndex(sa=sa, doc_ids=corpus.doc_ids(sa))
         store_sa = True
     else:
         suffixes = build_suffix_array(corpus)
@@ -184,25 +185,32 @@ class _Reader:
 
 
 def _corpus_payload(corpus) -> bytes:
-    return (_U64.pack(corpus.n) + corpus.text
-            + _bitvector_blob(corpus.boundaries))
+    return _U64.pack(corpus.n) + corpus.text + _boundary_blob(corpus.text)
 
 
-def _read_corpus(payload, n, rank_step):
+def _boundary_blob(text) -> bytes:
+    """The boundary bit vector as _bitvector_blob writes it: a one at each
+    terminator of text."""
+    words = np.packbits(np.frombuffer(text, dtype=np.uint8) == SENTINEL,
+                        bitorder="little")
+    return _U64.pack(len(text)) + words.tobytes() + bytes(-len(words) % 8)
+
+
+def _read_corpus(payload, n):
     r = _Reader(payload)
-    text_len = r.u64()
-    if text_len != n:
+    if r.u64() != n:
         raise ContainerFormatError("stored text length disagrees with the header")
-    text = r.raw(text_len)
-    boundaries = r.bitvector(rank_step)
-    r.done()
-    docs = text.split(b"\x00")
-    if docs[-1] != b"":
+    text = r.raw(n)
+    if text[-1:] != bytes([SENTINEL]):
         raise ContainerFormatError("stored text does not end with a terminator")
-    corpus = ingest(docs[:-1])
-    if corpus.text != text or corpus.boundaries.words != boundaries.words:
+    boundaries = _boundary_blob(text)
+    if r.raw(len(boundaries)) != boundaries:
         raise ContainerFormatError("stored boundaries disagree with the text")
-    return corpus
+    r.done()
+    try:
+        return Corpus.from_text(text)
+    except EmptyDocumentError as exc:
+        raise ContainerFormatError("stored text holds an empty document") from exc
 
 
 def _wavelet_payload(w: WaveletTree) -> bytes:
@@ -216,31 +224,13 @@ def _wavelet_payload(w: WaveletTree) -> bytes:
 
 def _read_wavelet(payload, d, n, rank_step):
     r = _Reader(payload)
-    stored_d = r.u64()
-    if stored_d != d:
+    if r.u64() != d:
         raise ContainerFormatError("wavelet alphabet disagrees with the header")
-    count = r.u64()
-    w = WaveletTree.__new__(WaveletTree)
-    w.d = d
-    w.n = n
-    w._step = rank_step
-    w.height = (d - 1).bit_length()
-    w.root = _rebuild_wavelet_shape(1, d)
-    internal = w.internal_nodes()
-    if len(internal) != count:
+    if r.u64() != d - 1:
         raise ContainerFormatError("wavelet section has the wrong node count")
-    for node in internal:
-        node.bits = r.bitvector(rank_step)
+    bitmaps = [r.bitvector(rank_step) for _ in range(d - 1)]
     r.done()
-    return w
-
-
-def _rebuild_wavelet_shape(lo, hi):
-    node = _WNode(lo, hi)
-    if lo < hi:
-        node.left = _rebuild_wavelet_shape(lo, node.mid)
-        node.right = _rebuild_wavelet_shape(node.mid + 1, hi)
-    return node
+    return WaveletTree.from_bitmaps(bitmaps, d, n)
 
 
 def _sgst_payload(x: SGST) -> bytes:

@@ -3,11 +3,14 @@
 Documents are byte strings.  They are concatenated into one text with a
 terminator byte 0x00 appended after each document; 0x00 is reserved and
 compares below every document symbol, so it may not appear in the input.
+The text is the collection's only copy: document bounds and ids are read
+off its terminators.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .bitrank import RankBitVector
+import numpy as np
+
 from .errors import EmptyDocumentError, OutOfRangeError, SentinelInDocumentError
 
 SENTINEL = 0
@@ -15,28 +18,47 @@ SENTINEL = 0
 
 @dataclass(frozen=True)
 class Corpus:
-    docs: tuple          # original documents, ids 1..d by position
-    d: int               # number of documents
-    sigma: int           # distinct non-terminator symbols
-    text: bytes          # concatenation, one terminator after each document
-    n: int               # len(text)
-    boundaries: RankBitVector = field(repr=False)  # ones at terminator positions
+    text: bytes     # concatenation, one terminator after each document
+    n: int          # len(text)
+    d: int          # number of documents, ids 1..d in text order
+    sigma: int      # distinct symbols of text, terminator excluded
+    ends: tuple     # 1-based position of each document's terminator, ascending
 
-    def doc_of_position(self, pos):
-        """Document id owning 1-based text position pos.
+    @classmethod
+    def from_text(cls, text):
+        """Corpus over text, which must end with a terminator.
+
+        Raises EmptyDocumentError when text holds no document or an empty one.
+        """
+        symbols = np.frombuffer(text, dtype=np.uint8)
+        ends = np.flatnonzero(symbols == SENTINEL) + 1
+        if not ends.size or (np.diff(ends, prepend=0) == 1).any():
+            raise EmptyDocumentError("need at least one document, each of at least "
+                                     "one symbol")
+        sigma = np.count_nonzero(np.bincount(symbols, minlength=256)[1:])
+        return cls(text=bytes(text), n=len(text), d=len(ends), sigma=int(sigma),
+                   ends=tuple(ends.tolist()))
+
+    def doc_ids(self, positions):
+        """Document id owning each 1-based text position, as int32.
 
         A terminator belongs to the document it ends, so the id is one more
-        than the number of terminators strictly before pos.
+        than the number of terminators strictly before the position.
         """
+        return (np.searchsorted(self.ends, positions, side="left") + 1).astype(np.int32)
+
+    def doc_of_position(self, pos):
+        """Document id owning 1-based text position pos."""
         if not 1 <= pos <= self.n:
             raise OutOfRangeError(f"position {pos} outside 1..{self.n}")
-        return 1 + self.boundaries.rank1(pos - 1)
+        return int(self.doc_ids(pos))
 
     def document(self, doc_id):
         """Original bytes of document doc_id (1-based)."""
         if not 1 <= doc_id <= self.d:
             raise OutOfRangeError(f"document {doc_id} outside 1..{self.d}")
-        return self.docs[doc_id - 1]
+        start = self.ends[doc_id - 2] if doc_id > 1 else 0
+        return self.text[start:self.ends[doc_id - 1] - 1]
 
 
 def ingest(documents):
@@ -48,29 +70,7 @@ def ingest(documents):
     docs = []
     for raw in documents:
         data = raw.encode("utf-8") if isinstance(raw, str) else bytes(raw)
-        if not data:
-            raise EmptyDocumentError("documents must contain at least one symbol")
         if SENTINEL in data:
             raise SentinelInDocumentError("documents may not contain byte 0x00")
         docs.append(data)
-    if not docs:
-        raise EmptyDocumentError("at least one document is required")
-    text = b"".join(d + bytes([SENTINEL]) for d in docs)
-    n = len(text)
-    ends = []
-    pos = 0
-    for d in docs:
-        pos += len(d) + 1
-        ends.append(pos)
-    boundaries = RankBitVector.from_ones(ends, n)
-    alphabet = set()
-    for d in docs:
-        alphabet.update(d)
-    return Corpus(
-        docs=tuple(docs),
-        d=len(docs),
-        sigma=len(alphabet),
-        text=text,
-        n=n,
-        boundaries=boundaries,
-    )
+    return Corpus.from_text(b"".join(d + bytes([SENTINEL]) for d in docs))

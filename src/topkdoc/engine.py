@@ -172,8 +172,8 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
     result when the pattern does not occur at all.  When the marked node
     found spans exactly the pattern's interval, its first k stored
     candidates are the answer: no heap, flank traversal or final recount
-    runs, and only xlight counts, once per stored candidate.  When
-    flanks remain, the node's candidates seed a heap, the flanks are
+    runs, and only xlight counts, once per candidate returned.  When
+    flanks remain, the node's first k candidates seed a heap, the flanks are
     repaired with the chosen strategy, and every heap member is recounted
     over the whole interval.
     """
@@ -202,7 +202,7 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
 
     stats.locus_found = True
     stats.locus_sp, stats.locus_ep = locus.sp, locus.ep
-    seeds = candidates_of(x, locus, w)[:k]
+    seeds = candidates_of(x, locus, w, k)
 
     if (locus.sp, locus.ep) == (sp, ep):
         # The node's candidates are counted over [sp, ep] itself: exact.

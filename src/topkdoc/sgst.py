@@ -214,13 +214,16 @@ def find_locus(x: SGST, k_star, sp, ep):
         v = louds.handle_of_rank(descend)
 
 
-def candidates_of(x: SGST, node: MarkedNode, w: WaveletTree):
+def candidates_of(x: SGST, node: MarkedNode, w: WaveletTree, k=None):
     """Precomputed (doc, freq) list of a marked node, most frequent first.
 
-    The light layout returns stored frequencies; xlight recounts each doc
-    over the node's interval through the wavelet tree.
+    Only the first k entries when k is given.  The light layout returns
+    stored frequencies; xlight recounts each doc returned over the node's
+    interval through the wavelet tree.
     """
     lo, hi = x.cand_off[node.rank - 1], x.cand_off[node.rank]
+    if k is not None:
+        hi = min(hi, lo + k)
     docs = x.cand_docs[lo:hi]
     if x.cand_freqs is not None:
         return list(zip(docs, x.cand_freqs[lo:hi]))

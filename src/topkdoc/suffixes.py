@@ -48,9 +48,7 @@ class SuffixIndex:
 def build_suffix_array(corpus: Corpus) -> SuffixIndex:
     order = _suffix_order(corpus.text)          # 0-based start positions
     sa = order.astype(np.int64) + 1
-    ends = np.cumsum([len(d) + 1 for d in corpus.docs])
-    doc_ids = (np.searchsorted(ends, sa, side="left") + 1).astype(np.int32)
-    return SuffixIndex(sa=sa, doc_ids=doc_ids)
+    return SuffixIndex(sa=sa, doc_ids=corpus.doc_ids(sa))
 
 
 def _suffix_order(text: bytes) -> np.ndarray:

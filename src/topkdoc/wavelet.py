@@ -33,12 +33,13 @@ class _Node:
     __slots__ = ("lo", "hi", "mid", "bits", "left", "right")
 
     def __init__(self, lo, hi):
+        """The whole subtree over ids lo..hi, bit vectors left unset."""
         self.lo = lo
         self.hi = hi
         self.mid = (lo + hi) // 2
         self.bits = None
-        self.left = None
-        self.right = None
+        self.left = _Node(lo, self.mid) if lo < hi else None
+        self.right = _Node(self.mid + 1, hi) if lo < hi else None
 
     @property
     def is_leaf(self):
@@ -89,21 +90,31 @@ class WaveletTree:
         arr = np.asarray(values, dtype=np.int64)
         if arr.size and (arr.min() < 1 or arr.max() > d):
             raise ValueOutOfRangeError(f"values must lie in 1..{d}")
-        self.d = d
-        self.n = int(arr.size)
-        self._step = sample_step
-        self.root = self._build(1, d, arr)
-        self.height = (d - 1).bit_length()
+        self._shape(d, int(arr.size))
+        stack = [(self.root, arr)]
+        while stack:
+            node, values = stack.pop()
+            if not node.is_leaf:
+                go_right = values > node.mid
+                node.bits = RankBitVector(go_right, sample_step)
+                stack.append((node.left, values[~go_right]))
+                stack.append((node.right, values[go_right]))
 
-    def _build(self, lo, hi, values):
-        node = _Node(lo, hi)
-        if lo == hi:
-            return node
-        go_right = values > node.mid
-        node.bits = RankBitVector(go_right, self._step)
-        node.left = self._build(lo, node.mid, values[~go_right])
-        node.right = self._build(node.mid + 1, hi, values[go_right])
-        return node
+    @classmethod
+    def from_bitmaps(cls, bitmaps, d, n):
+        """Rebuild the tree over d ids and n positions from the bit vectors of
+        its d - 1 internal nodes, given in internal_nodes() order."""
+        self = cls.__new__(cls)
+        self._shape(d, n)
+        for node, bits in zip(self.internal_nodes(), bitmaps, strict=True):
+            node.bits = bits
+        return self
+
+    def _shape(self, d, n):
+        self.d = d
+        self.n = n
+        self.height = (d - 1).bit_length()
+        self.root = _Node(1, d)
 
     def internal_nodes(self):
         """Internal nodes in level order; the shape is a function of d alone."""
@@ -168,12 +179,9 @@ class WaveletTree:
             return (1, 0), (1, 0)
         if i < 1 or j > len(node.bits):
             raise OutOfRangeError(f"interval [{i}, {j}] outside 1..{len(node.bits)}")
-        bits = node.bits
-        z = bits.rank0(i - 1)
-        left = (z + 1, bits.rank0(j))
-        o = (i - 1) - z
-        right = (o + 1, bits.rank1(j))
-        return left, right
+        z = node.bits.rank0(i - 1)
+        zj = node.bits.rank0(j)         # the ones among 1..j are j - zj
+        return (z + 1, zj), (i - z, j - zj)
 
     def greedy_topk(self, l, r, k):
         """The k documents occurring most often in [l, r], ties to lower ids.
@@ -205,46 +213,39 @@ class WaveletTree:
     def restricted_greedy(self, t: TrackedIntervals, threshold_source):
         """Yield (doc, outer frequency) for documents in t's uncovered parts.
 
-        Priority-queue traversal ordered by outer interval length.  Stops
-        outright once the popped length is not larger than the value
-        currently reported by threshold_source().
+        Priority-queue traversal ordered by outer interval length.  A node
+        whose outer interval is not larger than the value currently reported
+        by threshold_source() is skipped; callers' thresholds never decrease,
+        so once one is skipped every later node is too.
         """
-        self._check_root(t)
-        if not t.has_uncovered:
-            return
-        heap = [(-(t.r - t.l + 1), t.node.lo, t)]
-        while heap:
-            neg, _, cur = heapq.heappop(heap)
-            if -neg <= threshold_source():
-                return
-            node = cur.node
-            if node.bits is None:
-                yield node.lo, cur.r - cur.l + 1
-                continue
-            for child in self._children_with_uncovered(cur):
-                heapq.heappush(heap, (-(child.r - child.l + 1), child.node.lo, child))
+        return self._restricted(t, threshold_source, heapq.heappush, heapq.heappop)
 
     def restricted_dfs(self, t: TrackedIntervals, threshold_source):
-        """Depth-first variant of restricted_greedy.
+        """Depth-first variant of restricted_greedy, left children first.
 
         Skips any subtree whose outer interval is not larger than the
         current threshold, but keeps visiting siblings.
         """
+        return self._restricted(t, threshold_source, list.append, list.pop)
+
+    def _restricted(self, t, threshold_source, push, pop):
+        """The traversal behind both restricted walks; push and pop make the
+        frontier a heap or a stack.  Keys (-outer length, lo) are unique
+        because no node shares the frontier with its ancestor."""
         self._check_root(t)
         if not t.has_uncovered:
             return
-        stack = [t]
-        while stack:
-            cur = stack.pop()
-            if cur.r - cur.l + 1 <= threshold_source():
+        frontier = [(-(t.r - t.l + 1), t.node.lo, t)]
+        while frontier:
+            neg, _, cur = pop(frontier)
+            if -neg <= threshold_source():
                 continue
             node = cur.node
             if node.bits is None:
-                yield node.lo, cur.r - cur.l + 1
+                yield node.lo, -neg
                 continue
-            children = self._children_with_uncovered(cur)
-            for child in reversed(children):
-                stack.append(child)
+            for child in reversed(self._children_with_uncovered(cur)):
+                push(frontier, (-(child.r - child.l + 1), child.node.lo, child))
 
     def _children_with_uncovered(self, cur):
         node = cur.node

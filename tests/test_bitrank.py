@@ -103,21 +103,6 @@ def test_select_rank_inverse():
         assert v.rank1(p - 1) == j - 1
 
 
-def test_from_ones_matches_string_build():
-    rng = random.Random(3)
-    n = 300
-    positions = sorted(rng.sample(range(1, n + 1), 40))
-    bits = "".join("1" if p + 1 in set(positions) else "0" for p in range(n))
-    a = RankBitVector.from_ones(positions, n)
-    b = RankBitVector(bits)
-    assert a.words == b.words
-    assert all(a.rank1(i) == b.rank1(i) for i in range(0, n + 1, 7))
-    with pytest.raises(OutOfRangeError):
-        RankBitVector.from_ones([0], 5)
-    with pytest.raises(OutOfRangeError):
-        RankBitVector.from_ones([6], 5)
-
-
 def test_from_words_roundtrip():
     rng = random.Random(17)
     bits = "".join(rng.choice("01") for _ in range(130))

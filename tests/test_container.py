@@ -59,7 +59,7 @@ def test_roundtrip_preserves_everything(variant):
     idx = build_index(docs, g_prime=1, k_max=4, variant=variant)
     blob = serialize_index(idx)
     back = deserialize_index(blob)
-    assert back.corpus.docs == idx.corpus.docs
+    assert [back.corpus.document(i) for i in (1, 2, 3)] == [b"abab", b"abba", b"bab"]
     assert back.corpus.text == idx.corpus.text
     assert (back.corpus.n, back.corpus.d, back.corpus.sigma) == (14, 3, 2)
     assert list(back.suffixes.sa) == list(idx.suffixes.sa)
@@ -126,6 +126,16 @@ def test_rewrite_with_suffix_array_is_bit_identical():
     assert back.store_suffix_array
     assert serialize_index(back, include_suffix_array=True) == blob
     assert len(blob) > len(serialize_index(idx))
+
+
+def test_stored_suffix_array_keeps_document_array():
+    rng = random.Random(193)
+    for _ in range(20):
+        idx = build_index(random_docs(rng, max_docs=8, max_total=200), g_prime=3, k_max=4)
+        back = deserialize_index(serialize_index(idx, include_suffix_array=True))
+        assert back.store_suffix_array
+        assert list(back.suffixes.sa) == list(idx.suffixes.sa)
+        assert list(back.suffixes.doc_ids) == list(idx.suffixes.doc_ids)
 
 
 def test_save_and_load_files(tmp_path):
@@ -209,6 +219,35 @@ def test_header_payload_disagreement_rejected():
     struct.pack_into("<Q", blob, 6, 99)                # claim n=99
     with pytest.raises(ContainerFormatError):
         deserialize_index(bytes(blob))
+
+
+def test_corrupted_text_rejected():
+    idx = build_index(["abab", "abba", "bab"], g_prime=1, k_max=4)
+    blob = serialize_index(idx)
+    text = idx.corpus.text                      # abab.abba.bab.
+    start = HEADER_LEN + 16 + 8                 # first byte of the text
+
+    def boundary_blob(text):
+        """Boundary bit vector agreeing with text: one word, as n <= 64."""
+        word = sum(1 << i for i, c in enumerate(text) if c == 0)
+        return struct.pack("<QQ", len(text), word)
+
+    def with_corpus(text, boundaries):
+        return blob[:start] + text + boundaries + blob[start + len(text) + 16:]
+
+    assert with_corpus(text, boundary_blob(text)) == blob
+    empty_doc = text[:3] + b"\x00" + text[4:]   # aba..abba.bab.
+    unterminated = text[:-1] + b"b"             # abab.abba.babb
+    flipped = bytearray(boundary_blob(text))
+    flipped[8] ^= 1 << 2                        # a one at position 3
+    cases = [
+        (with_corpus(empty_doc, boundary_blob(empty_doc)), "empty document"),
+        (with_corpus(unterminated, boundary_blob(unterminated)), "terminator"),
+        (with_corpus(text, bytes(flipped)), "boundaries"),
+    ]
+    for bad, reason in cases:
+        with pytest.raises(ContainerFormatError, match=reason):
+            deserialize_index(bad)
 
 
 @pytest.mark.parametrize("variant", ["light", "xlight"])

@@ -14,7 +14,7 @@ def test_worked_layout(worked_corpus):
     assert c.n == 14
     assert c.sigma == 2
     assert c.text == WORKED_TEXT
-    assert c.docs == (b"abab", b"abba", b"bab")
+    assert [c.document(i) for i in (1, 2, 3)] == [b"abab", b"abba", b"bab"]
 
 
 def test_document_roundtrip(worked_corpus):
@@ -46,12 +46,13 @@ def test_doc_of_position_random():
             for _ in range(len(doc) + 1):
                 pos += 1
                 assert c.doc_of_position(pos) == i
+            assert c.document(i) == doc.encode()
         assert pos == c.n
 
 
 def test_bytes_input_accepted():
     c = ingest([b"abc", bytearray(b"de")])
-    assert c.docs == (b"abc", b"de")
+    assert [c.document(1), c.document(2)] == [b"abc", b"de"]
     assert c.text == b"abc\x00de\x00"
 
 
