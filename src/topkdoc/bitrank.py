@@ -2,8 +2,14 @@
 
 Bits are packed into 64-bit words.  A rank directory stores the running
 popcount every `sample_step` bits, so rank costs one directory lookup plus
-at most `sample_step / 64` word popcounts.  select binary-searches the
+at most `sample_step / 64` word popcounts; at the default of one sample
+per word that is one lookup and one popcount.  select binary-searches the
 directory and then scans within one sample block.
+
+The wavelet tree projects an interval through a node with rank1 at its two
+ends, and LOUDS navigation spans a node's children with the two zeros
+around its encoding, so rank1_pair and select_pair answer both positions
+with one range check (and, for select, one directory search).
 """
 
 import numpy as np
@@ -93,8 +99,28 @@ class RankBitVector:
     def rank1(self, i):
         if not 0 <= i <= self._n:
             raise OutOfRangeError(f"prefix length {i} outside 0..{self._n}")
-        if i == 0:
-            return 0
+        return self._rank1(i)
+
+    def rank1_pair(self, i, j):
+        """(rank1(i), rank1(j)) for 0 <= i <= j <= n."""
+        if not 0 <= i <= j <= self._n:
+            raise OutOfRangeError(f"prefix lengths {i}, {j} not ordered within 0..{self._n}")
+        if self._step_words != 1:
+            return self._rank1(i), self._rank1(j)
+        words = self._words
+        samples = self._samples
+        ri = samples[i >> 6]
+        r = i & 63
+        if r:
+            ri += (words[i >> 6] & ((1 << r) - 1)).bit_count()
+        rj = samples[j >> 6]
+        r = j & 63
+        if r:
+            rj += (words[j >> 6] & ((1 << r) - 1)).bit_count()
+        return ri, rj
+
+    def _rank1(self, i):
+        """rank1 without the range check."""
         words = self._words
         blk = i // self._step
         cnt = self._samples[blk]
@@ -115,33 +141,51 @@ class RankBitVector:
 
     def select(self, bit, j):
         """1-based position of the j-th occurrence of bit."""
-        n = self._n
-        total = self._ones if bit else n - self._ones
+        total = self._ones if bit else self._n - self._ones
         if j < 1 or j > total:
             raise NotEnoughOccurrencesError(f"occurrence {j} of bit {bit} (have {total})")
+        return self._select(bit, j)
+
+    def select_pair(self, bit, j):
+        """(select(bit, j), select(bit, j + 1)): the j-th occurrence of bit
+        and the next one, found by scanning on from the first."""
+        total = self._ones if bit else self._n - self._ones
+        if j < 1 or j >= total:
+            raise NotEnoughOccurrencesError(
+                f"occurrences {j} and {j + 1} of bit {bit} (have {total})")
+        p = self._select(bit, j)
+        words = self._words
+        t, off = p >> 6, p & 63         # word and offset of position p + 1
+        word = (words[t] if bit else ~words[t]) & (_FULL >> off << off)
+        while not word:
+            # Past n, a complemented word reads as zeros; the (j+1)-th
+            # occurrence exists, so the scan stops before reaching them.
+            t += 1
+            word = words[t] if bit else ~words[t] & _FULL
+        return p, (t << 6) + (word & -word).bit_length()
+
+    def _select(self, bit, j):
+        """select without the occurrence check."""
         samples = self._samples
         step = self._step
-        # Largest block whose preceding count stays below j.
+        # Largest block whose preceding count stays below j.  The last
+        # sample's zero count may include padding past n, but it is at
+        # least the true total, so that block is never chosen either way.
         lo, hi = 0, len(samples) - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            before = samples[mid] if bit else min(mid * step, n) - samples[mid]
+            before = samples[mid] if bit else mid * step - samples[mid]
             if before < j:
                 lo = mid
             else:
                 hi = mid - 1
-        blk = lo
-        remaining = j - (samples[blk] if bit else min(blk * step, n) - samples[blk])
+        remaining = j - (samples[lo] if bit else lo * step - samples[lo])
         words = self._words
-        t = blk * self._step_words
+        t = lo * self._step_words
         while True:
-            word = words[t]
-            valid = min(_WORD, n - (t << 6))
-            if bit:
-                cnt = word.bit_count()
-            else:
-                cnt = valid - word.bit_count()
-                word = ~word & ((1 << valid) - 1)
+            # Zeros past n in the last word come after every real one.
+            word = words[t] if bit else ~words[t] & _FULL
+            cnt = word.bit_count()
             if remaining <= cnt:
                 for _ in range(remaining - 1):
                     word &= word - 1

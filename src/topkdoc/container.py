@@ -15,8 +15,11 @@ from the text when saving; at load it must equal the one derived from
 the stored text, and that text must end with a terminator and hold no
 empty document.  Unknown section ids are skipped so the format can grow;
 a version mismatch is an error, as is any declared length that does not
-match its payload, or a sampled-tree node or candidate list that no build
-could have written (see _check_nodes and _check_candidates).
+match its payload, a stored suffix array that is not a permutation of 1..n,
+wavelet bitmaps whose lengths do not follow the tree's routing, a LOUDS
+sequence that encodes no tree, or a skeleton level or reference, a
+sampled-tree node or a candidate list that no build could have written
+(see _read_sgst, _check_nodes and _check_candidates).
 """
 
 import io
@@ -27,7 +30,8 @@ import numpy as np
 from .bitrank import RankBitVector
 from .corpus import SENTINEL, Corpus
 from .engine import Index
-from .errors import ContainerFormatError, EmptyDocumentError, VersionMismatchError
+from .errors import (ContainerFormatError, EmptyDocumentError, InconsistentIntervalsError,
+                     InvalidHandleError, VersionMismatchError)
 from .louds import LoudsTree
 from .sgst import SGST
 from .suffixes import SuffixIndex, build_suffix_array
@@ -125,11 +129,7 @@ def deserialize_index(data: bytes) -> Index:
         raise ContainerFormatError("header does not match the stored corpus")
 
     if SECTION_SUFFIX_ARRAY in sections:
-        payload = sections[SECTION_SUFFIX_ARRAY]
-        if len(payload) != 8 * n:
-            raise ContainerFormatError("suffix array section has the wrong length")
-        sa = np.frombuffer(payload, dtype="<u8").astype(np.int64)
-        suffixes = SuffixIndex(sa=sa, doc_ids=corpus.doc_ids(sa))
+        suffixes = _read_suffix_array(sections[SECTION_SUFFIX_ARRAY], corpus)
         store_sa = True
     else:
         suffixes = build_suffix_array(corpus)
@@ -213,6 +213,18 @@ def _read_corpus(payload, n):
         raise ContainerFormatError("stored text holds an empty document") from exc
 
 
+def _read_suffix_array(payload, corpus):
+    """The stored suffix array, which must be a permutation of 1..n.  That
+    it sorts the suffixes is not checked."""
+    n = corpus.n
+    if len(payload) != 8 * n:
+        raise ContainerFormatError("suffix array section has the wrong length")
+    sa = np.frombuffer(payload, dtype="<u8").astype(np.int64)   # 2**63 and up wrap below 1
+    if not ((1 <= sa) & (sa <= n)).all() or np.bincount(sa).max() > 1:
+        raise ContainerFormatError("stored suffix array is not a permutation of 1..n")
+    return SuffixIndex(sa=sa, doc_ids=corpus.doc_ids(sa))
+
+
 def _wavelet_payload(w: WaveletTree) -> bytes:
     parts = [_U64.pack(w.d)]
     internal = w.internal_nodes()
@@ -230,7 +242,10 @@ def _read_wavelet(payload, d, n, rank_step):
         raise ContainerFormatError("wavelet section has the wrong node count")
     bitmaps = [r.bitvector(rank_step) for _ in range(d - 1)]
     r.done()
-    return WaveletTree.from_bitmaps(bitmaps, d, n)
+    try:
+        return WaveletTree.from_bitmaps(bitmaps, d, n)
+    except InconsistentIntervalsError as exc:
+        raise ContainerFormatError(f"wavelet bitmaps disagree with the tree: {exc}") from exc
 
 
 def _sgst_payload(x: SGST) -> bytes:
@@ -261,7 +276,7 @@ def _read_sgst(payload, n, d, g_prime, k_max, variant, rank_step):
         r.done()
         return SGST(g_prime, k_max, variant, None, [], [], [], [0], [],
                     None if variant == "xlight" else [], {})
-    tau = LoudsTree.from_bits(r.bitvector(rank_step))
+    tau = _read_louds(r, rank_step)
     if tau.node_count != node_count:
         raise ContainerFormatError("tree bits disagree with the stored node count")
     sp_arr = r.u64_array(node_count)
@@ -278,15 +293,30 @@ def _read_sgst(payload, n, d, g_prime, k_max, variant, rank_step):
     skeletons = {}
     for _ in range(r.u64()):
         k = r.u64()
-        louds = LoudsTree.from_bits(r.bitvector(rank_step))
-        refs = tuple(r.u64_array(r.u64()).tolist())
+        if k in skeletons or not 2 <= k <= k_max or k & (k - 1):
+            raise ContainerFormatError(f"skeleton level {k} is repeated or not a "
+                                       f"power of two in 2..{k_max}")
+        louds = _read_louds(r, rank_step)
+        refs = r.u64_array(r.u64())
         if louds.node_count != len(refs):
             raise ContainerFormatError("skeleton bits disagree with its reference list")
-        skeletons[k] = (louds, refs)
+        if not ((1 <= refs) & (refs <= node_count)).all():
+            raise ContainerFormatError("a skeleton reference lies outside 1..node count")
+        if not (cls_arr[refs.astype(np.int64) - 1] >= k).all():
+            raise ContainerFormatError(f"a level-{k} skeleton refers to a node "
+                                       "of a lower class")
+        skeletons[k] = (louds, tuple(refs.tolist()))
     r.done()
     return SGST(g_prime, k_max, variant, tau, sp_arr.tolist(), ep_arr.tolist(),
                 cls_arr.tolist(), cand_off.tolist(), cand_docs.tolist(),
                 None if cand_freqs is None else cand_freqs.tolist(), skeletons)
+
+
+def _read_louds(r, rank_step):
+    try:
+        return LoudsTree.from_bits(r.bitvector(rank_step))
+    except InvalidHandleError as exc:
+        raise ContainerFormatError(f"sampled-tree bits: {exc}") from exc
 
 
 def _check_nodes(sp, ep, cls, n, k_max):

@@ -6,9 +6,15 @@ a tree of N nodes takes 2N - 1 bits.  This implementation prepends a fixed
 which makes every navigation step a closed rank/select formula.  A node is
 addressed by the 1-based bit position where its encoding begins; the j-th
 one in the sequence is the edge pointing to the j-th node in level order.
+
+The node of dense rank r is encoded between the r-th and (r+1)-th zeros,
+so one select pair gives the dense ranks of all its children (child_span):
+a descent by rank reads no handle and checks no bit.
 """
 
 from collections import deque
+
+import numpy as np
 
 from .bitrank import RankBitVector
 from .errors import EmptyTreeError, InvalidHandleError
@@ -49,8 +55,21 @@ class LoudsTree:
 
     @classmethod
     def from_bits(cls, bits: RankBitVector):
-        """Wrap an already-built bit sequence (pseudo-root prefix included)."""
+        """Wrap an already-built bit sequence (pseudo-root prefix included).
+
+        Raises InvalidHandleError unless it encodes a nonempty tree in
+        level order: the "10" prefix, one edge per node, and every node's
+        children ranked after it, so that the ones before the r-th zero
+        number at least r.
+        """
         node_count = bits.rank0(len(bits)) - 1
+        packed = np.asarray(bits.words, dtype="<u8").view(np.uint8)
+        arr = np.unpackbits(packed, bitorder="little")[:len(bits)]
+        zeros = np.flatnonzero(arr == 0)[:-1]         # 0-based, ranks 1..N
+        ranks = np.arange(1, node_count + 1)
+        if (node_count < 1 or bits.ones != node_count or zeros[0] != 1
+                or not (zeros - ranks + 1 >= ranks).all()):
+            raise InvalidHandleError("bits do not encode a tree in level order")
         return cls(bits, node_count)
 
     def degree_bits(self):
@@ -96,6 +115,16 @@ class LoudsTree:
         """Dense level-order index of v, 1..node_count."""
         self._check(v)
         return self.bits.rank0(v - 1)
+
+    def child_span(self, rank):
+        """Dense ranks (first, last) of the children of the node of dense
+        rank `rank`; last < first for a leaf."""
+        if not 1 <= rank <= self.node_count:
+            raise InvalidHandleError(f"rank {rank} outside 1..{self.node_count}")
+        start, end = self.bits.select_pair(0, rank)
+        # The node's ones lie strictly between the two zeros, and start - rank
+        # ones come before them.
+        return start - rank + 1, end - rank - 1
 
     def handle_of_rank(self, rank):
         """Inverse of node_rank."""

@@ -163,10 +163,8 @@ def find_locus(x: SGST, k_star, sp, ep):
         louds, refs = entry
 
     # Children of a node occupy consecutive dense ranks, so the descent
-    # reads intervals straight from the side arrays and only materializes
-    # a handle when actually stepping down.
+    # reads intervals straight from the side arrays and steps down by rank.
     sp_arr, ep_arr = x.sp_arr, x.ep_arr
-    bits = louds.bits
 
     def interval_of(rank):
         r = rank if refs is None else refs[rank - 1]
@@ -175,43 +173,34 @@ def find_locus(x: SGST, k_star, sp, ep):
     def found(rank):
         return x.node_at(rank if refs is None else refs[rank - 1])
 
-    v = louds.root
+    rank = 1
     nsp, nep = interval_of(1)
     if sp <= nsp and nep <= ep:
         return found(1)
     if not (nsp <= sp and ep <= nep):
         return None
     while True:
-        cc = louds.child_count(v)
-        if cc == 0:
-            return None
-        base = bits.rank1(v - 1)          # children are ranks base+1..base+cc
+        first, last = louds.child_span(rank)
         # Children are disjoint and sorted; find the first reaching sp.
-        lo, hi, first = 1, cc, None
+        lo, hi = first, last
         while lo <= hi:
             mid = (lo + hi) // 2
-            if interval_of(base + mid)[1] >= sp:
-                first = mid
+            if interval_of(mid)[1] >= sp:
                 hi = mid - 1
             else:
                 lo = mid + 1
-        if first is None:
-            return None
-        t = first
-        descend = None
-        while t <= cc:
-            nsp, nep = interval_of(base + t)
+        rank = None
+        for child in range(lo, last + 1):
+            nsp, nep = interval_of(child)
             if nsp > ep:
                 break
             if sp <= nsp and nep <= ep:
-                return found(base + t)
+                return found(child)
             if nsp <= sp and ep <= nep:
-                descend = base + t
+                rank = child
                 break
-            t += 1
-        if descend is None:
+        if rank is None:
             return None
-        v = louds.handle_of_rank(descend)
 
 
 def candidates_of(x: SGST, node: MarkedNode, w: WaveletTree, k=None):

@@ -91,24 +91,27 @@ def pattern_interval(s: SuffixIndex, corpus: Corpus, pattern) -> PatternInterval
     """Suffix-array interval of all suffixes starting with pattern."""
     pat = as_pattern_bytes(pattern)
     text = corpus.text
-    sa = s.sa
-    n = len(sa)
+    sa = memoryview(s.sa)               # plain ints, not numpy scalars
     m = len(pat)
 
-    lo, hi = 0, n                       # first suffix with prefix >= pat
+    lo, hi = 0, len(sa)                 # first suffix with prefix >= pat
+    above = hi                          # a suffix with prefix > pat, if any
     while lo < hi:
         mid = (lo + hi) // 2
-        a = int(sa[mid]) - 1
-        if text[a:a + m] < pat:
+        a = sa[mid] - 1
+        prefix = text[a:a + m]
+        if prefix < pat:
             lo = mid + 1
         else:
             hi = mid
+            if prefix != pat:
+                above = mid
     sp = lo
 
-    hi = n                              # first suffix with prefix > pat
+    hi = above                          # first suffix with prefix > pat
     while lo < hi:
         mid = (lo + hi) // 2
-        a = int(sa[mid]) - 1
+        a = sa[mid] - 1
         if text[a:a + m] <= pat:
             lo = mid + 1
         else:

@@ -11,6 +11,10 @@ rank operations, which is what every traversal below is built on:
     left  child: [rank0(l - 1) + 1, rank0(r)]
     right child: [rank1(l - 1) + 1, rank1(r)]
 
+Since rank0(i) = i - rank1(i), both sides come from the one rank1_pair
+call that `project` makes per node; greedy_topk, doc_freq and the
+restricted walks all project through it.
+
 greedy_topk reports the k most frequent documents of one interval by
 visiting nodes from a priority queue ordered by interval length, so leaves
 pop in non-increasing frequency order.  restricted_greedy / restricted_dfs
@@ -103,11 +107,22 @@ class WaveletTree:
     @classmethod
     def from_bitmaps(cls, bitmaps, d, n):
         """Rebuild the tree over d ids and n positions from the bit vectors of
-        its d - 1 internal nodes, given in internal_nodes() order."""
+        its d - 1 internal nodes, given in internal_nodes() order.
+
+        Raises InconsistentIntervalsError unless the root holds n bits and
+        each child as many as its parent routes to it.
+        """
         self = cls.__new__(cls)
         self._shape(d, n)
+        length = {self.root: n}
         for node, bits in zip(self.internal_nodes(), bitmaps, strict=True):
+            if len(bits) != length[node]:
+                raise InconsistentIntervalsError(
+                    f"node over ids {node.lo}..{node.hi} holds {len(bits)} bits, "
+                    f"its parent routes {length[node]} to it")
             node.bits = bits
+            length[node.left] = len(bits) - bits.ones
+            length[node.right] = bits.ones
         return self
 
     def _shape(self, d, n):
@@ -154,15 +169,11 @@ class WaveletTree:
             raise OutOfRangeError(f"interval [{l}, {r}] outside 1..{self.n}")
         node = self.root
         while node.bits is not None:
-            bits = node.bits
+            left, right = self.project(node, l, r)
             if doc <= node.mid:
-                l = bits.rank0(l - 1) + 1
-                r = bits.rank0(r)
-                node = node.left
+                (l, r), node = left, node.left
             else:
-                l = bits.rank1(l - 1) + 1
-                r = bits.rank1(r)
-                node = node.right
+                (l, r), node = right, node.right
             if r < l:
                 return 0
         return r - l + 1
@@ -173,15 +184,14 @@ class WaveletTree:
         Returns ((i0, j0), (i1, j1)); an empty input or an absent side comes
         back with j < i.
         """
-        if node.bits is None:
+        bits = node.bits
+        if bits is None:
             raise OutOfRangeError("leaves have no children to project into")
         if j < i:
             return (1, 0), (1, 0)
-        if i < 1 or j > len(node.bits):
-            raise OutOfRangeError(f"interval [{i}, {j}] outside 1..{len(node.bits)}")
-        z = node.bits.rank0(i - 1)
-        zj = node.bits.rank0(j)         # the ones among 1..j are j - zj
-        return (z + 1, zj), (i - z, j - zj)
+        # Raises unless 1 <= i and j <= the node's length.
+        o, oj = bits.rank1_pair(i - 1, j)     # ones before i, and through j
+        return (i - o, j - oj), (o + 1, oj)
 
     def greedy_topk(self, l, r, k):
         """The k documents occurring most often in [l, r], ties to lower ids.
@@ -197,16 +207,17 @@ class WaveletTree:
         # Key (-length, lo): among equal lengths the smaller id range pops
         # first, which is what makes ties land on lower document ids.
         heap = [(-(r - l + 1), self.root.lo, self.root, l, r)]
+        pop, push, project = heapq.heappop, heapq.heappush, self.project
         while heap and len(out) < k:
-            _, _, node, nl, nr = heapq.heappop(heap)
+            _, _, node, nl, nr = pop(heap)
             if node.bits is None:
                 out.append((node.lo, nr - nl + 1))
                 continue
-            (i0, j0), (i1, j1) = self.project(node, nl, nr)
+            (i0, j0), (i1, j1) = project(node, nl, nr)
             if j0 >= i0:
-                heapq.heappush(heap, (-(j0 - i0 + 1), node.left.lo, node.left, i0, j0))
+                push(heap, (-(j0 - i0 + 1), node.left.lo, node.left, i0, j0))
             if j1 >= i1:
-                heapq.heappush(heap, (-(j1 - i1 + 1), node.right.lo, node.right, i1, j1))
+                push(heap, (-(j1 - i1 + 1), node.right.lo, node.right, i1, j1))
         out.sort(key=lambda p: (-p[1], p[0]))
         return out
 

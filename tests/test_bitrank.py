@@ -46,6 +46,14 @@ def test_bounds_checked():
         v.rank1(5)
     with pytest.raises(OutOfRangeError):
         v.rank1(-1)
+    assert v.rank1_pair(0, 4) == (0, 2)
+    for i, j in ((-1, 2), (3, 2), (2, 5)):
+        with pytest.raises(OutOfRangeError):
+            v.rank1_pair(i, j)
+    assert v.select_pair(0, 1) == (2, 4)
+    for bit, j in ((1, 2), (0, 0), (1, 0)):
+        with pytest.raises(NotEnoughOccurrencesError):
+            v.select_pair(bit, j)
     with pytest.raises(OutOfRangeError):
         v.get(0)
     with pytest.raises(NotEnoughOccurrencesError):
@@ -83,6 +91,8 @@ def test_random_vs_oracle(sample_step):
             i = rng.randint(0, n)
             assert v.rank1(i) == brute_rank(bits, 1, i)
             assert v.rank0(i) == brute_rank(bits, 0, i)
+            j = rng.randint(i, n)
+            assert v.rank1_pair(i, j) == (brute_rank(bits, 1, i), brute_rank(bits, 1, j))
         for bit in (0, 1):
             total = bits.count(str(bit))
             for _ in range(20):
@@ -90,6 +100,9 @@ def test_random_vs_oracle(sample_step):
                     break
                 j = rng.randint(1, total)
                 assert v.select(bit, j) == brute_select(bits, bit, j)
+                if j < total:
+                    assert v.select_pair(bit, j) == (brute_select(bits, bit, j),
+                                                     brute_select(bits, bit, j + 1))
 
 
 def test_select_rank_inverse():

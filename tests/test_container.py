@@ -333,3 +333,120 @@ def test_candidate_store_bit_flips():
                             query_topk(back, pattern, k, strategy=strat)
     assert rejected["doc"] and rejected["freq"] and rejected["order"], rejected
     assert loaded
+
+
+def bitvector_fields(blob, pos, count):
+    """Offsets of the length field of count consecutive stored bit vectors
+    starting at pos, and the offset just past them."""
+    out = []
+    for _ in range(count):
+        (nbits,) = struct.unpack_from("<Q", blob, pos)
+        out.append(pos)
+        pos += 8 + 8 * ((nbits + 63) // 64)
+    return out, pos
+
+
+def set_bit(blob, field, pos, value):
+    """Set 1-based bit pos of the bit vector whose length field is at field."""
+    word_at = field + 8 + 8 * ((pos - 1) // 64)
+    (word,) = struct.unpack_from("<Q", blob, word_at)
+    mask = 1 << ((pos - 1) % 64)
+    struct.pack_into("<Q", blob, word_at, word | mask if value else word & ~mask)
+
+
+def test_wavelet_bit_lengths_validated_at_load():
+    # Each internal node must hold as many bits as its parent routes to it,
+    # the root n; one bit more or less anywhere is rejected.
+    rng = random.Random(239)
+    docs = ["".join(rng.choice("ab") for _ in range(rng.randint(10, 30))) for _ in range(9)]
+    idx = build_index(docs, g_prime=2, k_max=4)
+    blob = serialize_index(idx)
+    (start,) = [start for sec_id, start, _ in section_spans(blob) if sec_id == 2]
+    d = idx.corpus.d
+    fields, _ = bitvector_fields(blob, start + 16 + 16, d - 1)
+    tried = 0
+    for field in fields:
+        (nbits,) = struct.unpack_from("<Q", blob, field)
+        for delta in (-1, 1):
+            if (nbits + delta + 63) // 64 != (nbits + 63) // 64:
+                continue                       # would change the word count
+            bad = bytearray(blob)
+            struct.pack_into("<Q", bad, field, nbits + delta)
+            with pytest.raises(ContainerFormatError, match="wavelet"):
+                deserialize_index(bytes(bad))
+            tried += 1
+    assert tried >= d
+
+
+def test_sampled_trees_validated_at_load():
+    idx = build_index(["abab", "abba", "bab"], g_prime=1, k_max=8, variant="light")
+    blob = serialize_index(idx)
+    x = idx.sgst
+    at = sgst_fields(idx, blob)
+    tau = at["sp"] - 8 - 8 * ((len(x.tau.bits) + 63) // 64)
+    pos = at["freqs"] + 8 * len(x.cand_docs)
+    assert struct.unpack_from("<Q", blob, pos) == (len(x.skeletons),)
+    pos += 8
+    level, louds, refs = {}, {}, {}
+    for k in sorted(x.skeletons):
+        level[k] = pos
+        (louds[k],), pos = bitvector_fields(blob, pos + 8, 1)
+        refs[k] = pos + 8
+        pos = refs[k] + 8 * len(x.skeletons[k][1])
+    assert 8 in refs
+    low = next(r for r in range(1, x.node_count + 1) if x.cls_arr[r - 1] < 8)
+
+    def put(offset, value):
+        return lambda bad: struct.pack_into("<Q", bad, offset, value)
+
+    def grow_by_a_one(field):
+        """One more bit, a one: the zeros, and so the node count, stay."""
+        (nbits,) = struct.unpack_from("<Q", blob, field)
+        assert nbits % 64
+
+        def corrupt(bad):
+            struct.pack_into("<Q", bad, field, nbits + 1)
+            set_bit(bad, field, nbits + 1, 1)
+        return corrupt
+
+    def swap_prefix(field):
+        """"10" -> "01": the same counts, but the root has no edge."""
+        def corrupt(bad):
+            set_bit(bad, field, 1, 0)
+            set_bit(bad, field, 2, 1)
+        return corrupt
+
+    corruptions = [
+        (put(level[2], 3), "power of two"),
+        (put(level[2], 1), "power of two"),          # below 2
+        (put(level[2], 16), "power of two"),         # above k_max
+        (put(level[4], 2), "repeated"),              # level 2 twice
+        (put(refs[8], 1000), "outside"),
+        (put(refs[8], 0), "outside"),
+        (put(refs[8], x.node_count + 1), "outside"),
+        (put(refs[8], low), "lower class"),          # a node not marked at 8
+        (grow_by_a_one(tau), "level order"),
+        (grow_by_a_one(louds[8]), "level order"),
+        (swap_prefix(tau), "level order"),
+        (swap_prefix(louds[4]), "level order"),
+    ]
+    for corrupt, reason in corruptions:
+        bad = bytearray(blob)
+        corrupt(bad)
+        with pytest.raises(ContainerFormatError, match=reason):
+            deserialize_index(bytes(bad))
+
+
+def test_stored_suffix_array_validated_at_load():
+    # Entries must be a permutation of 1..n.  A swap of two entries keeps
+    # that and still loads: only a checksum could tell.
+    idx = build_index(["abab", "abba", "bab"], g_prime=1, k_max=4)
+    blob = serialize_index(idx, include_suffix_array=True)
+    (start,) = [start for sec_id, start, _ in section_spans(blob) if sec_id == 4]
+    n = idx.corpus.n
+    sa = list(idx.suffixes.sa)
+    for i, value in ((0, n + 50), (3, 0), (5, sa[6]), (13, 2 ** 64 - 1)):
+        bad = bytearray(blob)
+        struct.pack_into("<Q", bad, start + 16 + 8 * i, value)
+        with pytest.raises(ContainerFormatError, match="permutation"):
+            deserialize_index(bytes(bad))

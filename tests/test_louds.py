@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from topkdoc.bitrank import RankBitVector
 from topkdoc.errors import EmptyTreeError, InvalidHandleError
 from topkdoc.louds import PSEUDO_ROOT_BITS, LoudsTree
 
@@ -92,6 +94,9 @@ def test_invalid_handles():
         tree.handle_of_rank(0)
     with pytest.raises(InvalidHandleError):
         tree.handle_of_rank(4)
+    for bad in (0, 4):
+        with pytest.raises(InvalidHandleError):
+            tree.child_span(bad)
 
 
 def test_encode_rejects_missing_root():
@@ -104,6 +109,32 @@ def test_from_bits_roundtrip():
     again = LoudsTree.from_bits(tree.bits)
     assert again.node_count == tree.node_count
     assert again.degree_bits() == tree.degree_bits()
+
+
+def all_encodings(max_nodes):
+    """Every LOUDS string of up to max_nodes nodes: each tree in level
+    order is one choice of an earlier parent for every node after the root."""
+    out = set()
+    for n in range(1, max_nodes + 1):
+        for parents in itertools.product(*(range(node) for node in range(1, n))):
+            kids = {node: [] for node in range(n)}
+            for node, parent in enumerate(parents, start=1):
+                kids[parent].append(node)
+            tree, _ = encode_ids(kids)
+            out.add(PSEUDO_ROOT_BITS + tree.degree_bits())
+    return out
+
+
+def test_from_bits_accepts_exactly_the_tree_encodings():
+    valid = all_encodings(5)
+    for length in range(1, 12):
+        for word in range(1 << length):
+            bits = format(word, f"0{length}b")
+            if bits in valid:
+                assert LoudsTree.from_bits(RankBitVector(bits)).node_count == len(bits) // 2
+            else:
+                with pytest.raises(InvalidHandleError):
+                    LoudsTree.from_bits(RankBitVector(bits))
 
 
 def test_random_trees_vs_structure():
@@ -119,6 +150,9 @@ def test_random_trees_vs_structure():
             h = tree.handle_of_rank(rank_of[node])
             assert tree.node_rank(h) == rank_of[node]
             assert tree.child_count(h) == len(kids[node])
+            first, last = tree.child_span(rank_of[node])
+            assert list(range(first, last + 1)) == [rank_of[c] for c in kids[node]]
+            assert last == first - 1 or first > rank_of[node]
             assert tree.is_leaf(h) == (not kids[node])
             for t, c in enumerate(kids[node], start=1):
                 ch = tree.child(h, t)

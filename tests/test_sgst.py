@@ -1,15 +1,17 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from topkdoc import build_suffix_array, candidates_of, find_locus, ingest
+from topkdoc.bitrank import RankBitVector
 from topkdoc.errors import KStarNotPrecomputedError
 from topkdoc.sgst import _ancestor_interval, _lcp_array, _smaller_neighbours, build_sgst
 from topkdoc.wavelet import WaveletTree
 
-from conftest import random_docs
+from conftest import random_docs, revisions_corpus
 
 # Marked intervals of the fully sampled worked corpus (spacing 1, levels
 # 1/2/4), each with its deepest marking level.  Derived by hand from the
@@ -306,6 +308,42 @@ def test_find_locus_agrees_with_exhaustive_search():
                 else:
                     assert (got.sp, got.ep) in nodes
                     assert sp <= got.sp and got.ep <= ep
+
+
+def test_find_locus_one_select_pair_per_level(monkeypatch):
+    # The descent spans the children of each node it passes by one select
+    # pair, and reads no other bit: so it makes exactly one pair for every
+    # node of the level that strictly contains [sp, ep].
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(RankBitVector, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("rank1", "rank1_pair", "select", "select_pair", "get"):
+        monkeypatch.setattr(RankBitVector, name, counting(name))
+    rng = random.Random(233)
+    c, _, _, x = build_all(revisions_corpus(rng), g_prime=4, k_max=8)
+    descended = 0
+    for k in x.levels():
+        nodes = [(nd.sp, nd.ep) for nd in x.level_nodes(k)]
+        assert len(nodes) > 1
+        targets = [(sp, ep) for sp, ep in nodes if sp < ep]
+        targets += [(sp + 1, ep) for sp, ep in targets] + [(sp, ep - 1) for sp, ep in targets]
+        for _ in range(300):
+            sp = rng.randint(1, c.n)
+            targets.append((sp, rng.randint(sp, min(c.n, sp + 40))))
+        for sp, ep in targets:
+            calls.clear()
+            find_locus(x, k, sp, ep)
+            enclosing = sum(1 for a, b in nodes if a <= sp and ep <= b and (a, b) != (sp, ep))
+            assert calls == Counter(select_pair=enclosing)
+            descended += enclosing > 1
+    assert descended
 
 
 def test_light_and_xlight_agree():

@@ -1,7 +1,10 @@
+import heapq
 import random
+from collections import Counter
 
 import pytest
 
+from topkdoc.bitrank import RankBitVector
 from topkdoc.errors import InconsistentIntervalsError, OutOfRangeError, ValueOutOfRangeError
 from topkdoc.wavelet import TrackedIntervals, WaveletTree, tracked_root
 
@@ -142,12 +145,48 @@ def test_random_greedy_topk_vs_oracle():
         d = rng.randint(1, 10)
         n = rng.randint(1, 150)
         values = [rng.randint(1, d) for _ in range(n)]
-        w = WaveletTree(values, d)
         l = rng.randint(1, n)
         r = rng.randint(l, n)
         k = rng.randint(1, d + 2)
         want = sorted(brute_freqs(values, l, r).items(), key=lambda p: (-p[1], p[0]))[:k]
-        assert w.greedy_topk(l, r, k) == want
+        # 64 samples every word; 128 counts a word inside each sample block.
+        for step in (64, 128):
+            w = WaveletTree(values, d, sample_step=step)
+            assert w.greedy_topk(l, r, k) == want
+
+
+def test_greedy_topk_one_rank_pair_per_internal_node(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(RankBitVector, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("rank1", "rank1_pair", "select", "select_pair", "get"):
+        monkeypatch.setattr(RankBitVector, name, counting(name))
+    real_pop = heapq.heappop
+
+    def counting_pop(heap):
+        calls["pop"] += 1
+        return real_pop(heap)
+
+    monkeypatch.setattr(heapq, "heappop", counting_pop)
+    rng = random.Random(71)
+    for _ in range(40):
+        d = rng.randint(1, 16)
+        n = rng.randint(1, 300)
+        w = WaveletTree([rng.randint(1, d) for _ in range(n)], d)
+        l = rng.randint(1, n)
+        r = rng.randint(l, n)
+        calls.clear()
+        out = w.greedy_topk(l, r, rng.randint(1, d + 2))
+        # Every pop that emits nothing is an internal node.
+        internal = calls.pop("pop") - len(out)
+        assert calls == Counter(rank1_pair=internal)
 
 
 def test_tracked_validation():
