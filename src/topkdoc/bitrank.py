@@ -4,7 +4,8 @@ Bits are packed into 64-bit words.  A rank directory stores the running
 popcount every `sample_step` bits, so rank costs one directory lookup plus
 at most `sample_step / 64` word popcounts; at the default of one sample
 per word that is one lookup and one popcount.  select binary-searches the
-directory and then scans within one sample block.
+directory and then scans within one sample block.  Words and directory
+are built in numpy, then kept as lists of Python ints for the queries.
 
 The wavelet tree projects an interval through a node with rank1 at its two
 ends, and LOUDS navigation spans a node's children with the two zeros
@@ -33,23 +34,20 @@ class RankBitVector:
     def __init__(self, bits=(), sample_step=64):
         arr = _as_bit_array(bits)
         n = len(arr)
-        packed = np.packbits(arr, bitorder="little")
-        pad = (-len(packed)) % 8
-        if pad:
-            packed = np.concatenate([packed, np.zeros(pad, np.uint8)])
-        words = np.frombuffer(packed.tobytes(), dtype="<u8").tolist()
+        words = np.zeros((n + _WORD - 1) // _WORD, dtype="<u8")
+        words.view(np.uint8)[:(n + 7) // 8] = np.packbits(arr, bitorder="little")
         self._init_from_words(words, n, sample_step)
 
     @classmethod
     def from_words(cls, words, n, sample_step=64):
         """Rebuild from packed 64-bit words (e.g. after deserialization)."""
         self = cls.__new__(cls)
-        words = [int(w) & _FULL for w in words]
+        words = np.array(words, dtype=np.uint64)
         need = (n + _WORD - 1) // _WORD
         if len(words) != need:
             raise OutOfRangeError(f"expected {need} words for {n} bits, got {len(words)}")
-        if n % _WORD and words:
-            words[-1] &= (1 << (n % _WORD)) - 1  # mask stray tail bits
+        if n % _WORD:
+            words[-1] &= np.uint64((1 << (n % _WORD)) - 1)  # mask stray tail bits
         self._init_from_words(words, n, sample_step)
         return self
 
@@ -60,18 +58,13 @@ class RankBitVector:
         step_words = max(1, int(sample_step) // _WORD)
         step = step_words * _WORD
         self._n = n
-        self._words = words
         self._step = step
         self._step_words = step_words
-        nblocks = (n + step - 1) // step
-        samples = [0] * (nblocks + 1)
-        acc = 0
-        for blk in range(nblocks):
-            for w in words[blk * step_words:(blk + 1) * step_words]:
-                acc += w.bit_count()
-            samples[blk + 1] = acc
-        self._samples = samples
-        self._ones = acc
+        # Ones before each word; a sample at every block start, then the total.
+        acc = np.concatenate(([0], np.cumsum(np.bitwise_count(words), dtype=np.int64)))
+        self._samples = np.append(acc[:-1:step_words], acc[-1]).tolist()
+        self._words = words.tolist()
+        self._ones = self._samples[-1]
 
     def __len__(self):
         return self._n

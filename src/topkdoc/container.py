@@ -176,8 +176,7 @@ class _Reader:
 
     def bitvector(self, rank_step):
         nbits = self.u64()
-        words = self.u64_array((nbits + 63) // 64).tolist()
-        return RankBitVector.from_words(words, nbits, rank_step)
+        return RankBitVector.from_words(self.u64_array((nbits + 63) // 64), nbits, rank_step)
 
     def done(self):
         if self.pos != len(self.data):

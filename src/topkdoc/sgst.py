@@ -9,7 +9,12 @@ node while the sparser levels keep only LOUDS skeletons of references into
 it.  Each node stores its interval, its deepest level c (the largest k
 that marked it), and the c most frequent documents of its interval; the
 "light" layout keeps their frequencies next to the ids, "xlight" drops
-them and recounts through the wavelet tree on demand.
+them and recounts through the wavelet tree on demand.  The build counts
+them with one bincount over each node's slice of the document array.
+
+The lcp array is lifted through prefix-doubling ranks read back off the
+suffix array (Manber and Myers, "Suffix arrays", 1993), which take 4 bytes
+per symbol per round, one round per bit of the longest repeat's length.
 
 Ancestor intervals are computed without materializing a suffix tree: the
 node spanning sample slots p < q is the lcp-interval of h = min(lcp[p+1..q]),
@@ -19,6 +24,7 @@ Kurtz and Ohlebusch, "Replacing suffix trees with enhanced suffix arrays",
 2004), so marking needs O(n) memory.
 """
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -29,6 +35,7 @@ from .wavelet import WaveletTree
 from .errors import KStarNotPrecomputedError
 
 VARIANTS = ("light", "xlight")
+_LCP_CHUNK = 1 << 14     # adjacent slots per numpy batch; bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -67,12 +74,8 @@ class SGST:
         return self.tau is None
 
     def levels(self):
-        out = []
-        k = 1
-        while k <= self.k_max:
-            out.append(k)
-            k <<= 1
-        return out
+        """The powers of two up to k_max."""
+        return [1 << i for i in range(self.k_max.bit_length())]
 
     def node_at(self, rank):
         return MarkedNode(rank, self.sp_arr[rank - 1], self.ep_arr[rank - 1],
@@ -93,10 +96,11 @@ def build_sgst(corpus, s, w: WaveletTree, g_prime=400, k_max=16,
                variant="light", sample_step=64) -> SGST:
     """Mark, classify and precompute candidates over the suffix array of corpus.
 
-    `s` is the corpus's SuffixIndex and `w` the wavelet tree over its
-    document array.  Degenerate sampling (fewer than two sampled slots at
-    some level) simply leaves that level empty; queries fall back to a full
-    greedy traversal when no marked ancestor serves them.
+    `s` is the corpus's SuffixIndex; candidates are counted from its
+    document array, and `w`, the wavelet tree over it, is not read.
+    Degenerate sampling (fewer than two sampled slots at some level) simply
+    leaves that level empty; queries fall back to a full greedy traversal
+    when no marked ancestor serves them.
     """
     if g_prime < 1:
         raise ValueError("g_prime must be at least 1")
@@ -128,10 +132,14 @@ def build_sgst(corpus, s, w: WaveletTree, g_prime=400, k_max=16,
     x.ep_arr = [iv[1] for iv in order]
     x.cls_arr = [classes[iv] for iv in order]
     for iv in order:
-        for doc, freq in w.greedy_topk(iv[0], iv[1], classes[iv]):
-            x.cand_docs.append(doc)
-            if x.cand_freqs is not None:
-                x.cand_freqs.append(freq)
+        # Top documents by (-freq, doc): ids come out of flatnonzero
+        # ascending, and the stable sort keeps equal counts in that order.
+        freq = np.bincount(s.doc_ids[iv[0] - 1:iv[1]])
+        docs = np.flatnonzero(freq)
+        top = docs[np.argsort(-freq[docs], kind="stable")[:classes[iv]]]
+        x.cand_docs.extend(top.tolist())
+        if x.cand_freqs is not None:
+            x.cand_freqs.extend(freq[top].tolist())
         x.cand_off.append(len(x.cand_docs))
 
     for k in x.levels()[1:]:
@@ -222,59 +230,59 @@ def candidates_of(x: SGST, node: MarkedNode, w: WaveletTree, k=None):
 def _lcp_array(text, sa):
     """lcp[i] = longest common prefix of the suffixes at slots i-1 and i.
 
-    1-based; entries 2..n are meaningful.  Kasai's construction, linear
-    total work.
+    1-based; entries 2..n are meaningful.  ranks[t] numbers the distinct
+    2^t-symbol prefixes in sorted order (-1 at n: the empty suffix).  Round
+    0 starts a group where adjacent slots' first symbols differ, round t+1
+    also where their ranks[t] 2^t symbols on differ; the rounds stop before
+    the first with all ranks distinct.  Then every adjacent pair is lifted
+    from the top round down, gaining 2^t where its next 2^t symbols match.
     """
     n = len(sa)
-    lcp = np.zeros(n + 1, dtype=np.int64)
-    if n < 2:
-        return lcp
-    pos = (np.asarray(sa, dtype=np.int64) - 1).tolist()  # 0-based starts
-    inv = [0] * n
-    for i, p in enumerate(pos):
-        inv[p] = i
-    h = 0
-    for p in range(n):
-        i = inv[p]
-        if i > 0:
-            q = pos[i - 1]
-            while p + h < n and q + h < n and text[p + h] == text[q + h]:
-                h += 1
-            lcp[i + 1] = h  # slot i (0-based) vs predecessor -> 1-based i+1
-            if h:
-                h -= 1
-        else:
-            h = 0
+    pos = np.asarray(sa, dtype=np.intc) - 1         # 0-based starts
+    first = np.frombuffer(text, dtype=np.uint8)[pos]
+    new = np.concatenate(([False], first[1:] != first[:-1]))
+    ranks = []
+    while np.count_nonzero(new) < n - 1:
+        rank = np.empty(n + 1, dtype=np.intc)
+        rank[pos] = np.cumsum(new, dtype=np.intc)
+        rank[n] = -1
+        step = 1 << len(ranks)
+        ranks.append(rank)
+        for lo in range(0, n - 1, _LCP_CHUNK):
+            ahead = rank[np.minimum(pos[lo:lo + _LCP_CHUNK + 1] + step, n)]
+            new[lo + 1:lo + len(ahead)] |= ahead[1:] != ahead[:-1]
+    lcp = np.zeros(n + 1, dtype=np.intc)
+    for lo in range(0, n - 1, _LCP_CHUNK):
+        hi = min(lo + _LCP_CHUNK, n - 1)
+        a, b = pos[lo:hi], pos[lo + 1:hi + 1]
+        h = np.zeros(hi - lo, dtype=np.intc)
+        for t in reversed(range(len(ranks))):
+            h[ranks[t][a + h] == ranks[t][b + h]] += 1 << t
+        lcp[lo + 2:hi + 2] = h
     return lcp
 
 
 def _smaller_neighbours(lcp, n):
     """Nearest slots on each side whose lcp value is strictly smaller.
 
-    Returns lists prev and nxt over slots 1..n: prev[i] is the largest
-    t < i with lcp[t] < lcp[i], or 0 if there is none, and nxt[i] the
-    smallest t > i with lcp[t] < lcp[i], or n + 1.  Each pass pushes every
-    slot once and pops the entries at or above the current value.
+    Returns C int arrays prev and nxt over slots 1..n: prev[i] is the
+    largest t < i with lcp[t] < lcp[i], or 0 if there is none, and nxt[i]
+    the smallest t > i with lcp[t] < lcp[i], or n + 1.  Each pass walks
+    from the adjacent slot along the answers found so far, which form the
+    classic pass's stack, so every slot is stepped over at most once.
     """
-    vals = lcp.tolist()
+    vals = array("i", np.asarray(lcp, dtype=np.intc).tobytes())
     vals[0] = -1            # sentinels below every lcp value, at 0 and n + 1
     vals.append(-1)
-    prev = [0] * (n + 2)
-    stack = [0]
-    for i in range(1, n + 1):
-        v = vals[i]
-        while vals[stack[-1]] >= v:
-            stack.pop()
-        prev[i] = stack[-1]
-        stack.append(i)
-    nxt = [n + 1] * (n + 2)
-    stack = [n + 1]
-    for i in range(n, 0, -1):
-        v = vals[i]
-        while vals[stack[-1]] >= v:
-            stack.pop()
-        nxt[i] = stack[-1]
-        stack.append(i)
+    prev = array("i", bytes(4 * (n + 2)))
+    nxt = array("i", [n + 1]) * (n + 2)
+    for out, slots, step in ((prev, range(1, n + 1), -1), (nxt, range(n, 0, -1), 1)):
+        for i in slots:
+            v = vals[i]
+            j = i + step
+            while vals[j] >= v:
+                j = out[j]
+            out[i] = j
     return prev, nxt
 
 

@@ -4,6 +4,11 @@ The suffix array holds 1-based text positions sorted by the suffixes they
 start; the parallel document array records which document owns each sorted
 suffix.  Pattern occurrences form one contiguous run of suffix-array slots,
 found by binary search in O(m log n) byte comparisons.
+
+Suffixes are sorted by prefix doubling in numpy, one argsort of a packed
+int64 key per round: the rank of a suffix's first k symbols times a radix,
+plus the rank of the next k.  Loading a container without a stored suffix
+array reruns the same sort.
 """
 
 from dataclasses import dataclass
@@ -12,8 +17,6 @@ import numpy as np
 
 from .corpus import SENTINEL, Corpus
 from .errors import EmptyPatternError, SentinelInPatternError
-
-_SMALL_N = 512
 
 
 @dataclass(frozen=True)
@@ -46,34 +49,30 @@ class SuffixIndex:
 
 
 def build_suffix_array(corpus: Corpus) -> SuffixIndex:
-    order = _suffix_order(corpus.text)          # 0-based start positions
-    sa = order.astype(np.int64) + 1
+    sa = _suffix_order(corpus.text) + 1         # 1-based start positions
     return SuffixIndex(sa=sa, doc_ids=corpus.doc_ids(sa))
 
 
 def _suffix_order(text: bytes) -> np.ndarray:
+    """0-based start positions of text's suffixes, in sorted order.
+
+    Round k sorts the key rank[i] * m + rank[i + k] + 1 (0 past the end).
+    Ranks never exceed max(n - 1, 255), so m = max(n, 256) + 1 keeps the
+    halves apart.  Suffixes differ in length, hence are distinct: the
+    rounds end once every rank is, and the order is then unique.
+    """
     n = len(text)
-    if n <= _SMALL_N:
-        return np.asarray(sorted(range(n), key=lambda i: text[i:]), dtype=np.int64)
-    # Prefix doubling: sort by (rank[i], rank[i+k]) and refine until all
-    # ranks are distinct.  Terminators guarantee distinct suffixes.
-    data = np.frombuffer(text, dtype=np.uint8)
-    rank = data.astype(np.int64)
+    m = max(n, 256) + 1
+    rank = np.frombuffer(text, dtype=np.uint8).astype(np.int64)
     k = 1
     while True:
-        key2 = np.full(n, -1, dtype=np.int64)
-        key2[:-k] = rank[k:]
-        order = np.lexsort((key2, rank))
-        r1 = rank[order]
-        r2 = key2[order]
-        diff = np.empty(n, dtype=np.int64)
-        diff[0] = 0
-        diff[1:] = (r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1])
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[order] = np.cumsum(diff)
-        rank = new_rank
+        key = rank * m
+        key[:-k] += rank[k:] + 1
+        order = np.argsort(key)
+        key = key[order]
+        rank[order] = np.cumsum(np.concatenate(([False], key[1:] != key[:-1])))
         if rank[order[-1]] == n - 1:
-            return order.astype(np.int64)
+            return order
         k <<= 1
 
 

@@ -99,14 +99,14 @@ def acgt_corpus(rng):
     return ["".join(rng.choice("acgt") for _ in range(200)) for _ in range(30)]
 
 
-def revisions_corpus(rng):
+def revisions_corpus(rng, bases=4, revisions=6, length=60):
     """Base texts of words, each followed by revisions that change a few words."""
     words = ["".join(rng.choice("abcdefgh") for _ in range(rng.randint(2, 6)))
              for _ in range(40)]
     docs = []
-    for _ in range(4):
-        text = [rng.choice(words) for _ in range(60)]
-        for _ in range(6):
+    for _ in range(bases):
+        text = [rng.choice(words) for _ in range(length)]
+        for _ in range(revisions):
             docs.append(" ".join(text))
             text = list(text)
             for _ in range(2):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from topkdoc.bitrank import RankBitVector
@@ -133,6 +134,22 @@ def test_from_words_masks_tail():
     v = RankBitVector.from_words([(1 << 64) - 1], 10)
     assert v.ones == 10
     assert v.rank1(10) == 10
+
+
+def test_from_words_takes_a_read_only_u64_array():
+    # The container reader passes np.frombuffer's read-only words as they
+    # were stored, stray bits past n included.
+    rng = random.Random(19)
+    bits = "".join(rng.choice("01") for _ in range(200))
+    v = RankBitVector(bits, sample_step=128)
+    words = list(v.words)
+    words[-1] |= ((1 << 64) - 1) ^ ((1 << 8) - 1)      # 200 = 3 * 64 + 8
+    stored = np.frombuffer(np.array(words, dtype="<u8").tobytes(), dtype="<u8")
+    w = RankBitVector.from_words(stored, len(v), sample_step=128)
+    assert w.words == v.words and all(type(x) is int for x in w.words)
+    assert w.ones == v.ones == bits.count("1")
+    assert all(w.rank1(i) == brute_rank(bits, 1, i) for i in range(201))
+    assert int(stored[-1]) == words[-1]                 # the input is left as it was
 
 
 def test_step_below_word_is_word_aligned():

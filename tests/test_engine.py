@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
 import topkdoc.engine as engine_module
-from topkdoc import DFS, GREEDY, SELECT, STRATEGIES, build_index, query_topk
+from topkdoc import DFS, GREEDY, SELECT, STRATEGIES, build_index, ingest, query_topk
 from topkdoc.engine import CandidateHeap, kstar, select_scan
 from topkdoc.errors import (
     EmptyPatternError,
@@ -372,3 +373,22 @@ def test_answers_and_counters_pinned(name, variant):
     docs = make(random.Random(seed))
     idx = build_index(docs, variant=variant, **params)
     assert answer_digest(idx, docs) == (digest, regimes)
+
+
+def test_whole_build_memory_budget():
+    # At most 90 bytes per symbol of traced allocation for build_index on
+    # top of the ingested corpus, at 215 k symbols of word revisions.
+    # Whole revised documents repeat, so the lcp step runs 11 doubling
+    # rounds, the most of any corpus here; the build peaks at about 80
+    # bytes per symbol while it holds their ranks.  Kasai's Python lists
+    # (about 106) or neighbour passes over Python lists (about 101) exceed
+    # the budget.
+    c = ingest(revisions_corpus(random.Random(5), bases=10, revisions=20, length=220))
+    assert c.n >= 200_000
+    tracemalloc.start()
+    try:
+        build_index(c, g_prime=50, k_max=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 90 * c.n

@@ -8,7 +8,8 @@ import pytest
 from topkdoc import build_suffix_array, candidates_of, find_locus, ingest
 from topkdoc.bitrank import RankBitVector
 from topkdoc.errors import KStarNotPrecomputedError
-from topkdoc.sgst import _ancestor_interval, _lcp_array, _smaller_neighbours, build_sgst
+from topkdoc.sgst import (VARIANTS, _ancestor_interval, _lcp_array, _smaller_neighbours,
+                          build_sgst)
 from topkdoc.wavelet import WaveletTree
 
 from conftest import random_docs, revisions_corpus
@@ -78,6 +79,42 @@ def test_lcp_array_random_vs_oracle():
         assert list(got) == brute_lcp(c.text, list(s.sa))
 
 
+def kasai_lcp(text, sa):
+    """Kasai et al.'s linear scan over text order: the reference lcp array."""
+    n = len(sa)
+    pos = [p - 1 for p in sa]
+    inv = [0] * n
+    for i, p in enumerate(pos):
+        inv[p] = i
+    out = [0] * (n + 1)
+    h = 0
+    for p in range(n):
+        i = inv[p]
+        if i == 0:
+            h = 0
+            continue
+        q = pos[i - 1]
+        while p + h < n and q + h < n and text[p + h] == text[q + h]:
+            h += 1
+        out[i + 1] = h
+        h = max(h - 1, 0)
+    return out
+
+
+def test_lcp_array_long_repeats_vs_kasai():
+    # Revisions and runs share long prefixes, so they need many doubling
+    # rounds; past 2^14 slots the pairs are lifted in several batches.
+    rng = random.Random(139)
+    corpora = [revisions_corpus(rng), revisions_corpus(rng, bases=3, revisions=12, length=100),
+               ["a" * 6000, "a" * 5000, "ab" * 3000, "b"]]
+    for docs in corpora:
+        c = ingest(docs)
+        s = build_suffix_array(c)
+        lcp = _lcp_array(c.text, s.sa).tolist()
+        assert lcp == kasai_lcp(c.text, s.sa.tolist())
+    assert c.n > 1 << 14 and max(lcp) >= 4000
+
+
 def brute_smaller_neighbours(values):
     """O(n^2) nearest strictly smaller slot on each side, for slots 1..n of values."""
     n = len(values) - 1
@@ -95,7 +132,8 @@ def test_smaller_neighbours_vs_oracle():
         # Few distinct values, so runs of equal lcp are common.
         values = [0] + [rng.randint(0, rng.choice([1, 3, 8])) for _ in range(n)]
         prev, nxt = _smaller_neighbours(np.array(values, dtype=np.int64), n)
-        assert (prev[1:n + 1], nxt[1:n + 1]) == brute_smaller_neighbours(values)
+        got = (prev[1:n + 1].tolist(), nxt[1:n + 1].tolist())
+        assert got == brute_smaller_neighbours(values)
 
 
 def test_ancestor_interval_random_vs_oracle():
@@ -130,6 +168,38 @@ def test_build_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 100 * c.n
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("g_prime", [1, 4])
+def test_counted_candidates_match_greedy_topk(variant, g_prime):
+    # Every marked node stores exactly what a greedy traversal of its
+    # interval reports, ties to lower ids included.
+    rng = random.Random(151 + g_prime)
+    corpora = [random_docs(rng, max_docs=10, max_total=300, sigma=2) for _ in range(8)]
+    corpora += [revisions_corpus(rng) for _ in range(2)]
+    nodes = ties = 0
+    for docs in corpora:
+        _, _, w, x = build_all(docs, g_prime=g_prime, k_max=8, variant=variant)
+        for rank in range(1, x.node_count + 1):
+            nd = x.node_at(rank)
+            want = w.greedy_topk(nd.sp, nd.ep, nd.cls)
+            lo, hi = x.cand_off[rank - 1], x.cand_off[rank]
+            assert x.cand_docs[lo:hi] == [doc for doc, _ in want]
+            if variant == "light":
+                assert x.cand_freqs[lo:hi] == [freq for _, freq in want]
+            nodes += 1
+            ties += len({freq for _, freq in want}) < len(want)
+    assert nodes > 100 and ties > 10
+
+
+def test_build_makes_no_traversal(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("build_sgst traversed the wavelet tree")
+
+    monkeypatch.setattr(WaveletTree, "greedy_topk", refuse)
+    _, _, _, x = build_all(revisions_corpus(random.Random(157)), g_prime=2, k_max=8)
+    assert x.node_count > 0
 
 
 def test_build_parameter_validation(worked_corpus, worked_suffixes, worked_wavelet):

@@ -4,7 +4,7 @@ import pytest
 
 from topkdoc import build_suffix_array, ingest, pattern_interval
 from topkdoc.errors import EmptyPatternError, SentinelInPatternError
-from topkdoc.suffixes import PatternInterval
+from topkdoc.suffixes import PatternInterval, _suffix_order
 
 from conftest import (
     WORKED_D,
@@ -61,7 +61,7 @@ def test_suffix_array_random_vs_oracle():
 
 
 def test_suffix_array_large_path_vs_oracle():
-    # Push past the small-input cutoff so the doubling path is exercised.
+    # Corpora of more than 600 symbols over one to four letters.
     rng = random.Random(43)
     for sigma in (1, 2, 4):
         docs = random_docs(rng, max_docs=4, max_total=3000, sigma=sigma)
@@ -70,6 +70,29 @@ def test_suffix_array_large_path_vs_oracle():
         c = ingest(docs)
         s = build_suffix_array(c)
         assert list(s.sa) == brute_suffix_array(c.text)
+
+
+def test_suffix_order_vs_oracle_across_alphabets_and_lengths():
+    # Short texts over high bytes: the first round ranks raw bytes up to
+    # 0xff, so a key radix of n + 1 would let the two halves of a key
+    # collide there.  Lengths around 512 cover both sides of the old
+    # cutoff between the sorted() path and the doubling path.
+    rng = random.Random(59)
+    lengths = [1, 2, 3, 7, 64, 200, 255, 256, 257, 500, 511, 512, 513, 530]
+    alphabets = [b"\xff", b"\xfe\xff", b"\x01\xff", b"a", b"ab",
+                 bytes(range(1, 256)), bytes(range(256))]
+    for n in lengths:
+        for alphabet in alphabets:
+            text = bytes(rng.choice(alphabet) for _ in range(n))
+            assert (_suffix_order(text) + 1).tolist() == brute_suffix_array(text)
+
+
+def test_suffix_order_unary_runs_vs_oracle():
+    # Runs of one symbol share the longest prefixes, so they need the
+    # most doubling rounds.
+    for text in (b"a" * 300, b"\xff" * 600, b"a" * 200 + b"\x00" + b"a" * 199,
+                 (b"\xff" * 40 + b"\x00") * 13):
+        assert (_suffix_order(text) + 1).tolist() == brute_suffix_array(text)
 
 
 def test_interval_size_counts_occurrences():
