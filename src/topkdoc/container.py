@@ -102,6 +102,8 @@ def deserialize_index(data: bytes) -> Index:
     n, d, sigma, g_prime, k_max, variant_tag, rank_step = header
     if variant_tag not in _TAG_VARIANTS:
         raise ContainerFormatError(f"unknown variant tag {variant_tag}")
+    if rank_step < 1:
+        raise ContainerFormatError("rank step must be positive")
     variant = _TAG_VARIANTS[variant_tag]
 
     sections = {}

@@ -12,19 +12,13 @@ that marked it), and the c most frequent documents of its interval; the
 them and recounts through the wavelet tree on demand.  The build counts
 them with one bincount over each node's slice of the document array.
 
-The lcp array is lifted through prefix-doubling ranks read back off the
-suffix array (Manber and Myers, "Suffix arrays", 1993), which take 4 bytes
-per symbol per round, one round per bit of the longest repeat's length.
-
-Ancestor intervals are computed without materializing a suffix tree: the
-node spanning sample slots p < q is the lcp-interval of h = min(lcp[p+1..q]),
-bounded by the nearest lcp values below h on either side.  One stack pass
-each way over the lcp array gives every slot those neighbours (Abouelhoda,
-Kurtz and Ohlebusch, "Replacing suffix trees with enhanced suffix arrays",
-2004), so marking needs O(n) memory.
+The node spanning two sample slots is the locus of their suffixes' common
+prefix, measured by galloping slice comparisons on the text; its interval
+is found by the binary search queries use (suffixes.prefix_interval).  So
+marking holds nothing beyond the text and the suffix array, and its time
+grows with the level-1 windows' common-prefix lengths times log n.
 """
 
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -33,9 +27,9 @@ import numpy as np
 from .louds import LoudsTree
 from .wavelet import WaveletTree
 from .errors import KStarNotPrecomputedError
+from .suffixes import prefix_interval
 
 VARIANTS = ("light", "xlight")
-_LCP_CHUNK = 1 << 14     # adjacent slots per numpy batch; bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -92,15 +86,14 @@ class SGST:
         return [self.node_at(r) for r in refs]
 
 
-def build_sgst(corpus, s, w: WaveletTree, g_prime=400, k_max=16,
-               variant="light", sample_step=64) -> SGST:
+def build_sgst(corpus, s, g_prime=400, k_max=16, variant="light",
+               sample_step=64) -> SGST:
     """Mark, classify and precompute candidates over the suffix array of corpus.
 
     `s` is the corpus's SuffixIndex; candidates are counted from its
-    document array, and `w`, the wavelet tree over it, is not read.
-    Degenerate sampling (fewer than two sampled slots at some level) simply
-    leaves that level empty; queries fall back to a full greedy traversal
-    when no marked ancestor serves them.
+    document array.  Degenerate sampling (fewer than two sampled slots at
+    some level) simply leaves that level empty; queries fall back to a full
+    greedy traversal when no marked ancestor serves them.
     """
     if g_prime < 1:
         raise ValueError("g_prime must be at least 1")
@@ -111,16 +104,25 @@ def build_sgst(corpus, s, w: WaveletTree, g_prime=400, k_max=16,
 
     x = SGST(g_prime, k_max, variant, None, [], [], [], [0], [],
              [] if variant == "light" else None, {})
-    n = len(s.sa)
-    lcp = _lcp_array(corpus.text, s.sa)
-    prev, nxt = _smaller_neighbours(lcp, n)
+    text = corpus.text
+    sa = memoryview(s.sa)               # plain ints, not numpy scalars
 
+    def spanning_node(p, q):
+        a, b = sa[p - 1] - 1, sa[q - 1] - 1
+        h = _common_prefix(text, a, b)
+        iv = prefix_interval(sa, text, text[a:a + h])
+        return h, (iv.sp, iv.ep)
+
+    # A level-2k window is two adjacent level-k windows, and its node is
+    # the shallower of theirs (equal depths name the same node): only
+    # level 1 searches the suffix array.
+    windows = [spanning_node(p, p + g_prime) for p in range(1, len(sa) - g_prime + 1, g_prime)]
     level_sets = {}
     classes = {}
     for k in x.levels():
-        g = k * g_prime
-        level_sets[k] = {_ancestor_interval(lcp, prev, nxt, p, p + g)
-                         for p in range(1, n - g + 1, g)}
+        if k > 1:
+            windows = [min(pair) for pair in zip(windows[::2], windows[1::2])]
+        level_sets[k] = {iv for _, iv in windows}
         for iv in level_sets[k]:
             classes[iv] = k  # levels ascend, so the last write is the max
     if not classes:
@@ -227,76 +229,22 @@ def candidates_of(x: SGST, node: MarkedNode, w: WaveletTree, k=None):
     return [(doc, w.doc_freq(doc, node.sp, node.ep)) for doc in docs]
 
 
-def _lcp_array(text, sa):
-    """lcp[i] = longest common prefix of the suffixes at slots i-1 and i.
+def _common_prefix(text, a, b):
+    """Length of the longest common prefix of text[a:] and text[b:], a != b.
 
-    1-based; entries 2..n are meaningful.  ranks[t] numbers the distinct
-    2^t-symbol prefixes in sorted order (-1 at n: the empty suffix).  Round
-    0 starts a group where adjacent slots' first symbols differ, round t+1
-    also where their ranks[t] 2^t symbols on differ; the rounds stop before
-    the first with all ranks distinct.  Then every adjacent pair is lifted
-    from the top round down, gaining 2^t where its next 2^t symbols match.
+    Gallops to a mismatching block, then halves it.  A block running past
+    the end is cut short, and two distinct suffixes are cut to different
+    lengths, so equal blocks always match in full.
     """
-    n = len(sa)
-    pos = np.asarray(sa, dtype=np.intc) - 1         # 0-based starts
-    first = np.frombuffer(text, dtype=np.uint8)[pos]
-    new = np.concatenate(([False], first[1:] != first[:-1]))
-    ranks = []
-    while np.count_nonzero(new) < n - 1:
-        rank = np.empty(n + 1, dtype=np.intc)
-        rank[pos] = np.cumsum(new, dtype=np.intc)
-        rank[n] = -1
-        step = 1 << len(ranks)
-        ranks.append(rank)
-        for lo in range(0, n - 1, _LCP_CHUNK):
-            ahead = rank[np.minimum(pos[lo:lo + _LCP_CHUNK + 1] + step, n)]
-            new[lo + 1:lo + len(ahead)] |= ahead[1:] != ahead[:-1]
-    lcp = np.zeros(n + 1, dtype=np.intc)
-    for lo in range(0, n - 1, _LCP_CHUNK):
-        hi = min(lo + _LCP_CHUNK, n - 1)
-        a, b = pos[lo:hi], pos[lo + 1:hi + 1]
-        h = np.zeros(hi - lo, dtype=np.intc)
-        for t in reversed(range(len(ranks))):
-            h[ranks[t][a + h] == ranks[t][b + h]] += 1 << t
-        lcp[lo + 2:hi + 2] = h
-    return lcp
-
-
-def _smaller_neighbours(lcp, n):
-    """Nearest slots on each side whose lcp value is strictly smaller.
-
-    Returns C int arrays prev and nxt over slots 1..n: prev[i] is the
-    largest t < i with lcp[t] < lcp[i], or 0 if there is none, and nxt[i]
-    the smallest t > i with lcp[t] < lcp[i], or n + 1.  Each pass walks
-    from the adjacent slot along the answers found so far, which form the
-    classic pass's stack, so every slot is stepped over at most once.
-    """
-    vals = array("i", np.asarray(lcp, dtype=np.intc).tobytes())
-    vals[0] = -1            # sentinels below every lcp value, at 0 and n + 1
-    vals.append(-1)
-    prev = array("i", bytes(4 * (n + 2)))
-    nxt = array("i", [n + 1]) * (n + 2)
-    for out, slots, step in ((prev, range(1, n + 1), -1), (nxt, range(n, 0, -1), 1)):
-        for i in slots:
-            v = vals[i]
-            j = i + step
-            while vals[j] >= v:
-                j = out[j]
-            out[i] = j
-    return prev, nxt
-
-
-def _ancestor_interval(lcp, prev, nxt, p, q):
-    """Suffix-array interval of the lowest suffix-tree node spanning slots p..q.
-
-    That node is the lcp-interval of h = min(lcp[p+1..q]).  At m, the
-    leftmost slot of p+1..q holding h, the lcp values stay above h between
-    p+1 and m and at least h between m and q, so the nearest smaller values
-    around m are the interval's boundaries.  For h = 0 there are none, and
-    the node is the root (1, n).
-    """
-    m = p + 1 + int(np.argmin(lcp[p + 1:q + 1]))
-    return (max(prev[m], 1), nxt[m] - 1)
+    h, step = 0, 1
+    while text[a + h:a + h + step] == text[b + h:b + h + step]:
+        h += step
+        step <<= 1
+    while step > 1:             # text[a:] and text[b:] differ before h + step
+        step >>= 1
+        if text[a + h:a + h + step] == text[b + h:b + h + step]:
+            h += step
+    return h
 
 
 def _containment_tree(intervals, sample_step):

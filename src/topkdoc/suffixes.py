@@ -88,9 +88,16 @@ def as_pattern_bytes(pattern) -> bytes:
 
 def pattern_interval(s: SuffixIndex, corpus: Corpus, pattern) -> PatternInterval:
     """Suffix-array interval of all suffixes starting with pattern."""
-    pat = as_pattern_bytes(pattern)
-    text = corpus.text
-    sa = memoryview(s.sa)               # plain ints, not numpy scalars
+    return prefix_interval(memoryview(s.sa), corpus.text, as_pattern_bytes(pattern))
+
+
+def prefix_interval(sa, text: bytes, pat: bytes) -> PatternInterval:
+    """Suffix-array interval of the suffixes of text starting with pat.
+
+    `sa` is the suffix array as a sequence of Python ints.  pat is not
+    checked: it may be empty, giving (1, n), or hold terminators, as a
+    common prefix of two suffixes may.
+    """
     m = len(pat)
 
     lo, hi = 0, len(sa)                 # first suffix with prefix >= pat

@@ -215,10 +215,12 @@ def test_truncations_rejected():
 
 def test_header_payload_disagreement_rejected():
     idx = build_index(["abab", "abba", "bab"], g_prime=1, k_max=4)
-    blob = bytearray(serialize_index(idx))
-    struct.pack_into("<Q", blob, 6, 99)                # claim n=99
-    with pytest.raises(ContainerFormatError):
-        deserialize_index(bytes(blob))
+    for field, value in ((0, 99),                       # claim n=99
+                         (6, 0)):                       # rank step 0
+        blob = bytearray(serialize_index(idx))
+        struct.pack_into("<Q", blob, 6 + 8 * field, value)
+        with pytest.raises(ContainerFormatError):
+            deserialize_index(bytes(blob))
 
 
 def test_corrupted_text_rejected():

@@ -377,18 +377,22 @@ def test_answers_and_counters_pinned(name, variant):
 
 def test_whole_build_memory_budget():
     # At most 90 bytes per symbol of traced allocation for build_index on
-    # top of the ingested corpus, at 215 k symbols of word revisions.
-    # Whole revised documents repeat, so the lcp step runs 11 doubling
-    # rounds, the most of any corpus here; the build peaks at about 80
-    # bytes per symbol while it holds their ranks.  Kasai's Python lists
-    # (about 106) or neighbour passes over Python lists (about 101) exceed
-    # the budget.
-    c = ingest(revisions_corpus(random.Random(5), bases=10, revisions=20, length=220))
-    assert c.n >= 200_000
-    tracemalloc.start()
-    try:
-        build_index(c, g_prime=50, k_max=16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 90 * c.n
+    # top of the ingested corpus, at over 200 k symbols.  Word revisions
+    # repeat whole documents; 21 identical copies of one 10 k-symbol
+    # document repeat far longer stretches, so any build step whose memory
+    # grows with the longest repeat (doubling ranks kept per round, say)
+    # exceeds the budget there first.  Both peak at about 41, in the
+    # suffix sort.
+    rng = random.Random(5)
+    revisions = revisions_corpus(rng, bases=10, revisions=20, length=220)
+    copies = ["".join(rng.choice("abcdefghij") for _ in range(10_000))] * 21
+    for docs in (revisions, copies):
+        c = ingest(docs)
+        assert c.n >= 200_000
+        tracemalloc.start()
+        try:
+            build_index(c, g_prime=50, k_max=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 90 * c.n

@@ -8,8 +8,7 @@ import pytest
 from topkdoc import build_suffix_array, candidates_of, find_locus, ingest
 from topkdoc.bitrank import RankBitVector
 from topkdoc.errors import KStarNotPrecomputedError
-from topkdoc.sgst import (VARIANTS, _ancestor_interval, _lcp_array, _smaller_neighbours,
-                          build_sgst)
+from topkdoc.sgst import VARIANTS, build_sgst
 from topkdoc.wavelet import WaveletTree
 
 from conftest import random_docs, revisions_corpus
@@ -27,60 +26,11 @@ DENSE_LEVEL_2 = {(1, 3), (1, 14), (5, 8), (9, 14), (11, 13)}
 DENSE_LEVEL_4 = {(1, 14), (9, 14)}
 
 
-def common_prefix(a: bytes, b: bytes) -> int:
-    i = 0
-    while i < len(a) and i < len(b) and a[i] == b[i]:
-        i += 1
-    return i
-
-
-def brute_lcp(text, sa):
-    """1-based lcp values; entry i compares slots i-1 and i."""
-    n = len(sa)
-    out = [0] * (n + 1)
-    for i in range(2, n + 1):
-        out[i] = common_prefix(text[sa[i - 2] - 1:], text[sa[i - 1] - 1:])
-    return out
-
-
-def brute_ancestor(text, sa, p, q):
-    """Widen [p, q] while internal lcps stay >= min(lcp[p+1..q])."""
-    n = len(sa)
-    lcps = brute_lcp(text, sa)
-    h = min(lcps[p + 1:q + 1])
-    if h == 0:
-        return (1, n)
-    lo, hi = p, q
-    while lo > 1 and lcps[lo] >= h:
-        lo -= 1
-    while hi < n and lcps[hi + 1] >= h:
-        hi += 1
-    return (lo, hi)
-
-
-def brute_marks(text, sa, g):
-    slots = list(range(1, len(sa) + 1, g))
-    return {brute_ancestor(text, sa, p, q) for p, q in zip(slots, slots[1:])}
-
-
-def build_all(docs, **kwargs):
-    c = ingest(docs)
-    s = build_suffix_array(c)
-    w = WaveletTree(s.doc_ids, c.d)
-    return c, s, w, build_sgst(c, s, w, **kwargs)
-
-
-def test_lcp_array_random_vs_oracle():
-    rng = random.Random(101)
-    for _ in range(20):
-        c = ingest(random_docs(rng, max_docs=6, max_total=150))
-        s = build_suffix_array(c)
-        got = _lcp_array(c.text, s.sa)
-        assert list(got) == brute_lcp(c.text, list(s.sa))
-
-
 def kasai_lcp(text, sa):
-    """Kasai et al.'s linear scan over text order: the reference lcp array."""
+    """Kasai et al.'s linear scan over text order: the reference lcp array.
+
+    1-based; entry i compares the suffixes at slots i-1 and i.
+    """
     n = len(sa)
     pos = [p - 1 for p in sa]
     inv = [0] * n
@@ -101,56 +51,34 @@ def kasai_lcp(text, sa):
     return out
 
 
-def test_lcp_array_long_repeats_vs_kasai():
-    # Revisions and runs share long prefixes, so they need many doubling
-    # rounds; past 2^14 slots the pairs are lifted in several batches.
-    rng = random.Random(139)
-    corpora = [revisions_corpus(rng), revisions_corpus(rng, bases=3, revisions=12, length=100),
-               ["a" * 6000, "a" * 5000, "ab" * 3000, "b"]]
-    for docs in corpora:
-        c = ingest(docs)
-        s = build_suffix_array(c)
-        lcp = _lcp_array(c.text, s.sa).tolist()
-        assert lcp == kasai_lcp(c.text, s.sa.tolist())
-    assert c.n > 1 << 14 and max(lcp) >= 4000
+def oracle_marks(lcp, g):
+    """Marked intervals at sampling step g, with each window's prefix length.
+
+    The node spanning slots p..q is the lcp-interval of h = min(lcp[p+1..q]):
+    it reaches left to the last slot t <= p with lcp[t] < h and right to the
+    slot before the first t > q with lcp[t] < h.  For h = 0 it is the root.
+    Returns {(interval, (p, h)) per window}.
+    """
+    n = len(lcp) - 1
+    vals = np.array(lcp + [-1])             # a sentinel below every h at n + 1
+    out = set()
+    for p in range(1, n - g + 1, g):
+        q = p + g
+        h = int(vals[p + 1:q + 1].min())
+        if h == 0:
+            out.add(((1, n), (p, 0)))
+            continue
+        lo = int(np.flatnonzero(vals[1:p + 1] < h)[-1]) + 1
+        hi = q + int(np.flatnonzero(vals[q + 1:] < h)[0])
+        out.add(((lo, hi), (p, h)))
+    return out
 
 
-def brute_smaller_neighbours(values):
-    """O(n^2) nearest strictly smaller slot on each side, for slots 1..n of values."""
-    n = len(values) - 1
-    prev = [max((t for t in range(1, i) if values[t] < values[i]), default=0)
-            for i in range(1, n + 1)]
-    nxt = [min((t for t in range(i + 1, n + 1) if values[t] < values[i]), default=n + 1)
-           for i in range(1, n + 1)]
-    return prev, nxt
-
-
-def test_smaller_neighbours_vs_oracle():
-    rng = random.Random(103)
-    for _ in range(40):
-        n = rng.randint(1, 120)
-        # Few distinct values, so runs of equal lcp are common.
-        values = [0] + [rng.randint(0, rng.choice([1, 3, 8])) for _ in range(n)]
-        prev, nxt = _smaller_neighbours(np.array(values, dtype=np.int64), n)
-        got = (prev[1:n + 1].tolist(), nxt[1:n + 1].tolist())
-        assert got == brute_smaller_neighbours(values)
-
-
-def test_ancestor_interval_random_vs_oracle():
-    rng = random.Random(107)
-    for _ in range(15):
-        c = ingest(random_docs(rng, max_docs=6, max_total=120))
-        s = build_suffix_array(c)
-        n = c.n
-        lcp = _lcp_array(c.text, s.sa)
-        prev, nxt = _smaller_neighbours(lcp, n)
-        for _ in range(30):
-            p = rng.randint(1, n - 1)
-            q = rng.randint(p + 1, n)
-            got = _ancestor_interval(lcp, prev, nxt, p, q)
-            want = brute_ancestor(c.text, list(s.sa), p, q)
-            assert got == want
-            assert got[0] <= p and q <= got[1]
+def build_all(docs, **kwargs):
+    c = ingest(docs)
+    s = build_suffix_array(c)
+    w = WaveletTree(s.doc_ids, c.d)
+    return c, s, w, build_sgst(c, s, **kwargs)
 
 
 def test_build_memory_budget():
@@ -160,10 +88,9 @@ def test_build_memory_budget():
     rng = random.Random(241)
     c = ingest(["".join(rng.choice("acgt") for _ in range(1000)) for _ in range(50)])
     s = build_suffix_array(c)
-    w = WaveletTree(s.doc_ids, c.d)
     tracemalloc.start()
     try:
-        build_sgst(c, s, w, g_prime=200, k_max=16)
+        build_sgst(c, s, g_prime=200, k_max=16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -202,13 +129,13 @@ def test_build_makes_no_traversal(monkeypatch):
     assert x.node_count > 0
 
 
-def test_build_parameter_validation(worked_corpus, worked_suffixes, worked_wavelet):
+def test_build_parameter_validation(worked_corpus, worked_suffixes):
     with pytest.raises(ValueError):
-        build_sgst(worked_corpus, worked_suffixes, worked_wavelet, g_prime=0)
+        build_sgst(worked_corpus, worked_suffixes, g_prime=0)
     with pytest.raises(ValueError):
-        build_sgst(worked_corpus, worked_suffixes, worked_wavelet, k_max=3)
+        build_sgst(worked_corpus, worked_suffixes, k_max=3)
     with pytest.raises(ValueError):
-        build_sgst(worked_corpus, worked_suffixes, worked_wavelet, variant="heavy")
+        build_sgst(worked_corpus, worked_suffixes, variant="heavy")
 
 
 def test_worked_default_build(worked_index):
@@ -264,19 +191,34 @@ def test_levels_nest_downward():
 
 
 def test_random_marks_vs_oracle():
+    # Small random corpora, then inputs whose windows share long prefixes:
+    # word revisions, unary runs and identical copies, the last with more
+    # documents than g', so windows fall inside the terminator slots 1..d.
     rng = random.Random(113)
-    for _ in range(12):
-        docs = random_docs(rng, max_docs=6, max_total=200)
-        g_prime = rng.choice([1, 2, 5])
+    cases = [(random_docs(rng, max_docs=6, max_total=200), rng.choice([1, 2, 5]))
+             for _ in range(12)]
+    copy = "".join(rng.choice("abcdefghij") for _ in range(1100))
+    cases += [(revisions_corpus(rng), 2), (revisions_corpus(rng, bases=2, revisions=9), 5),
+              (["a" * 2500, "a" * 1200, "b", "ab" * 400], 3), ([copy] * 12, 5)]
+    longest = 0
+    terminated = False
+    for docs, g_prime in cases:
         c, s, _, x = build_all(docs, g_prime=g_prime, k_max=4)
-        sa = list(s.sa)
-        want_sets = {k: brute_marks(c.text, sa, k * g_prime) for k in x.levels()}
+        sa = s.sa.tolist()
+        lcp = kasai_lcp(c.text, sa)
+        want_sets = {}
         for k in x.levels():
+            marks = oracle_marks(lcp, k * g_prime)
+            want_sets[k] = {iv for iv, _ in marks}
+            for _, (p, h) in marks:
+                longest = max(longest, h)
+                terminated |= 0 in c.text[sa[p - 1] - 1:sa[p - 1] - 1 + h]
             assert {(nd.sp, nd.ep) for nd in x.level_nodes(k)} == want_sets[k]
         # Deepest marking level wins.
         for nd in x.level_nodes(1):
             want_cls = max(k for k in x.levels() if (nd.sp, nd.ep) in want_sets[k])
             assert nd.cls == want_cls
+    assert longest >= 1000 and terminated
 
 
 def test_containment_tree_is_laminar():
@@ -423,8 +365,8 @@ def test_light_and_xlight_agree():
         c = ingest(docs)
         s = build_suffix_array(c)
         w = WaveletTree(s.doc_ids, c.d)
-        light = build_sgst(c, s, w, g_prime=1, k_max=4, variant="light")
-        xlight = build_sgst(c, s, w, g_prime=1, k_max=4, variant="xlight")
+        light = build_sgst(c, s, g_prime=1, k_max=4, variant="light")
+        xlight = build_sgst(c, s, g_prime=1, k_max=4, variant="xlight")
         assert light.cand_freqs is not None and xlight.cand_freqs is None
         assert light.node_count == xlight.node_count
         for rank in range(1, light.node_count + 1):
