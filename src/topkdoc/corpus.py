@@ -42,10 +42,13 @@ class Corpus:
     def doc_ids(self, positions):
         """Document id owning each 1-based text position, as int32.
 
-        A terminator belongs to the document it ends, so the id is one more
-        than the number of terminators strictly before the position.
+        A terminator belongs to the document it ends.  The ids are gathered
+        from an array of every position's owner, built in one pass, so the
+        whole suffix array maps without a binary search per position.
         """
-        return (np.searchsorted(self.ends, positions, side="left") + 1).astype(np.int32)
+        owner = np.repeat(np.arange(1, self.d + 1, dtype=np.int32),
+                          np.diff(self.ends, prepend=0))
+        return owner[np.asarray(positions) - 1]
 
     def doc_of_position(self, pos):
         """Document id owning 1-based text position pos."""

@@ -194,7 +194,10 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
     locus = None
     if use_sgst and stats.kstar <= x.k_max:
         stats.used_sgst = True
-        locus = find_locus(x, stats.kstar, sp, ep)
+        # A level-k* node spans at least g + 1 slots: none fits a shorter
+        # interval.
+        if ep - sp >= stats.g:
+            locus = find_locus(x, stats.kstar, sp, ep)
 
     if locus is None:
         pairs = w.greedy_topk(sp, ep, k)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -452,3 +453,25 @@ def test_stored_suffix_array_validated_at_load():
         struct.pack_into("<Q", bad, start + 16 + 8 * i, value)
         with pytest.raises(ContainerFormatError, match="permutation"):
             deserialize_index(bytes(bad))
+
+
+def test_load_memory_budget():
+    # At most 60 bytes per symbol of traced allocation for a load that
+    # rebuilds the suffix array, on the inputs of
+    # test_engine.py::test_whole_build_memory_budget.  The suffix sort is
+    # most of the peak.
+    rng = random.Random(5)
+    revisions = revisions_corpus(rng, bases=10, revisions=20, length=220)
+    copies = ["".join(rng.choice("abcdefghij") for _ in range(10_000))] * 21
+    for docs in (revisions, copies):
+        idx = build_index(docs, g_prime=50, k_max=16)
+        blob = serialize_index(idx)
+        n = idx.corpus.n
+        del idx
+        tracemalloc.start()
+        try:
+            deserialize_index(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 60 * n

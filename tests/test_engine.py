@@ -221,6 +221,38 @@ def test_empty_sampling_always_falls_back():
         check_against_oracle(docs, r, pattern, 3)
 
 
+def test_short_intervals_skip_the_locus_search(monkeypatch):
+    # A level-k* node spans at least k*·g′ + 1 slots, so an interval with
+    # ep - sp < g holds none: the query does not search for one, yet still
+    # counts as having used the sampled tree.
+    rng = random.Random(167)
+    docs = revisions_corpus(rng)
+    idx = build_index(docs, g_prime=3, k_max=8)
+    searched = []
+
+    def recording_find_locus(x, k_star, sp, ep):
+        searched.append((k_star, sp, ep))
+        return find_locus(x, k_star, sp, ep)
+
+    monkeypatch.setattr(engine_module, "find_locus", recording_find_locus)
+    skipped = found = 0
+    for pattern in occurring_patterns(docs, 3):
+        for k in (1, 3, 8):
+            searched.clear()
+            r = query_topk(idx, pattern, k)
+            iv = pattern_interval(idx.suffixes, idx.corpus, pattern)
+            assert r.stats.used_sgst
+            if iv.ep - iv.sp < r.stats.g:
+                skipped += 1
+                assert searched == [] and not r.stats.locus_found
+                assert find_locus(idx.sgst, r.stats.kstar, iv.sp, iv.ep) is None
+            else:
+                assert searched == [(r.stats.kstar, iv.sp, iv.ep)]
+                found += r.stats.locus_found
+            check_against_oracle(docs, r, pattern, k)
+    assert skipped >= 50 and found >= 500
+
+
 def test_flanked_locus_unary_run():
     # Long single-letter runs give suffix-tree nodes with one huge child,
     # so the found marked node sits strictly inside the pattern interval

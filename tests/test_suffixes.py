@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from topkdoc import build_suffix_array, ingest, pattern_interval
@@ -14,7 +15,26 @@ from conftest import (
     count_occurrences,
     occurring_patterns,
     random_docs,
+    revisions_corpus,
 )
+
+
+def doubling_suffix_order(text: bytes):
+    """Prefix doubling that re-sorts every suffix in every round, as the
+    reference for long repeats, where the brute-force sort is too slow."""
+    n = len(text)
+    m = max(n, 256) + 1
+    rank = np.frombuffer(text, dtype=np.uint8).astype(np.int64)
+    k = 1
+    while True:
+        key = rank * m
+        key[:-k] += rank[k:] + 1
+        order = np.argsort(key)
+        key = key[order]
+        rank[order] = np.cumsum(np.concatenate(([False], key[1:] != key[:-1])))
+        if rank[order[-1]] == n - 1:
+            return order
+        k <<= 1
 
 
 def test_worked_suffix_array(worked_suffixes):
@@ -93,6 +113,65 @@ def test_suffix_order_unary_runs_vs_oracle():
     for text in (b"a" * 300, b"\xff" * 600, b"a" * 200 + b"\x00" + b"a" * 199,
                  (b"\xff" * 40 + b"\x00") * 13):
         assert (_suffix_order(text) + 1).tolist() == brute_suffix_array(text)
+
+
+PACKING_SIGMAS = (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 127, 128, 255, 256)
+
+
+def test_suffix_order_across_packing_widths_vs_oracle():
+    # The first round packs 63 // sigma.bit_length() symbols per key; each
+    # sigma here is the last or first of a bit width.  Every alphabet holds
+    # 0x00, and each text ends with a copy of its start, so later rounds
+    # have groups to split.
+    rng = random.Random(61)
+    for sigma in PACKING_SIGMAS:
+        alphabet = bytes(range(sigma))
+        for n in (sigma, 300):
+            head = bytearray(alphabet + bytes(rng.choice(alphabet) for _ in range(n - sigma)))
+            rng.shuffle(head)
+            text = bytes(head) + bytes(head[:n // 2])
+            assert (_suffix_order(text) + 1).tolist() == brute_suffix_array(text)
+
+
+def test_suffix_order_shorter_than_one_packed_key():
+    rng = random.Random(67)
+    for sigma in PACKING_SIGMAS:
+        q = 63 // sigma.bit_length()
+        alphabet = bytes(range(256 - sigma, 256))
+        for n in range(1, q):
+            text = bytes(rng.choice(alphabet) for _ in range(n))
+            assert (_suffix_order(text) + 1).tolist() == brute_suffix_array(text)
+
+
+def test_suffix_order_long_repeats_vs_full_doubling():
+    rng = random.Random(71)
+    document = "".join(rng.choice("abcdefghij") for _ in range(10_000))
+    for text in (ingest([document] * 21).text, b"a" * 50_000, b"\x00" * 50_000 + b"a"):
+        assert np.array_equal(_suffix_order(text), doubling_suffix_order(text))
+
+
+def test_later_rounds_sort_only_unfinished_groups(monkeypatch):
+    # Finished groups drop out: each round after the first sorts fewer
+    # keys than the text has suffixes, and the last one few of them.  How
+    # few depends on how far the longest repeats reach past the last
+    # doubling step; on these revisions (documents under 1 k symbols) it
+    # was 1-4% of n over 16 seeds.
+    c = ingest(revisions_corpus(random.Random(73), bases=26, revisions=10, length=160))
+    assert c.n >= 200_000
+    sizes = []
+    argsort = np.argsort
+
+    def recording_argsort(a, *args, **kwargs):
+        sizes.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recording_argsort)
+    order = _suffix_order(c.text)
+    monkeypatch.undo()
+    assert np.array_equal(order, doubling_suffix_order(c.text))
+    assert sizes[0] == c.n and len(sizes) >= 3
+    assert all(size < c.n for size in sizes[1:])
+    assert sizes[-1] < c.n / 10
 
 
 def test_interval_size_counts_occurrences():
