@@ -8,9 +8,7 @@ directory and then scans within one sample block.  Words and directory
 are built in numpy, then kept as lists of Python ints for the queries.
 
 The wavelet tree projects an interval through a node with rank1 at its two
-ends, and LOUDS navigation spans a node's children with the two zeros
-around its encoding, so rank1_pair and select_pair answer both positions
-with one range check (and, for select, one directory search).
+ends, so rank1_pair answers both positions with one range check.
 """
 
 import numpy as np
@@ -138,24 +136,6 @@ class RankBitVector:
         if j < 1 or j > total:
             raise NotEnoughOccurrencesError(f"occurrence {j} of bit {bit} (have {total})")
         return self._select(bit, j)
-
-    def select_pair(self, bit, j):
-        """(select(bit, j), select(bit, j + 1)): the j-th occurrence of bit
-        and the next one, found by scanning on from the first."""
-        total = self._ones if bit else self._n - self._ones
-        if j < 1 or j >= total:
-            raise NotEnoughOccurrencesError(
-                f"occurrences {j} and {j + 1} of bit {bit} (have {total})")
-        p = self._select(bit, j)
-        words = self._words
-        t, off = p >> 6, p & 63         # word and offset of position p + 1
-        word = (words[t] if bit else ~words[t]) & (_FULL >> off << off)
-        while not word:
-            # Past n, a complemented word reads as zeros; the (j+1)-th
-            # occurrence exists, so the scan stops before reaching them.
-            t += 1
-            word = words[t] if bit else ~words[t] & _FULL
-        return p, (t << 6) + (word & -word).bit_length()
 
     def _select(self, bit, j):
         """select without the occurrence check."""

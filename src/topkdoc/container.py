@@ -8,18 +8,24 @@ Layout, all integers little-endian:
     then sections until end of file, each:
             section id u64, payload length in bytes u64, payload
 
-Sections: 1 corpus (text plus boundary bit vector), 2 wavelet bitmaps,
-3 sampled tree, 4 suffix array (optional, rebuilt from the text when
-absent).  The boundary bit vector, a one at each terminator, is derived
-from the text when saving; at load it must equal the one derived from
-the stored text, and that text must end with a terminator and hold no
-empty document.  Unknown section ids are skipped so the format can grow;
-a version mismatch is an error, as is any declared length that does not
-match its payload, a stored suffix array that is not a permutation of 1..n,
-wavelet bitmaps whose lengths do not follow the tree's routing, a LOUDS
-sequence that encodes no tree, or a skeleton level or reference, a
-sampled-tree node or a candidate list that no build could have written
-(see _read_sgst, _check_nodes and _check_candidates).
+Sections, each payload a run of u64 fields unless noted:
+
+    1 corpus        n, then the n text bytes
+    2 wavelet       d, d - 1, then each internal node's bit vector
+                    (length in bits, packed words)
+    3 sampled tree  node count m, then m sp, m ep, m cls, m + 1 candidate
+                    offsets, the candidate docs and, for the light layout,
+                    their frequencies
+    4 suffix array  n entries (optional, rebuilt from the text when absent)
+
+The marked nodes are stored in preorder, sorted by (sp, -ep); they are the
+whole sampled tree (see sgst).  At load the text must end with a terminator
+and hold no empty document.  Unknown section ids are skipped so the format
+can grow; a version mismatch is an error, as is any declared length that
+does not match its payload, a stored suffix array that is not a permutation
+of 1..n, wavelet bitmaps whose lengths do not follow the tree's routing, or
+sampled-tree nodes or candidate lists that no build could have written (see
+_check_nodes and _check_candidates).
 """
 
 import io
@@ -31,14 +37,13 @@ from .bitrank import RankBitVector
 from .corpus import SENTINEL, Corpus
 from .engine import Index
 from .errors import (ContainerFormatError, EmptyDocumentError, InconsistentIntervalsError,
-                     InvalidHandleError, VersionMismatchError)
-from .louds import LoudsTree
+                     VersionMismatchError)
 from .sgst import SGST
 from .suffixes import SuffixIndex, build_suffix_array
 from .wavelet import WaveletTree
 
 MAGIC = b"TKDI"
-VERSION = 1
+VERSION = 2
 
 SECTION_CORPUS = 1
 SECTION_WAVELET = 2
@@ -81,7 +86,7 @@ def serialize_index(index: Index, include_suffix_array=False) -> bytes:
                   _VARIANT_TAGS[x.variant], index.rank_step):
         out.write(_U64.pack(value))
 
-    _write_section(out, SECTION_CORPUS, _corpus_payload(corpus))
+    _write_section(out, SECTION_CORPUS, _U64.pack(corpus.n) + corpus.text)
     _write_section(out, SECTION_WAVELET, _wavelet_payload(index.wavelet))
     _write_section(out, SECTION_SGST, _sgst_payload(x))
     if include_suffix_array:
@@ -138,7 +143,7 @@ def deserialize_index(data: bytes) -> Index:
         store_sa = False
 
     wavelet = _read_wavelet(sections[SECTION_WAVELET], d, n, rank_step)
-    sgst = _read_sgst(sections[SECTION_SGST], n, d, g_prime, k_max, variant, rank_step)
+    sgst = _read_sgst(sections[SECTION_SGST], n, d, g_prime, k_max, variant)
     return Index(corpus=corpus, suffixes=suffixes, wavelet=wavelet, sgst=sgst,
                  rank_step=rank_step, store_suffix_array=store_sa)
 
@@ -185,18 +190,6 @@ class _Reader:
             raise ContainerFormatError("payload longer than its contents")
 
 
-def _corpus_payload(corpus) -> bytes:
-    return _U64.pack(corpus.n) + corpus.text + _boundary_blob(corpus.text)
-
-
-def _boundary_blob(text) -> bytes:
-    """The boundary bit vector as _bitvector_blob writes it: a one at each
-    terminator of text."""
-    words = np.packbits(np.frombuffer(text, dtype=np.uint8) == SENTINEL,
-                        bitorder="little")
-    return _U64.pack(len(text)) + words.tobytes() + bytes(-len(words) % 8)
-
-
 def _read_corpus(payload, n):
     r = _Reader(payload)
     if r.u64() != n:
@@ -204,9 +197,6 @@ def _read_corpus(payload, n):
     text = r.raw(n)
     if text[-1:] != bytes([SENTINEL]):
         raise ContainerFormatError("stored text does not end with a terminator")
-    boundaries = _boundary_blob(text)
-    if r.raw(len(boundaries)) != boundaries:
-        raise ContainerFormatError("stored boundaries disagree with the text")
     r.done()
     try:
         return Corpus.from_text(text)
@@ -251,82 +241,53 @@ def _read_wavelet(payload, d, n, rank_step):
 
 def _sgst_payload(x: SGST) -> bytes:
     parts = [_U64.pack(x.node_count)]
-    if x.node_count:
-        parts.append(_bitvector_blob(x.tau.bits))
-        for arr in (x.sp_arr, x.ep_arr, x.cls_arr):
-            parts.append(np.asarray(arr, dtype="<u8").tobytes())
-        parts.append(np.asarray(x.cand_off, dtype="<u8").tobytes())
-        parts.append(_U64.pack(len(x.cand_docs)))
-        parts.append(np.asarray(x.cand_docs, dtype="<u8").tobytes())
-        if x.cand_freqs is not None:
-            parts.append(np.asarray(x.cand_freqs, dtype="<u8").tobytes())
-        parts.append(_U64.pack(len(x.skeletons)))
-        for k in sorted(x.skeletons):
-            louds, refs = x.skeletons[k]
-            parts.append(_U64.pack(k))
-            parts.append(_bitvector_blob(louds.bits))
-            parts.append(_U64.pack(len(refs)))
-            parts.append(np.asarray(refs, dtype="<u8").tobytes())
+    for arr in (x.sp_arr, x.ep_arr, x.cls_arr, x.cand_off, x.cand_docs):
+        parts.append(np.asarray(arr, dtype="<u8").tobytes())
+    if x.cand_freqs is not None:
+        parts.append(np.asarray(x.cand_freqs, dtype="<u8").tobytes())
     return b"".join(parts)
 
 
-def _read_sgst(payload, n, d, g_prime, k_max, variant, rank_step):
+def _read_sgst(payload, n, d, g_prime, k_max, variant):
     r = _Reader(payload)
     node_count = r.u64()
-    if node_count == 0:
-        r.done()
-        return SGST(g_prime, k_max, variant, None, [], [], [], [0], [],
-                    None if variant == "xlight" else [], {})
-    tau = _read_louds(r, rank_step)
-    if tau.node_count != node_count:
-        raise ContainerFormatError("tree bits disagree with the stored node count")
     sp_arr = r.u64_array(node_count)
     ep_arr = r.u64_array(node_count)
     cls_arr = r.u64_array(node_count)
     cand_off = r.u64_array(node_count + 1)
-    total = r.u64()
-    if cand_off[-1] != total:
-        raise ContainerFormatError("candidate offsets disagree with the store size")
+    total = int(cand_off[-1])
     cand_docs = r.u64_array(total)
     cand_freqs = None if variant == "xlight" else r.u64_array(total)
+    r.done()
     _check_nodes(sp_arr, ep_arr, cls_arr, n, k_max)
     _check_candidates(sp_arr, ep_arr, cls_arr, cand_off, cand_docs, cand_freqs, d)
-    skeletons = {}
-    for _ in range(r.u64()):
-        k = r.u64()
-        if k in skeletons or not 2 <= k <= k_max or k & (k - 1):
-            raise ContainerFormatError(f"skeleton level {k} is repeated or not a "
-                                       f"power of two in 2..{k_max}")
-        louds = _read_louds(r, rank_step)
-        refs = r.u64_array(r.u64())
-        if louds.node_count != len(refs):
-            raise ContainerFormatError("skeleton bits disagree with its reference list")
-        if not ((1 <= refs) & (refs <= node_count)).all():
-            raise ContainerFormatError("a skeleton reference lies outside 1..node count")
-        if not (cls_arr[refs.astype(np.int64) - 1] >= k).all():
-            raise ContainerFormatError(f"a level-{k} skeleton refers to a node "
-                                       "of a lower class")
-        skeletons[k] = (louds, tuple(refs.tolist()))
-    r.done()
-    return SGST(g_prime, k_max, variant, tau, sp_arr.tolist(), ep_arr.tolist(),
+    return SGST(g_prime, k_max, variant, sp_arr.tolist(), ep_arr.tolist(),
                 cls_arr.tolist(), cand_off.tolist(), cand_docs.tolist(),
-                None if cand_freqs is None else cand_freqs.tolist(), skeletons)
-
-
-def _read_louds(r, rank_step):
-    try:
-        return LoudsTree.from_bits(r.bitvector(rank_step))
-    except InvalidHandleError as exc:
-        raise ContainerFormatError(f"sampled-tree bits: {exc}") from exc
+                None if cand_freqs is None else cand_freqs.tolist())
 
 
 def _check_nodes(sp, ep, cls, n, k_max):
-    """Reject node intervals outside 1..n and classes that are no level."""
+    """Reject node intervals outside 1..n, classes that are no level, and
+    nodes that are not a laminar family listed once each in preorder, the
+    order find_locus searches."""
     if not ((1 <= sp) & (sp <= ep) & (ep <= n)).all():
         raise ContainerFormatError("a marked node's interval lies outside 1..n")
     if not ((1 <= cls) & (cls <= k_max) & (cls & (cls - 1) == 0)).all():
         raise ContainerFormatError("a marked node's class is not a power of two "
                                    "up to k_max")
+    same_sp = sp[1:] == sp[:-1]
+    if (same_sp & (ep[1:] == ep[:-1])).any():
+        raise ContainerFormatError("a marked node is stored twice")
+    if ((sp[1:] < sp[:-1]) | (same_sp & (ep[1:] > ep[:-1]))).any():
+        raise ContainerFormatError("marked nodes are not in preorder by (sp, -ep)")
+    # Each node must nest in every earlier node still open at its start.
+    open_ends = []
+    for start, end in zip(sp.tolist(), ep.tolist()):
+        while open_ends and open_ends[-1] < start:
+            open_ends.pop()
+        if open_ends and open_ends[-1] < end:
+            raise ContainerFormatError("two marked intervals cross")
+        open_ends.append(end)
 
 
 def _check_candidates(sp, ep, cls, off, docs, freqs, d):

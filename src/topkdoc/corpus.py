@@ -7,6 +7,7 @@ The text is the collection's only copy: document bounds and ids are read
 off its terminators.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ class Corpus:
         """Document id owning 1-based text position pos."""
         if not 1 <= pos <= self.n:
             raise OutOfRangeError(f"position {pos} outside 1..{self.n}")
-        return int(self.doc_ids(pos))
+        return bisect_left(self.ends, pos) + 1
 
     def document(self, doc_id):
         """Original bytes of document doc_id (1-based)."""

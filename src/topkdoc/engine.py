@@ -160,8 +160,7 @@ def build_index(documents, *, g_prime=400, k_max=16, variant="light",
     corpus = documents if isinstance(documents, Corpus) else ingest(documents)
     s = build_suffix_array(corpus)
     w = WaveletTree(s.doc_ids, corpus.d, sample_step=rank_step)
-    x = build_sgst(corpus, s, g_prime=g_prime, k_max=k_max, variant=variant,
-                   sample_step=rank_step)
+    x = build_sgst(corpus, s, g_prime=g_prime, k_max=k_max, variant=variant)
     return Index(corpus=corpus, suffixes=s, wavelet=w, sgst=x, rank_step=rank_step)
 
 

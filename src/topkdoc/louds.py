@@ -7,9 +7,8 @@ which makes every navigation step a closed rank/select formula.  A node is
 addressed by the 1-based bit position where its encoding begins; the j-th
 one in the sequence is the edge pointing to the j-th node in level order.
 
-The node of dense rank r is encoded between the r-th and (r+1)-th zeros,
-so one select pair gives the dense ranks of all its children (child_span):
-a descent by rank reads no handle and checks no bit.
+A public structure of the package; the index does not use it, because its
+sampled tree is fixed by the marked nodes' intervals alone (see sgst).
 """
 
 from collections import deque
@@ -115,16 +114,6 @@ class LoudsTree:
         """Dense level-order index of v, 1..node_count."""
         self._check(v)
         return self.bits.rank0(v - 1)
-
-    def child_span(self, rank):
-        """Dense ranks (first, last) of the children of the node of dense
-        rank `rank`; last < first for a leaf."""
-        if not 1 <= rank <= self.node_count:
-            raise InvalidHandleError(f"rank {rank} outside 1..{self.node_count}")
-        start, end = self.bits.select_pair(0, rank)
-        # The node's ones lie strictly between the two zeros, and start - rank
-        # ones come before them.
-        return start - rank + 1, end - rank - 1
 
     def handle_of_rank(self, rank):
         """Inverse of node_rank."""

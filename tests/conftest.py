@@ -146,5 +146,5 @@ def worked_index():
 
 @pytest.fixture(scope="session")
 def dense_index():
-    # Every suffix sampled, levels 1/2/4: exercises skeletons and loci.
+    # Every suffix sampled, levels 1/2/4: exercises levels and loci.
     return build_index(WORKED_DOCS, g_prime=1, k_max=4)

@@ -51,10 +51,6 @@ def test_bounds_checked():
     for i, j in ((-1, 2), (3, 2), (2, 5)):
         with pytest.raises(OutOfRangeError):
             v.rank1_pair(i, j)
-    assert v.select_pair(0, 1) == (2, 4)
-    for bit, j in ((1, 2), (0, 0), (1, 0)):
-        with pytest.raises(NotEnoughOccurrencesError):
-            v.select_pair(bit, j)
     with pytest.raises(OutOfRangeError):
         v.get(0)
     with pytest.raises(NotEnoughOccurrencesError):
@@ -101,9 +97,6 @@ def test_random_vs_oracle(sample_step):
                     break
                 j = rng.randint(1, total)
                 assert v.select(bit, j) == brute_select(bits, bit, j)
-                if j < total:
-                    assert v.select_pair(bit, j) == (brute_select(bits, bit, j),
-                                                     brute_select(bits, bit, j + 1))
 
 
 def test_select_rank_inverse():

@@ -1,16 +1,19 @@
 import hashlib
+import itertools
 import random
 import struct
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from topkdoc import STRATEGIES, build_index, load_index, query_topk, save_index
+from topkdoc import STRATEGIES, build_index, errors, load_index, query_topk, save_index
 from topkdoc.container import deserialize_index, serialize_index
 from topkdoc.errors import ContainerFormatError, VersionMismatchError
 
-from conftest import acgt_corpus, occurring_patterns, random_docs, revisions_corpus
+from conftest import (acgt_corpus, doc_frequency_map, naive_topk, occurring_patterns,
+                      random_docs, revisions_corpus)
 
 HEADER_LEN = 6 + 7 * 8
 
@@ -32,11 +35,10 @@ def sgst_fields(index, blob):
     (start,) = [start for sec_id, start, _ in section_spans(blob) if sec_id == 3]
     x = index.sgst
     nodes, total = x.node_count, len(x.cand_docs)
-    pos = start + 16 + 8 + 8 + 8 * ((len(x.tau.bits) + 63) // 64)
+    pos = start + 16 + 8
     at = {}
     for name, count in (("sp", nodes), ("ep", nodes), ("cls", nodes),
-                        ("off", nodes + 1), ("total", 1), ("docs", total),
-                        ("freqs", total)):
+                        ("off", nodes + 1), ("docs", total), ("freqs", total)):
         at[name] = pos
         pos += 8 * count
     assert list(np.frombuffer(blob, "<u8", nodes, at["sp"])) == x.sp_arr
@@ -77,9 +79,8 @@ def test_roundtrip_preserves_everything(variant):
         assert list(y.cand_freqs) == list(x.cand_freqs)
     else:
         assert y.cand_freqs is None
-    assert sorted(y.skeletons) == sorted(x.skeletons)
-    for k in x.skeletons:
-        assert y.skeletons[k][1] == x.skeletons[k][1]
+    for k in x.levels():
+        assert y.level_nodes(k) == x.level_nodes(k)
     assert answers(back, docs) == answers(idx, docs)
 
 
@@ -89,16 +90,16 @@ def test_roundtrip_preserves_everything(variant):
 FROZEN_CONTAINERS = {
     "acgt-light": (
         acgt_corpus, 211, dict(g_prime=10, k_max=16, variant="light"),
-        "57a06253fbef22998d0390e59121961acb2d6c7ffc0ee80aceb61f1b6c87bdf7"),
+        "5400e5fc52297fe0bf91a1966b9b5197b1c97edb47f3ba6ad9dd995eaea4d435"),
     # Revisions repeat long stretches: lcp values reach several hundred.
     "revisions-xlight": (
         revisions_corpus, 223, dict(g_prime=8, k_max=16, variant="xlight"),
-        "56434cd1c9107cce410945863ae874387756fa25decd74741da37a2d719d997a"),
+        "1686e965426d6572261095cc4007305991b15378179621750b437f4b7ad64f71"),
     # g' = 1 samples every slot.
     "dense-light": (
         lambda rng: random_docs(rng, max_docs=6, max_total=150, sigma=2), 227,
         dict(g_prime=1, k_max=8, variant="light"),
-        "29456ceef88001b6ba626704077355af98beeeb54637cf3da52b26cf5491bd80"),
+        "4b6d51f0cb6904324cccb91edd0df7fa5214ca269e12ec66ee38963bf0c3026f"),
 }
 
 
@@ -194,9 +195,10 @@ def test_bad_magic_rejected():
 def test_version_mismatch_rejected():
     idx = build_index(["ab"], g_prime=1, k_max=1)
     blob = serialize_index(idx)
-    bumped = blob[:4] + struct.pack("<H", 2) + blob[6:]
-    with pytest.raises(VersionMismatchError):
-        deserialize_index(bumped)
+    assert struct.unpack_from("<H", blob, 4) == (2,)
+    for version in (1, 3):
+        with pytest.raises(VersionMismatchError):
+            deserialize_index(blob[:4] + struct.pack("<H", version) + blob[6:])
 
 
 def test_truncations_rejected():
@@ -230,23 +232,15 @@ def test_corrupted_text_rejected():
     text = idx.corpus.text                      # abab.abba.bab.
     start = HEADER_LEN + 16 + 8                 # first byte of the text
 
-    def boundary_blob(text):
-        """Boundary bit vector agreeing with text: one word, as n <= 64."""
-        word = sum(1 << i for i, c in enumerate(text) if c == 0)
-        return struct.pack("<QQ", len(text), word)
+    def with_corpus(text):
+        return blob[:start] + text + blob[start + len(text):]
 
-    def with_corpus(text, boundaries):
-        return blob[:start] + text + boundaries + blob[start + len(text) + 16:]
-
-    assert with_corpus(text, boundary_blob(text)) == blob
+    assert with_corpus(text) == blob
     empty_doc = text[:3] + b"\x00" + text[4:]   # aba..abba.bab.
     unterminated = text[:-1] + b"b"             # abab.abba.babb
-    flipped = bytearray(boundary_blob(text))
-    flipped[8] ^= 1 << 2                        # a one at position 3
     cases = [
-        (with_corpus(empty_doc, boundary_blob(empty_doc)), "empty document"),
-        (with_corpus(unterminated, boundary_blob(unterminated)), "terminator"),
-        (with_corpus(text, bytes(flipped)), "boundaries"),
+        (with_corpus(empty_doc), "empty document"),
+        (with_corpus(unterminated), "terminator"),
     ]
     for bad, reason in cases:
         with pytest.raises(ContainerFormatError, match=reason):
@@ -382,62 +376,78 @@ def test_wavelet_bit_lengths_validated_at_load():
 
 
 def test_sampled_trees_validated_at_load():
+    # The nodes must be stored once each, in preorder by (sp, -ep), and
+    # nest or be disjoint: find_locus's binary search assumes all three.
     idx = build_index(["abab", "abba", "bab"], g_prime=1, k_max=8, variant="light")
     blob = serialize_index(idx)
     x = idx.sgst
     at = sgst_fields(idx, blob)
-    tau = at["sp"] - 8 - 8 * ((len(x.tau.bits) + 63) // 64)
-    pos = at["freqs"] + 8 * len(x.cand_docs)
-    assert struct.unpack_from("<Q", blob, pos) == (len(x.skeletons),)
-    pos += 8
-    level, louds, refs = {}, {}, {}
-    for k in sorted(x.skeletons):
-        level[k] = pos
-        (louds[k],), pos = bitvector_fields(blob, pos + 8, 1)
-        refs[k] = pos + 8
-        pos = refs[k] + 8 * len(x.skeletons[k][1])
-    assert 8 in refs
-    low = next(r for r in range(1, x.node_count + 1) if x.cls_arr[r - 1] < 8)
+    sp, ep = list(x.sp_arr), list(x.ep_arr)
+    # Node j starts strictly inside an earlier node i that ends before n.
+    i, j = next((i, j) for j in range(x.node_count) for i in range(j)
+                if sp[i] < sp[j] <= ep[j] <= ep[i] < idx.corpus.n)
 
-    def put(offset, value):
-        return lambda bad: struct.pack_into("<Q", bad, offset, value)
-
-    def grow_by_a_one(field):
-        """One more bit, a one: the zeros, and so the node count, stay."""
-        (nbits,) = struct.unpack_from("<Q", blob, field)
-        assert nbits % 64
-
-        def corrupt(bad):
-            struct.pack_into("<Q", bad, field, nbits + 1)
-            set_bit(bad, field, nbits + 1, 1)
-        return corrupt
-
-    def swap_prefix(field):
-        """"10" -> "01": the same counts, but the root has no edge."""
-        def corrupt(bad):
-            set_bit(bad, field, 1, 0)
-            set_bit(bad, field, 2, 1)
-        return corrupt
+    def with_nodes(changes):
+        bad = bytearray(blob)
+        for r, (new_sp, new_ep) in changes.items():
+            struct.pack_into("<Q", bad, at["sp"] + 8 * r, new_sp)
+            struct.pack_into("<Q", bad, at["ep"] + 8 * r, new_ep)
+        return bytes(bad)
 
     corruptions = [
-        (put(level[2], 3), "power of two"),
-        (put(level[2], 1), "power of two"),          # below 2
-        (put(level[2], 16), "power of two"),         # above k_max
-        (put(level[4], 2), "repeated"),              # level 2 twice
-        (put(refs[8], 1000), "outside"),
-        (put(refs[8], 0), "outside"),
-        (put(refs[8], x.node_count + 1), "outside"),
-        (put(refs[8], low), "lower class"),          # a node not marked at 8
-        (grow_by_a_one(tau), "level order"),
-        (grow_by_a_one(louds[8]), "level order"),
-        (swap_prefix(tau), "level order"),
-        (swap_prefix(louds[4]), "level order"),
+        (with_nodes({1: (sp[2], ep[2]), 2: (sp[1], ep[1])}), "preorder"),   # swapped
+        (with_nodes({2: (sp[1], ep[1])}), "twice"),                         # duplicated
+        (with_nodes({j: (sp[j], ep[i] + 1)}), "cross"),                     # crossing
     ]
-    for corrupt, reason in corruptions:
-        bad = bytearray(blob)
-        corrupt(bad)
+    for bad, reason in corruptions:
         with pytest.raises(ContainerFormatError, match=reason):
-            deserialize_index(bytes(bad))
+            deserialize_index(bad)
+
+
+def test_sampled_tree_section_bit_flips():
+    # Every single-bit flip of the sampled-tree section is rejected at load,
+    # or loads and answers every query without raising outside
+    # topkdoc.errors.  A flipped class is never a power of two in
+    # 1..k_max, so every class flip is rejected.  Wrong answers are
+    # counted, not gated: some flips leave a plausible node or candidate
+    # list that only a checksum could tell apart.
+    rng = random.Random(257)
+    docs = ["".join(rng.choice("abc") for _ in range(rng.randint(5, 15))) for _ in range(4)]
+    idx = build_index(docs, g_prime=1, k_max=8, variant="light")
+    assert idx.corpus.n <= 60
+    blob = serialize_index(idx)
+    (start, end), = [(start, end) for sec_id, start, end in section_spans(blob) if sec_id == 3]
+    at = sgst_fields(idx, blob)
+    cls_bytes = range(at["cls"], at["off"])
+    patterns = ["".join(p) for length in (1, 2) for p in itertools.product("abc", repeat=length)]
+    truth = {(p, k): naive_topk(docs, p, k) for p in patterns for k in (1, 3, 8)}
+    reasons = Counter()
+    loaded = wrong = 0
+    for pos in range(start + 16, end):
+        for bit in range(8):
+            bad = bytearray(blob)
+            bad[pos] ^= 1 << bit
+            try:
+                back = deserialize_index(bytes(bad))
+            except ContainerFormatError as exc:
+                reasons[str(exc)] += 1
+                continue
+            assert pos not in cls_bytes, (pos, bit)
+            loaded += 1
+            for (pattern, k), want in truth.items():
+                for strat in STRATEGIES:
+                    try:
+                        got = query_topk(back, pattern, k, strategy=strat).pairs
+                    except errors.Error:
+                        continue
+                    freqs = doc_frequency_map(docs, pattern)
+                    wrong += (sorted(f for _, f in got) != sorted(f for _, f in want)
+                              or any(freqs.get(doc) != f for doc, f in got))
+    assert reasons["marked nodes are not in preorder by (sp, -ep)"]
+    assert reasons["two marked intervals cross"]
+    assert loaded
+    print(f"section 3 bit flips: {sum(reasons.values())} rejected, {loaded} loaded, "
+          f"{wrong} wrong answers")
 
 
 def test_stored_suffix_array_validated_at_load():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from topkdoc import ingest
@@ -36,18 +37,26 @@ def test_doc_of_position_worked(worked_corpus):
         worked_corpus.doc_of_position(15)
 
 
-def test_doc_of_position_random():
-    rng = random.Random(11)
-    for _ in range(30):
-        docs = random_docs(rng)
-        c = ingest(docs)
-        pos = 0
-        for i, doc in enumerate(docs, start=1):
-            for _ in range(len(doc) + 1):
-                pos += 1
-                assert c.doc_of_position(pos) == i
-            assert c.document(i) == doc.encode()
-        assert pos == c.n
+def test_doc_of_position_random(monkeypatch):
+    # The second run makes np.repeat raise: one position's owner comes from
+    # a binary search over the terminators, not from an owner array of all n.
+    def refuse(*args, **kwargs):
+        raise AssertionError("doc_of_position built the owner array")
+
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(np, "repeat", refuse)
+        rng = random.Random(11)
+        for _ in range(30):
+            docs = random_docs(rng)
+            c = ingest(docs)
+            pos = 0
+            for i, doc in enumerate(docs, start=1):
+                for _ in range(len(doc) + 1):
+                    pos += 1
+                    assert c.doc_of_position(pos) == i
+                assert c.document(i) == doc.encode()
+            assert pos == c.n
 
 
 def test_bytes_input_accepted():

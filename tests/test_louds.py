@@ -94,9 +94,6 @@ def test_invalid_handles():
         tree.handle_of_rank(0)
     with pytest.raises(InvalidHandleError):
         tree.handle_of_rank(4)
-    for bad in (0, 4):
-        with pytest.raises(InvalidHandleError):
-            tree.child_span(bad)
 
 
 def test_encode_rejects_missing_root():
@@ -150,9 +147,6 @@ def test_random_trees_vs_structure():
             h = tree.handle_of_rank(rank_of[node])
             assert tree.node_rank(h) == rank_of[node]
             assert tree.child_count(h) == len(kids[node])
-            first, last = tree.child_span(rank_of[node])
-            assert list(range(first, last + 1)) == [rank_of[c] for c in kids[node]]
-            assert last == first - 1 or first > rank_of[node]
             assert tree.is_leaf(h) == (not kids[node])
             for t, c in enumerate(kids[node], start=1):
                 ch = tree.child(h, t)

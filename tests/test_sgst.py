@@ -1,17 +1,16 @@
 import random
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from topkdoc import build_suffix_array, candidates_of, find_locus, ingest
+from topkdoc import build_suffix_array, candidates_of, find_locus, ingest, pattern_interval
 from topkdoc.bitrank import RankBitVector
 from topkdoc.errors import KStarNotPrecomputedError
 from topkdoc.sgst import VARIANTS, build_sgst
 from topkdoc.wavelet import WaveletTree
 
-from conftest import random_docs, revisions_corpus
+from conftest import occurring_patterns, random_docs, revisions_corpus
 
 # Marked intervals of the fully sampled worked corpus (spacing 1, levels
 # 1/2/4), each with its deepest marking level.  Derived by hand from the
@@ -156,8 +155,9 @@ def test_dense_build_marks(dense_index):
     assert got == DENSE_NODES
     assert {(nd.sp, nd.ep) for nd in x.level_nodes(2)} == DENSE_LEVEL_2
     assert {(nd.sp, nd.ep) for nd in x.level_nodes(4)} == DENSE_LEVEL_4
-    assert sorted(x.skeletons) == [2, 4]
-    # Dense rank 1 is the containment root.
+    # Preorder: by sp ascending, then ep descending; rank 1 is the root.
+    assert [(nd.sp, nd.ep) for nd in x.level_nodes(1)] == sorted(
+        DENSE_NODES, key=lambda iv: (iv[0], -iv[1]))
     assert (x.node_at(1).sp, x.node_at(1).ep) == (1, 14)
 
 
@@ -172,12 +172,11 @@ def test_dense_build_candidates(dense_index):
     assert candidates_of(x, by_iv[(12, 13)], w) == [(1, 1)]
 
 
-def test_skeleton_refs_point_into_main_tree(dense_index):
+def test_level_nodes_are_the_classes_at_or_above(dense_index):
     x = dense_index.sgst
-    louds, refs = x.skeletons[2]
-    assert louds.node_count == len(refs) == len(DENSE_LEVEL_2)
-    ivs = [(x.node_at(r).sp, x.node_at(r).ep) for r in refs]
-    assert ivs == [(1, 14), (1, 3), (5, 8), (9, 14), (11, 13)]
+    nodes = x.level_nodes(2)
+    assert [(nd.sp, nd.ep) for nd in nodes] == [(1, 14), (1, 3), (5, 8), (9, 14), (11, 13)]
+    assert nodes == [x.node_at(r) for r in range(1, x.node_count + 1) if x.cls_arr[r - 1] >= 2]
 
 
 def test_levels_nest_downward():
@@ -222,27 +221,22 @@ def test_random_marks_vs_oracle():
 
 
 def test_containment_tree_is_laminar():
+    # Every level lists its nodes in strict (sp, -ep) order, any two of
+    # them nest or are disjoint, and level k is the nodes of class >= k.
     rng = random.Random(127)
-    for _ in range(10):
-        docs = random_docs(rng, max_docs=8, max_total=250)
-        _, _, _, x = build_all(docs, g_prime=rng.choice([1, 2]), k_max=4)
-        tau = x.tau
-        for rank in range(1, x.node_count + 1):
-            h = tau.handle_of_rank(rank)
-            nd = x.node_at(rank)
-            prev_ep = nd.sp - 1
-            for t in range(1, tau.child_count(h) + 1):
-                child = x.node_at(tau.node_rank(tau.child(h, t)))
-                # Children sit inside the parent, disjoint, left to right.
-                assert nd.sp <= child.sp <= child.ep <= nd.ep
-                assert child.sp > prev_ep
-                prev_ep = child.ep
-            p = tau.parent(h)
-            if p is None:
-                assert rank == 1
-            else:
-                parent = x.node_at(tau.node_rank(p))
-                assert parent.sp <= nd.sp and nd.ep <= parent.ep
+    corpora = [(random_docs(rng, max_docs=8, max_total=250), rng.choice([1, 2]))
+               for _ in range(10)]
+    corpora += [(revisions_corpus(rng), 3)]
+    for docs, g_prime in corpora:
+        _, _, _, x = build_all(docs, g_prime=g_prime, k_max=8)
+        for k in x.levels():
+            nodes = x.level_nodes(k)
+            assert nodes == [nd for nd in x.level_nodes(1) if nd.cls >= k]
+            keys = [(nd.sp, -nd.ep) for nd in nodes]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            for i, a in enumerate(nodes):
+                for b in nodes[i + 1:]:
+                    assert b.ep <= a.ep or a.ep < b.sp
 
 
 def test_degenerate_sampling_leaves_structure_empty():
@@ -273,7 +267,7 @@ def test_find_locus_worked(dense_index):
 def test_find_locus_dead_ends(dense_index, worked_index):
     x = dense_index.sgst
     assert find_locus(x, 4, 5, 8) is None       # level 4 has nothing inside [5, 8]
-    assert find_locus(x, 1, 6, 8) is None       # descent dead-ends below (5, 8)
+    assert find_locus(x, 1, 6, 8) is None       # (5, 6) and (5, 8) start left of 6
     assert find_locus(x, 1, 2, 2) is None
     # Single-node structure: root spans everything, so smaller targets fail.
     y = worked_index.sgst
@@ -290,72 +284,65 @@ def test_find_locus_level_validation(dense_index):
 
 
 def test_find_locus_agrees_with_exhaustive_search():
-    # The locus must be a marked node of the level contained in the target
-    # interval; whenever one exists at all along the containment chain the
-    # search must not miss it.
+    # On a pattern's interval the locus is the one maximal level node inside
+    # it, or None when no level node lies inside.  On any other interval it
+    # is None or some level node inside.
     rng = random.Random(131)
-    for _ in range(10):
-        docs = random_docs(rng, max_docs=8, max_total=200)
-        c, s, _, x = build_all(docs, g_prime=rng.choice([1, 2]), k_max=4)
+    corpora = [(random_docs(rng, max_docs=8, max_total=200), rng.choice([1, 2]))
+               for _ in range(10)]
+    corpora += [(revisions_corpus(rng), 2), (["ab" * 60, "ab" * 30 + "b"], 1)]
+    found = missing = 0
+    for docs, g_prime in corpora:
+        c, s, _, x = build_all(docs, g_prime=g_prime, k_max=8)
         if x.is_empty:
             continue
+        intervals = {(iv.sp, iv.ep) for iv in
+                     (pattern_interval(s, c, p) for p in occurring_patterns(docs, 6))}
         for k in x.levels():
             nodes = [(nd.sp, nd.ep) for nd in x.level_nodes(k)]
+            for sp, ep in intervals:
+                inside = [iv for iv in nodes if sp <= iv[0] and iv[1] <= ep]
+                maximal = [iv for iv in inside
+                           if not any(o != iv and o[0] <= iv[0] and iv[1] <= o[1]
+                                      for o in inside)]
+                assert len(maximal) <= 1
+                got = find_locus(x, k, sp, ep)
+                assert (None if got is None else (got.sp, got.ep)) == \
+                    (maximal[0] if maximal else None)
+                found += got is not None
+                missing += got is None
             for _ in range(40):
                 sp = rng.randint(1, c.n)
                 ep = rng.randint(sp, c.n)
                 got = find_locus(x, k, sp, ep)
-                contained = [iv for iv in nodes if sp <= iv[0] and iv[1] <= ep]
-                if got is None:
-                    # Nothing contained is reachable by containment descent:
-                    # allowed only when no contained node exists whose every
-                    # ancestor contains [sp, ep].  Approximate by checking
-                    # the maximal contained intervals are not nested inside
-                    # any node that fails to contain [sp, ep].
-                    for iv in contained:
-                        enclosing = [o for o in nodes
-                                     if o[0] <= iv[0] and iv[1] <= o[1] and o != iv]
-                        assert any(not (o[0] <= sp and ep <= o[1]) for o in enclosing) \
-                            or not enclosing and not (sp <= 1 and c.n <= ep)
-                else:
+                if got is not None:
                     assert (got.sp, got.ep) in nodes
                     assert sp <= got.sp and got.ep <= ep
+    assert found > 1000 and missing > 1000
 
 
-def test_find_locus_one_select_pair_per_level(monkeypatch):
-    # The descent spans the children of each node it passes by one select
-    # pair, and reads no other bit: so it makes exactly one pair for every
-    # node of the level that strictly contains [sp, ep].
-    calls = Counter()
+def test_find_locus_makes_no_bit_vector_call(monkeypatch):
+    # The locus is one binary search over a level's keys: no bit vector is
+    # read at all.
+    def refuse(*args):
+        raise AssertionError("find_locus read a bit vector")
 
-    def counting(name):
-        real = getattr(RankBitVector, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
-
-    for name in ("rank1", "rank1_pair", "select", "select_pair", "get"):
-        monkeypatch.setattr(RankBitVector, name, counting(name))
+    for name in ("rank1", "rank1_pair", "_rank1", "select", "_select", "get"):
+        monkeypatch.setattr(RankBitVector, name, refuse)
     rng = random.Random(233)
     c, _, _, x = build_all(revisions_corpus(rng), g_prime=4, k_max=8)
-    descended = 0
+    found = 0
     for k in x.levels():
         nodes = [(nd.sp, nd.ep) for nd in x.level_nodes(k)]
         assert len(nodes) > 1
-        targets = [(sp, ep) for sp, ep in nodes if sp < ep]
-        targets += [(sp + 1, ep) for sp, ep in targets] + [(sp, ep - 1) for sp, ep in targets]
+        targets = nodes + [(sp + 1, ep) for sp, ep in nodes if sp < ep]
+        targets += [(sp, ep - 1) for sp, ep in nodes if sp < ep]
         for _ in range(300):
             sp = rng.randint(1, c.n)
             targets.append((sp, rng.randint(sp, min(c.n, sp + 40))))
         for sp, ep in targets:
-            calls.clear()
-            find_locus(x, k, sp, ep)
-            enclosing = sum(1 for a, b in nodes if a <= sp and ep <= b and (a, b) != (sp, ep))
-            assert calls == Counter(select_pair=enclosing)
-            descended += enclosing > 1
-    assert descended
+            found += find_locus(x, k, sp, ep) is not None
+    assert found > len(x.levels()) * 100
 
 
 def test_light_and_xlight_agree():

@@ -166,7 +166,7 @@ def test_greedy_topk_one_rank_pair_per_internal_node(monkeypatch):
             return real(*args)
         return wrapper
 
-    for name in ("rank1", "rank1_pair", "select", "select_pair", "get"):
+    for name in ("rank1", "rank1_pair", "select", "get"):
         monkeypatch.setattr(RankBitVector, name, counting(name))
     real_pop = heapq.heappop
 
