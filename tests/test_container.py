@@ -423,7 +423,7 @@ def test_sampled_tree_section_bit_flips():
     truth = {(p, k): naive_topk(docs, p, k) for p in patterns for k in (1, 3, 8)}
     reasons = Counter()
     loaded = wrong = 0
-    for pos in range(start + 16, end):
+    for pos in range(start, end):
         for bit in range(8):
             bad = bytearray(blob)
             bad[pos] ^= 1 << bit
