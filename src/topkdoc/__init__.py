@@ -20,16 +20,15 @@ from .louds import LoudsTree
 from .sgst import SGST, MarkedNode, build_sgst, candidates_of, find_locus
 from .suffixes import (PatternInterval, SuffixIndex, build_suffix_array,
                        pattern_interval)
-from .wavelet import TrackedIntervals, WaveletTree, tracked_root
+from .wavelet import WaveletTree
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CandidateHeap", "Corpus", "DFS", "GREEDY", "Index", "LoudsTree",
     "MarkedNode", "PatternInterval", "QueryStats", "RankBitVector", "SELECT",
-    "SGST", "STRATEGIES", "SuffixIndex", "TopKResult", "TrackedIntervals",
-    "WaveletTree", "build_index", "build_sgst", "build_suffix_array",
-    "candidates_of", "errors", "find_locus", "ingest", "kstar", "load_index",
+    "SGST", "STRATEGIES", "SuffixIndex", "TopKResult", "WaveletTree",
+    "build_index", "build_sgst", "build_suffix_array", "candidates_of",
+    "errors", "find_locus", "ingest", "kstar", "load_index",
     "pattern_interval", "query_topk", "save_index", "select_scan",
-    "tracked_root",
 ]

@@ -37,8 +37,6 @@ def _build_parser():
                    help="largest precomputed candidate level (power of two)")
     b.add_argument("--variant", choices=("light", "xlight"), default="light",
                    help="light stores candidate frequencies, xlight recounts them")
-    b.add_argument("--rank-step", type=int, default=64,
-                   help="bits per rank directory sample")
     b.add_argument("--line-docs", action="store_true",
                    help="treat each line of the input file as one document "
                         "(a trailing \\r is dropped; empty lines are skipped, "
@@ -89,14 +87,14 @@ def _read_documents(path, line_docs):
 def cmd_build(args):
     docs = _read_documents(args.input, args.line_docs)
     index = engine.build_index(docs, g_prime=args.gprime, k_max=args.kmax,
-                               variant=args.variant, rank_step=args.rank_step)
+                               variant=args.variant)
     size = container.save_index(index, args.output,
                                 include_suffix_array=args.include_sa)
     corpus = index.corpus
     print(f"n={corpus.n} d={corpus.d} sigma={corpus.sigma} "
           f"tree_nodes={index.sgst.node_count} "
           f"g_prime={index.sgst.g_prime} k_max={index.sgst.k_max} "
-          f"variant={index.sgst.variant} rank_step={index.rank_step}")
+          f"variant={index.sgst.variant}")
     print(f"index_bytes={size} bits_per_symbol={size * 8 / corpus.n:.2f}")
     return 0
 

@@ -5,6 +5,7 @@ Layout, all integers little-endian:
     magic   "TKDI"
     version u16
     header  7 x u64: n, d, sigma, g_prime, k_max, variant tag, rank step
+            (always 64, the bits per rank directory sample)
     then sections until end of file, each:
             section id u64, payload length in bytes u64, payload
 
@@ -21,11 +22,11 @@ Sections, each payload a run of u64 fields unless noted:
 The marked nodes are stored in preorder, sorted by (sp, -ep); they are the
 whole sampled tree (see sgst).  At load the text must end with a terminator
 and hold no empty document.  Unknown section ids are skipped so the format
-can grow; a version mismatch is an error, as is any declared length that
-does not match its payload, a stored suffix array that is not a permutation
-of 1..n, wavelet bitmaps whose lengths do not follow the tree's routing, or
-sampled-tree nodes or candidate lists that no build could have written (see
-_check_nodes and _check_candidates).
+can grow; a version mismatch or a rank step other than 64 is an error, as
+is any declared length that does not match its payload, a stored suffix
+array that is not a permutation of 1..n, wavelet bitmaps whose lengths do
+not follow the tree's routing, or sampled-tree nodes or candidate lists
+that no build could have written (see _check_nodes and _check_candidates).
 """
 
 import io
@@ -44,6 +45,7 @@ from .wavelet import WaveletTree
 
 MAGIC = b"TKDI"
 VERSION = 2
+RANK_STEP = 64      # rank directories are rebuilt at load with this step
 
 SECTION_CORPUS = 1
 SECTION_WAVELET = 2
@@ -83,7 +85,7 @@ def serialize_index(index: Index, include_suffix_array=False) -> bytes:
     out.write(MAGIC)
     out.write(_U16.pack(VERSION))
     for value in (corpus.n, corpus.d, corpus.sigma, x.g_prime, x.k_max,
-                  _VARIANT_TAGS[x.variant], index.rank_step):
+                  _VARIANT_TAGS[x.variant], RANK_STEP):
         out.write(_U64.pack(value))
 
     _write_section(out, SECTION_CORPUS, _U64.pack(corpus.n) + corpus.text)
@@ -104,11 +106,11 @@ def deserialize_index(data: bytes) -> Index:
     if version != VERSION:
         raise VersionMismatchError(f"format version {version}, expected {VERSION}")
     header = struct.unpack_from("<7Q", data, 6)
-    n, d, sigma, g_prime, k_max, variant_tag, rank_step = header
+    n, d, sigma, g_prime, k_max, variant_tag, step = header
     if variant_tag not in _TAG_VARIANTS:
         raise ContainerFormatError(f"unknown variant tag {variant_tag}")
-    if rank_step < 1:
-        raise ContainerFormatError("rank step must be positive")
+    if step != RANK_STEP:
+        raise ContainerFormatError(f"rank step {step}, expected {RANK_STEP}")
     variant = _TAG_VARIANTS[variant_tag]
 
     sections = {}
@@ -142,10 +144,10 @@ def deserialize_index(data: bytes) -> Index:
         suffixes = build_suffix_array(corpus)
         store_sa = False
 
-    wavelet = _read_wavelet(sections[SECTION_WAVELET], d, n, rank_step)
+    wavelet = _read_wavelet(sections[SECTION_WAVELET], d, n)
     sgst = _read_sgst(sections[SECTION_SGST], n, d, g_prime, k_max, variant)
     return Index(corpus=corpus, suffixes=suffixes, wavelet=wavelet, sgst=sgst,
-                 rank_step=rank_step, store_suffix_array=store_sa)
+                 store_suffix_array=store_sa)
 
 
 def _write_section(out, sec_id, payload):
@@ -181,9 +183,9 @@ class _Reader:
     def u64_array(self, count):
         return np.frombuffer(self.raw(8 * count), dtype="<u8")
 
-    def bitvector(self, rank_step):
+    def bitvector(self):
         nbits = self.u64()
-        return RankBitVector.from_words(self.u64_array((nbits + 63) // 64), nbits, rank_step)
+        return RankBitVector.from_words(self.u64_array((nbits + 63) // 64), nbits)
 
     def done(self):
         if self.pos != len(self.data):
@@ -225,13 +227,13 @@ def _wavelet_payload(w: WaveletTree) -> bytes:
     return b"".join(parts)
 
 
-def _read_wavelet(payload, d, n, rank_step):
+def _read_wavelet(payload, d, n):
     r = _Reader(payload)
     if r.u64() != d:
         raise ContainerFormatError("wavelet alphabet disagrees with the header")
     if r.u64() != d - 1:
         raise ContainerFormatError("wavelet section has the wrong node count")
-    bitmaps = [r.bitvector(rank_step) for _ in range(d - 1)]
+    bitmaps = [r.bitvector() for _ in range(d - 1)]
     r.done()
     try:
         return WaveletTree.from_bitmaps(bitmaps, d, n)

@@ -3,16 +3,18 @@
 A query locates the pattern's suffix-array interval and asks the sampled
 tree for a marked ancestor contained in it.  When that node spans the
 whole interval, its stored candidates, counted over that same interval,
-are the answer.  Otherwise a bounded min-heap is seeded with them and the
-two uncovered flanks are repaired with the chosen strategy: a
-length-ordered greedy traversal, a pruned DFS, or a per-position select
-scan; the heap's members are then recounted exactly over the full
-interval.  Whenever no marked ancestor applies (sampling too sparse, k
-above the precomputed ceiling, or the sampled tree disabled) the engine
-falls back to a full greedy traversal of the whole interval.  Either way
-the frequencies are the exact top-k, listed by (-freq, doc).  Among
-documents tied at the k-th frequency, a query answered through a marked
-node may return any of them; only the full traversal picks the lowest ids.
+are the answer.  Otherwise a bounded min-heap is seeded with them, and the
+chosen strategy repairs the flanks, the positions of [sp, ep] outside the
+node's interval (the covered core).  All three take the same
+(sp, ep, core_sp, core_ep): a length-ordered greedy traversal, a pruned
+DFS, or a per-position select scan.  The heap's members are then recounted
+exactly over the full interval.  Whenever no marked ancestor applies
+(sampling too sparse, k above the precomputed ceiling, or the sampled tree
+disabled) the engine falls back to a full greedy traversal of the whole
+interval.  Either way the frequencies are the exact top-k, listed by
+(-freq, doc).  Among documents tied at the k-th frequency, a query
+answered through a marked node may return any of them; only the full
+traversal picks the lowest ids.
 """
 
 import heapq
@@ -22,7 +24,7 @@ from .corpus import Corpus, ingest
 from .errors import OutOfRangeError, UnknownStrategyError
 from .sgst import SGST, build_sgst, candidates_of, find_locus
 from .suffixes import SuffixIndex, as_pattern_bytes, build_suffix_array, pattern_interval
-from .wavelet import WaveletTree, tracked_root
+from .wavelet import WaveletTree
 
 GREEDY = "greedy"
 DFS = "dfs"
@@ -80,19 +82,20 @@ class CandidateHeap:
         return [(-negd, f) for f, negd in self._entries]
 
 
-def select_scan(w: WaveletTree, sp, ep, cov_sp, cov_ep, heap: CandidateHeap):
-    """Offer every document of [sp, ep] outside the covered [cov_sp, cov_ep].
+def select_scan(w: WaveletTree, sp, ep, core_sp, core_ep, heap: CandidateHeap):
+    """Offer every document of [sp, ep] outside the covered core
+    [core_sp, core_ep].
 
-    The covered interval may be empty (cov_ep < cov_sp), in which case the
-    whole of [sp, ep] is scanned.  Each position costs one access; each
-    distinct document costs one exact count over [sp, ep] (repeats would be
+    The core may be empty (core_ep < core_sp), in which case the whole of
+    [sp, ep] is scanned.  Each position costs one access; each distinct
+    document costs one exact count over [sp, ep] (repeats would be
     idempotent offers, so they are skipped).  Returns (positions scanned,
     offers made).
     """
-    if cov_ep >= cov_sp and not (sp <= cov_sp and cov_ep <= ep):
-        raise OutOfRangeError("covered interval must sit inside the scanned one")
-    if cov_ep >= cov_sp:
-        ranges = (range(sp, cov_sp), range(cov_ep + 1, ep + 1))
+    if core_ep >= core_sp and not (sp <= core_sp and core_ep <= ep):
+        raise OutOfRangeError("covered core must sit inside the scanned interval")
+    if core_ep >= core_sp:
+        ranges = (range(sp, core_sp), range(core_ep + 1, ep + 1))
     else:
         ranges = (range(sp, ep + 1),)
     access = w.access
@@ -148,20 +151,16 @@ class Index:
     suffixes: SuffixIndex
     wavelet: WaveletTree
     sgst: SGST
-    rank_step: int = 64
     store_suffix_array: bool = False
 
 
-def build_index(documents, *, g_prime=400, k_max=16, variant="light",
-                rank_step=64) -> Index:
+def build_index(documents, *, g_prime=400, k_max=16, variant="light") -> Index:
     """Ingest documents and build every query structure over them."""
-    if rank_step < 1:
-        raise ValueError("rank_step must be positive")
     corpus = documents if isinstance(documents, Corpus) else ingest(documents)
     s = build_suffix_array(corpus)
-    w = WaveletTree(s.doc_ids, corpus.d, sample_step=rank_step)
+    w = WaveletTree(s.doc_ids, corpus.d)
     x = build_sgst(corpus, s, g_prime=g_prime, k_max=k_max, variant=variant)
-    return Index(corpus=corpus, suffixes=s, wavelet=w, sgst=x, rank_step=rank_step)
+    return Index(corpus=corpus, suffixes=s, wavelet=w, sgst=x)
 
 
 def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopKResult:
@@ -222,9 +221,8 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
         stats.positions_scanned = scanned
         stats.heap_offers += offered
     else:
-        t = tracked_root(w, sp, ep, sp, locus.sp - 1, locus.ep + 1, ep)
         walk = w.restricted_greedy if strategy == GREEDY else w.restricted_dfs
-        for doc, freq in walk(t, heap.kth_frequency):
+        for doc, freq in walk(sp, ep, locus.sp, locus.ep, heap.kth_frequency):
             heap.offer(doc, freq)
             stats.docs_emitted += 1
             stats.heap_offers += 1

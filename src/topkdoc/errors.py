@@ -34,7 +34,7 @@ class ValueOutOfRangeError(Error, ValueError):
 
 
 class InconsistentIntervalsError(Error, ValueError):
-    """Tracked intervals do not describe a valid covered/uncovered split."""
+    """A walk's core outside its interval, or bitmaps off the tree's routing."""
 
 
 class EmptyTreeError(Error, ValueError):

@@ -18,14 +18,17 @@ restricted walks all project through it.
 greedy_topk reports the k most frequent documents of one interval by
 visiting nodes from a priority queue ordered by interval length, so leaves
 pop in non-increasing frequency order.  restricted_greedy / restricted_dfs
-do the same job while skipping an already-counted core subinterval: they
-descend only where uncovered positions remain, report each reachable leaf
-with its frequency in the full outer interval, and prune once a node's
-outer interval cannot beat the caller's current k-th best frequency.
+take an outer interval [l, r] and a covered core [core_sp, core_ep] inside
+it, the interval of a sampled node whose documents are already counted.
+They project both intervals down the tree, at most two rank1_pair calls per
+node, and descend only where the outer projection is longer than the core's,
+that is where positions outside the core remain.  Each reachable leaf is
+reported with its frequency in the whole outer interval, and a node is
+pruned once its outer interval cannot beat the caller's current k-th best
+frequency.
 """
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,45 +53,10 @@ class _Node:
         return self.lo == self.hi
 
 
-@dataclass(frozen=True)
-class TrackedIntervals:
-    """A node's outer interval plus the uncovered prefix/suffix inside it.
-
-    [l, r] is the projection of the full query interval; [l1, r1] and
-    [l2, r2] are the projections of the uncovered prefix and suffix (either
-    may be empty, signalled by r < l).  Emptiness of the uncovered parts at
-    a leaf only gates reachability; reported frequencies always come from
-    the outer interval.
-    """
-
-    node: object
-    l: int
-    r: int
-    l1: int
-    r1: int
-    l2: int
-    r2: int
-
-    def __post_init__(self):
-        if self.r < self.l:
-            raise InconsistentIntervalsError("outer interval is empty")
-        for lo, hi in ((self.l1, self.r1), (self.l2, self.r2)):
-            if hi < lo:
-                continue
-            if lo < self.l or hi > self.r:
-                raise InconsistentIntervalsError("uncovered interval escapes the outer one")
-        if self.r1 >= self.l1 and self.r2 >= self.l2 and self.r1 >= self.l2:
-            raise InconsistentIntervalsError("uncovered intervals overlap or are out of order")
-
-    @property
-    def has_uncovered(self):
-        return self.r1 >= self.l1 or self.r2 >= self.l2
-
-
 class WaveletTree:
     """Balanced wavelet tree over a sequence of document ids 1..d."""
 
-    def __init__(self, values, d, sample_step=64):
+    def __init__(self, values, d):
         if d < 1:
             raise ValueOutOfRangeError("need at least one document")
         arr = np.asarray(values, dtype=np.int64)
@@ -100,7 +68,7 @@ class WaveletTree:
             node, values = stack.pop()
             if not node.is_leaf:
                 go_right = values > node.mid
-                node.bits = RankBitVector(go_right, sample_step)
+                node.bits = RankBitVector(go_right)
                 stack.append((node.left, values[~go_right]))
                 stack.append((node.right, values[go_right]))
 
@@ -221,62 +189,56 @@ class WaveletTree:
         out.sort(key=lambda p: (-p[1], p[0]))
         return out
 
-    def restricted_greedy(self, t: TrackedIntervals, threshold_source):
-        """Yield (doc, outer frequency) for documents in t's uncovered parts.
+    def restricted_greedy(self, l, r, core_sp, core_ep, threshold_source):
+        """Yield (doc, frequency in [l, r]) for each document occurring in
+        [l, r] outside the covered core [core_sp, core_ep].
 
-        Priority-queue traversal ordered by outer interval length.  A node
-        whose outer interval is not larger than the value currently reported
-        by threshold_source() is skipped; callers' thresholds never decrease,
-        so once one is skipped every later node is too.
+        The core may be empty (core_ep < core_sp); otherwise it must lie
+        inside [l, r].  Priority-queue traversal ordered by outer interval
+        length.  A node whose outer interval is not larger than the value
+        currently reported by threshold_source() is skipped; callers'
+        thresholds never decrease, so once one is skipped every later node
+        is too.
         """
-        return self._restricted(t, threshold_source, heapq.heappush, heapq.heappop)
+        return self._restricted(l, r, core_sp, core_ep, threshold_source,
+                                heapq.heappush, heapq.heappop)
 
-    def restricted_dfs(self, t: TrackedIntervals, threshold_source):
+    def restricted_dfs(self, l, r, core_sp, core_ep, threshold_source):
         """Depth-first variant of restricted_greedy, left children first.
 
         Skips any subtree whose outer interval is not larger than the
         current threshold, but keeps visiting siblings.
         """
-        return self._restricted(t, threshold_source, list.append, list.pop)
+        return self._restricted(l, r, core_sp, core_ep, threshold_source,
+                                list.append, list.pop)
 
-    def _restricted(self, t, threshold_source, push, pop):
+    def _restricted(self, l, r, cl, cr, threshold_source, push, pop):
         """The traversal behind both restricted walks; push and pop make the
-        frontier a heap or a stack.  Keys (-outer length, lo) are unique
-        because no node shares the frontier with its ancestor."""
-        self._check_root(t)
-        if not t.has_uncovered:
+        frontier a heap or a stack.  Each entry carries a node with its
+        projected outer interval [l, r] and core [cl, cr]; the core stays one
+        contiguous piece of the outer interval, so the node still holds
+        uncovered positions exactly when the outer is the longer.  Keys
+        (-outer length, lo) are unique because no node shares the frontier
+        with its ancestor."""
+        if not 1 <= l <= r <= self.n:
+            raise InconsistentIntervalsError(f"outer interval [{l}, {r}] outside 1..{self.n}")
+        if cr >= cl and not l <= cl <= cr <= r:
+            raise InconsistentIntervalsError("covered core escapes the outer interval")
+        if r - l <= cr - cl:
             return
-        frontier = [(-(t.r - t.l + 1), t.node.lo, t)]
+        frontier = [(l - r - 1, self.root.lo, self.root, l, r, cl, cr)]
+        project = self.project
         while frontier:
-            neg, _, cur = pop(frontier)
+            neg, _, node, l, r, cl, cr = pop(frontier)
             if -neg <= threshold_source():
                 continue
-            node = cur.node
             if node.bits is None:
                 yield node.lo, -neg
                 continue
-            for child in reversed(self._children_with_uncovered(cur)):
-                push(frontier, (-(child.r - child.l + 1), child.node.lo, child))
-
-    def _children_with_uncovered(self, cur):
-        node = cur.node
-        (ol0, or0), (ol1, or1) = self.project(node, cur.l, cur.r)
-        (al0, ar0), (al1, ar1) = self.project(node, cur.l1, cur.r1)
-        (bl0, br0), (bl1, br1) = self.project(node, cur.l2, cur.r2)
-        out = []
-        if ar0 >= al0 or br0 >= bl0:
-            out.append(TrackedIntervals(node.left, ol0, or0, al0, ar0, bl0, br0))
-        if ar1 >= al1 or br1 >= bl1:
-            out.append(TrackedIntervals(node.right, ol1, or1, al1, ar1, bl1, br1))
-        return out
-
-    def _check_root(self, t):
-        if t.node is not self.root:
-            raise InconsistentIntervalsError("tracked intervals must start at the tree root")
-        if t.r > self.n:
-            raise InconsistentIntervalsError(f"outer interval exceeds sequence length {self.n}")
-
-
-def tracked_root(tree: WaveletTree, l, r, l1, r1, l2, r2) -> TrackedIntervals:
-    """TrackedIntervals anchored at tree's root; empty parts given as r < l."""
-    return TrackedIntervals(tree.root, l, r, l1, r1, l2, r2)
+            (l0, r0), (l1, r1) = project(node, l, r)
+            (c0, d0), (c1, d1) = project(node, cl, cr)     # no rank when empty
+            # Right first, so that a stack pops the left child first.
+            if r1 - l1 > d1 - c1:
+                push(frontier, (l1 - r1 - 1, node.right.lo, node.right, l1, r1, c1, d1))
+            if r0 - l0 > d0 - c0:
+                push(frontier, (l0 - r0 - 1, node.left.lo, node.left, l0, r0, c0, d0))

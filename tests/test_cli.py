@@ -32,7 +32,7 @@ def test_build_summary(worked_dir, tmp_path, capsys):
     assert rc == 0
     lines = captured.out.splitlines()
     assert lines[0] == ("n=14 d=3 sigma=2 tree_nodes=1 g_prime=7 k_max=1 "
-                        "variant=light rank_step=64")
+                        "variant=light")
     assert lines[1].startswith("index_bytes=")
     assert "bits_per_symbol=" in lines[1]
     assert out.stat().st_size > 0

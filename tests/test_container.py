@@ -67,7 +67,6 @@ def test_roundtrip_preserves_everything(variant):
     assert (back.corpus.n, back.corpus.d, back.corpus.sigma) == (14, 3, 2)
     assert list(back.suffixes.sa) == list(idx.suffixes.sa)
     assert list(back.suffixes.doc_ids) == list(idx.suffixes.doc_ids)
-    assert back.rank_step == idx.rank_step
     x, y = idx.sgst, back.sgst
     assert (y.g_prime, y.k_max, y.variant) == (x.g_prime, x.k_max, x.variant)
     assert y.node_count == x.node_count
@@ -219,7 +218,8 @@ def test_truncations_rejected():
 def test_header_payload_disagreement_rejected():
     idx = build_index(["abab", "abba", "bab"], g_prime=1, k_max=4)
     for field, value in ((0, 99),                       # claim n=99
-                         (6, 0)):                       # rank step 0
+                         (6, 0),                        # rank step 0
+                         (6, 128)):                     # any step but 64
         blob = bytearray(serialize_index(idx))
         struct.pack_into("<Q", blob, 6 + 8 * field, value)
         with pytest.raises(ContainerFormatError):

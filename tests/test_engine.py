@@ -124,8 +124,9 @@ def test_select_scan_covered_must_nest(worked_wavelet):
 
 
 def test_build_index_validation():
-    with pytest.raises(ValueError):
-        build_index(["ab"], rank_step=0)
+    for kwargs in ({"g_prime": 0}, {"k_max": 3}, {"variant": "heavy"}):
+        with pytest.raises(ValueError):
+            build_index(["ab"], **kwargs)
 
 
 def test_build_index_accepts_corpus(worked_corpus):

@@ -6,13 +6,14 @@ import pytest
 
 from topkdoc.bitrank import RankBitVector
 from topkdoc.errors import InconsistentIntervalsError, OutOfRangeError, ValueOutOfRangeError
-from topkdoc.wavelet import TrackedIntervals, WaveletTree, tracked_root
+from topkdoc.wavelet import WaveletTree
 
 from conftest import WORKED_D, WORKED_ROOT_BITMAP
 
 # Fourteen positions over eight documents, shaped so the outer interval
-# [4, 14] with uncovered parts [4, 6] and [12, 14] reaches exactly four
-# documents.  Expected emissions below were tallied by hand from this list.
+# [4, 14] with covered core [7, 11] reaches exactly four documents, those
+# of the uncovered flanks [4, 6] and [12, 14].  Expected emissions below
+# were tallied by hand from this list.
 EIGHT_DOC_SEQ = [6, 4, 3, 1, 7, 2, 1, 2, 7, 3, 8, 7, 5, 7]
 
 
@@ -27,26 +28,21 @@ def brute_freqs(values, l, r):
     return freqs
 
 
-def brute_restricted(values, l, r, l1, r1, l2, r2, threshold):
-    """Docs reachable through the uncovered parts, with outer frequency."""
+def brute_restricted(values, l, r, cl, cr, threshold):
+    """Docs of [l, r] outside the core [cl, cr], with outer frequency."""
     outer = brute_freqs(values, l, r)
-    reachable = set(values[l1 - 1:r1]) | set(values[l2 - 1:r2])
+    reachable = {values[p - 1] for p in range(l, r + 1) if not cl <= p <= cr}
     return {doc: f for doc, f in outer.items() if doc in reachable and f > threshold}
 
 
-def random_tracked(rng, n):
-    """Random outer interval with a covered core; parts may be empty."""
+def random_core(rng, n):
+    """Random outer interval [l, r] with a covered core that may be empty or
+    touch either end."""
     l = rng.randint(1, n)
     r = rng.randint(l, n)
-    c1 = rng.randint(l, r + 1)          # covered core [c1, c2], maybe empty
-    c2 = rng.randint(c1 - 1, r)
-    l1, r1 = l, c1 - 1
-    l2, r2 = c2 + 1, r
-    if r1 < l1:
-        l1, r1 = 1, 0
-    if r2 < l2:
-        l2, r2 = 1, 0
-    return l, r, l1, r1, l2, r2
+    cl = rng.randint(l, r + 1)
+    cr = rng.randint(cl - 1, r)
+    return l, r, cl, cr
 
 
 def test_worked_root_bitmap(worked_wavelet):
@@ -129,7 +125,7 @@ def test_random_access_and_freq_vs_oracle():
         d = rng.randint(1, 12)
         n = rng.randint(1, 200)
         values = [rng.randint(1, d) for _ in range(n)]
-        w = WaveletTree(values, d, sample_step=rng.choice([64, 128]))
+        w = WaveletTree(values, d)
         for _ in range(30):
             i = rng.randint(1, n)
             assert w.access(i) == values[i - 1]
@@ -149,10 +145,7 @@ def test_random_greedy_topk_vs_oracle():
         r = rng.randint(l, n)
         k = rng.randint(1, d + 2)
         want = sorted(brute_freqs(values, l, r).items(), key=lambda p: (-p[1], p[0]))[:k]
-        # 64 samples every word; 128 counts a word inside each sample block.
-        for step in (64, 128):
-            w = WaveletTree(values, d, sample_step=step)
-            assert w.greedy_topk(l, r, k) == want
+        assert WaveletTree(values, d).greedy_topk(l, r, k) == want
 
 
 def test_greedy_topk_one_rank_pair_per_internal_node(monkeypatch):
@@ -189,36 +182,24 @@ def test_greedy_topk_one_rank_pair_per_internal_node(monkeypatch):
         assert calls == Counter(rank1_pair=internal)
 
 
-def test_tracked_validation():
+def test_restricted_entry_checks():
     w = WaveletTree(EIGHT_DOC_SEQ, 8)
-    node = w.root
-    with pytest.raises(InconsistentIntervalsError):
-        TrackedIntervals(node, 5, 4, 1, 0, 1, 0)
-    with pytest.raises(InconsistentIntervalsError):
-        TrackedIntervals(node, 4, 14, 2, 5, 1, 0)          # prefix escapes outer
-    with pytest.raises(InconsistentIntervalsError):
-        TrackedIntervals(node, 4, 14, 4, 9, 8, 14)         # parts overlap
-    t = TrackedIntervals(node, 4, 14, 1, 0, 1, 0)
-    assert not t.has_uncovered
-    assert TrackedIntervals(node, 4, 14, 4, 6, 12, 14).has_uncovered
-
-
-def test_tracked_must_anchor_at_root():
-    w = WaveletTree(EIGHT_DOC_SEQ, 8)
-    other = WaveletTree(EIGHT_DOC_SEQ, 8)
-    t = tracked_root(other, 4, 14, 4, 6, 12, 14)
-    with pytest.raises(InconsistentIntervalsError):
-        list(w.restricted_greedy(t, lambda: 0))
-    with pytest.raises(InconsistentIntervalsError):
-        list(w.restricted_dfs(t, lambda: 0))
+    for args in [(0, 14, 7, 11),            # outer starts before 1
+                 (4, 15, 7, 11),            # outer ends after n
+                 (5, 4, 1, 0),              # empty outer
+                 (4, 14, 2, 5),             # core starts before the outer
+                 (4, 14, 12, 15),           # core ends after the outer
+                 (4, 10, 3, 11)]:           # core encloses the outer
+        for walk in (w.restricted_greedy, w.restricted_dfs):
+            with pytest.raises(InconsistentIntervalsError):
+                list(walk(*args, lambda: 0))
 
 
 def test_restricted_worked_instance():
     w = WaveletTree(EIGHT_DOC_SEQ, 8)
-    t = tracked_root(w, 4, 14, 4, 6, 12, 14)
     want = {1: 2, 2: 2, 5: 1, 7: 4}
-    assert dict(w.restricted_greedy(t, lambda: 0)) == want
-    assert dict(w.restricted_dfs(t, lambda: 0)) == want
+    assert dict(w.restricted_greedy(4, 14, 7, 11, lambda: 0)) == want
+    assert dict(w.restricted_dfs(4, 14, 7, 11, lambda: 0)) == want
 
 
 @pytest.mark.parametrize("threshold,want", [
@@ -229,16 +210,15 @@ def test_restricted_worked_instance():
 ])
 def test_restricted_fixed_threshold(threshold, want):
     w = WaveletTree(EIGHT_DOC_SEQ, 8)
-    t = tracked_root(w, 4, 14, 4, 6, 12, 14)
-    assert dict(w.restricted_greedy(t, lambda: threshold)) == want
-    assert dict(w.restricted_dfs(t, lambda: threshold)) == want
+    assert dict(w.restricted_greedy(4, 14, 7, 11, lambda: threshold)) == want
+    assert dict(w.restricted_dfs(4, 14, 7, 11, lambda: threshold)) == want
 
 
 def test_restricted_no_uncovered_yields_nothing():
-    w = WaveletTree(EIGHT_DOC_SEQ, 8)
-    t = tracked_root(w, 4, 14, 1, 0, 1, 0)
-    assert list(w.restricted_greedy(t, lambda: 0)) == []
-    assert list(w.restricted_dfs(t, lambda: 0)) == []
+    # With d = 1 the root is a leaf, so only the entry test keeps it out.
+    for w in (WaveletTree(EIGHT_DOC_SEQ, 8), WaveletTree([1] * 14, 1)):
+        assert list(w.restricted_greedy(4, 14, 4, 14, lambda: 0)) == []
+        assert list(w.restricted_dfs(4, 14, 4, 14, lambda: 0)) == []
 
 
 def test_restricted_threshold_read_at_pop():
@@ -249,7 +229,7 @@ def test_restricted_threshold_read_at_pop():
     for method, first in [(w.restricted_greedy, (7, 4)), (w.restricted_dfs, (1, 2))]:
         cell = [0]
         got = []
-        for doc, freq in method(tracked_root(w, 4, 14, 4, 6, 12, 14), lambda: cell[0]):
+        for doc, freq in method(4, 14, 7, 11, lambda: cell[0]):
             got.append((doc, freq))
             cell[0] = 100
         assert got == [first]
@@ -257,10 +237,9 @@ def test_restricted_threshold_read_at_pop():
 
 def test_restricted_whole_interval_uncovered_matches_plain_counts():
     w = WaveletTree(EIGHT_DOC_SEQ, 8)
-    t = tracked_root(w, 1, 14, 1, 14, 1, 0)
     want = brute_freqs(EIGHT_DOC_SEQ, 1, 14)
-    assert dict(w.restricted_greedy(t, lambda: 0)) == want
-    assert dict(w.restricted_dfs(t, lambda: 0)) == want
+    assert dict(w.restricted_greedy(1, 14, 1, 0, lambda: 0)) == want
+    assert dict(w.restricted_dfs(1, 14, 1, 0, lambda: 0)) == want
 
 
 def test_restricted_random_vs_oracle():
@@ -270,13 +249,45 @@ def test_restricted_random_vs_oracle():
         n = rng.randint(1, 120)
         values = [rng.randint(1, d) for _ in range(n)]
         w = WaveletTree(values, d)
-        l, r, l1, r1, l2, r2 = random_tracked(rng, n)
+        l, r, cl, cr = random_core(rng, n)
         threshold = rng.choice([0, 0, 1, 2, 3])
-        want = brute_restricted(values, l, r, l1, r1, l2, r2, threshold)
-        t = tracked_root(w, l, r, l1, r1, l2, r2)
-        assert dict(w.restricted_greedy(t, lambda: threshold)) == want
-        t = tracked_root(w, l, r, l1, r1, l2, r2)
-        assert dict(w.restricted_dfs(t, lambda: threshold)) == want
+        want = brute_restricted(values, l, r, cl, cr, threshold)
+        assert dict(w.restricted_greedy(l, r, cl, cr, lambda: threshold)) == want
+        assert dict(w.restricted_dfs(l, r, cl, cr, lambda: threshold)) == want
+
+
+def test_restricted_at_most_two_rank_pairs_per_internal_node(monkeypatch):
+    # The walk projects the outer interval and, when non-empty, the core:
+    # never a third rank1_pair, even where both flanks are non-empty.
+    calls = Counter()
+    real = RankBitVector.rank1_pair
+
+    def counting(self, i, j):
+        calls[id(self)] += 1
+        return real(self, i, j)
+
+    monkeypatch.setattr(RankBitVector, "rank1_pair", counting)
+    for name in ("rank1", "select", "get"):
+        monkeypatch.setattr(RankBitVector, name, None)
+    rng = random.Random(79)
+    cases = [(EIGHT_DOC_SEQ, 8, (4, 14, 7, 11))]
+    for _ in range(60):
+        d = rng.randint(1, 16)
+        n = rng.randint(1, 200)
+        values = [rng.randint(1, d) for _ in range(n)]
+        cases.append((values, d, random_core(rng, n)))
+    for values, d, (l, r, cl, cr) in cases:
+        w = WaveletTree(values, d)
+        uncovered = {values[p - 1] for p in range(l, r + 1) if not cl <= p <= cr}
+        # With threshold 0 the walk expands exactly the internal nodes whose
+        # id range holds a document of the flanks.
+        expanded = {id(node.bits) for node in w.internal_nodes()
+                    if any(node.lo <= doc <= node.hi for doc in uncovered)}
+        for walk in (w.restricted_greedy, w.restricted_dfs):
+            calls.clear()
+            list(walk(l, r, cl, cr, lambda: 0))
+            assert set(calls) == expanded
+            assert max(calls.values(), default=0) <= 2
 
 
 def test_restricted_greedy_emits_in_frequency_order():
@@ -286,7 +297,6 @@ def test_restricted_greedy_emits_in_frequency_order():
         n = rng.randint(5, 100)
         values = [rng.randint(1, d) for _ in range(n)]
         w = WaveletTree(values, d)
-        l, r, l1, r1, l2, r2 = random_tracked(rng, n)
-        t = tracked_root(w, l, r, l1, r1, l2, r2)
-        freqs = [f for _, f in w.restricted_greedy(t, lambda: 0)]
+        l, r, cl, cr = random_core(rng, n)
+        freqs = [f for _, f in w.restricted_greedy(l, r, cl, cr, lambda: 0)]
         assert freqs == sorted(freqs, reverse=True)
