@@ -51,7 +51,7 @@ def _build_parser():
     q.add_argument("k", type=int)
     q.add_argument("--strategy", choices=engine.STRATEGIES, default=engine.GREEDY)
     q.add_argument("--no-sgst", action="store_true",
-                   help="ignore precomputed candidates; pure greedy traversal")
+                   help="ignore precomputed candidates")
     q.set_defaults(func=cmd_query)
 
     n = sub.add_parser("bench", help="query throughput and work counters")

@@ -8,13 +8,15 @@ chosen strategy repairs the flanks, the positions of [sp, ep] outside the
 node's interval (the covered core).  All three take the same
 (sp, ep, core_sp, core_ep): a length-ordered greedy traversal, a pruned
 DFS, or a per-position select scan.  The heap's members are then recounted
-exactly over the full interval.  Whenever no marked ancestor applies
-(sampling too sparse, k above the precomputed ceiling, or the sampled tree
-disabled) the engine falls back to a full greedy traversal of the whole
-interval.  Either way the frequencies are the exact top-k, listed by
-(-freq, doc).  Among documents tied at the k-th frequency, a query
-answered through a marked node may return any of them; only the full
-traversal picks the lowest ids.
+exactly over the full interval.  A query no marked node serves counts its
+slice of the document array instead (SuffixIndex.top_documents).  With k
+within the precomputed ceiling and the sampled tree in use, that interval
+holds no two consecutive level-k* sampled slots (it would hold their
+marked node) and the last slot lies within g - 1 of the end, so wherever
+the level is non-empty it is shorter than 2g; otherwise it can reach n.
+Either way the frequencies are the exact top-k, listed by (-freq, doc).
+Among documents tied at the k-th frequency, a query answered through a
+marked node may return any of them; the count lists the lowest ids.
 """
 
 import heapq
@@ -132,8 +134,8 @@ class TopKResult:
     """Ranked (doc, freq) pairs, listed by (-freq, doc).
 
     The frequencies are the exact top-k.  Which documents tied at the k-th
-    frequency are listed is up to the strategy unless the query took the
-    full traversal, which lists the lowest ids.
+    frequency are listed is up to the strategy unless no marked node served
+    the query: the count over the document array lists the lowest ids.
     """
 
     pairs: list
@@ -173,7 +175,8 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
     runs, and only xlight counts, once per candidate returned.  When
     flanks remain, the node's first k candidates seed a heap, the flanks are
     repaired with the chosen strategy, and every heap member is recounted
-    over the whole interval.
+    over the whole interval.  With no marked node inside, or with k* above
+    k_max or use_sgst=False, the interval's document array is counted.
     """
     if strategy not in STRATEGIES:
         raise UnknownStrategyError(f"strategy must be one of {STRATEGIES}")
@@ -198,7 +201,7 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
             locus = find_locus(x, stats.kstar, sp, ep)
 
     if locus is None:
-        pairs = w.greedy_topk(sp, ep, k)
+        pairs = index.suffixes.top_documents(sp, ep, k)
         return TopKResult(pairs, pat, k, x.variant, stats)
 
     stats.locus_found = True

@@ -26,8 +26,6 @@ grows with the level-1 windows' common-prefix lengths times log n.
 from bisect import bisect_left
 from dataclasses import dataclass
 
-import numpy as np
-
 from .wavelet import WaveletTree
 from .errors import KStarNotPrecomputedError
 from .suffixes import prefix_interval
@@ -91,9 +89,10 @@ def build_sgst(corpus, s, g_prime=400, k_max=16, variant="light") -> SGST:
     """Mark, classify and precompute candidates over the suffix array of corpus.
 
     `s` is the corpus's SuffixIndex; candidates are counted from its
-    document array.  Degenerate sampling (fewer than two sampled slots at
-    some level) simply leaves that level empty; queries fall back to a full
-    greedy traversal when no marked ancestor serves them.
+    document array by SuffixIndex.top_documents.  Degenerate sampling
+    (fewer than two sampled slots at some level) simply leaves that level
+    empty.  A query that no marked node serves counts its interval with
+    the same top_documents.
     """
     if g_prime < 1:
         raise ValueError("g_prime must be at least 1")
@@ -126,14 +125,10 @@ def build_sgst(corpus, s, g_prime=400, k_max=16, variant="light") -> SGST:
     cand_off, cand_docs = [0], []
     cand_freqs = [] if variant == "light" else None
     for iv in order:
-        # Top documents by (-freq, doc): ids come out of flatnonzero
-        # ascending, and the stable sort keeps equal counts in that order.
-        freq = np.bincount(s.doc_ids[iv[0] - 1:iv[1]])
-        docs = np.flatnonzero(freq)
-        top = docs[np.argsort(-freq[docs], kind="stable")[:classes[iv]]]
-        cand_docs.extend(top.tolist())
+        top = s.top_documents(iv[0], iv[1], classes[iv])
+        cand_docs.extend(doc for doc, _ in top)
         if cand_freqs is not None:
-            cand_freqs.extend(freq[top].tolist())
+            cand_freqs.extend(freq for _, freq in top)
         cand_off.append(len(cand_docs))
     return SGST(g_prime, k_max, variant, [iv[0] for iv in order], [iv[1] for iv in order],
                 [classes[iv] for iv in order], cand_off, cand_docs, cand_freqs)

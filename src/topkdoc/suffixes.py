@@ -50,6 +50,23 @@ class SuffixIndex:
     def __len__(self):
         return len(self.sa)
 
+    def top_documents(self, sp, ep, k):
+        """The k documents owning the most slots of [sp, ep], as (doc, freq)
+        pairs by (-freq, doc): WaveletTree.greedy_topk's answer.  Both counts
+        list ids ascending and the stable argsort keeps ties in that order.
+        bincount's array runs to the slice's largest id, so past 16 times
+        the slice's length L one sort counts instead: O(L log L) at most,
+        whatever the number of documents."""
+        ids = self.doc_ids[sp - 1:ep]
+        if ids.max() < 16 * len(ids):
+            freq = np.bincount(ids)
+            docs = np.flatnonzero(freq)
+            freq = freq[docs]
+        else:
+            docs, freq = np.unique(ids, return_counts=True)
+        top = np.argsort(-freq, kind="stable")[:k]
+        return list(zip(docs[top].tolist(), freq[top].tolist()))
+
 
 def build_suffix_array(corpus: Corpus) -> SuffixIndex:
     sa = _suffix_order(corpus.text) + 1         # 1-based start positions

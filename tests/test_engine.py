@@ -6,7 +6,10 @@ import tracemalloc
 import pytest
 
 import topkdoc.engine as engine_module
-from topkdoc import DFS, GREEDY, SELECT, STRATEGIES, build_index, ingest, query_topk
+from topkdoc import (
+    DFS, GREEDY, SELECT, STRATEGIES, build_index, ingest, load_index, query_topk, save_index,
+)
+from topkdoc.bitrank import RankBitVector
 from topkdoc.engine import CandidateHeap, kstar, select_scan
 from topkdoc.errors import (
     EmptyPatternError,
@@ -14,7 +17,7 @@ from topkdoc.errors import (
     UnknownStrategyError,
 )
 from topkdoc.sgst import find_locus
-from topkdoc.suffixes import pattern_interval
+from topkdoc.suffixes import SuffixIndex, pattern_interval
 from topkdoc.wavelet import WaveletTree
 
 from conftest import (
@@ -252,6 +255,155 @@ def test_short_intervals_skip_the_locus_search(monkeypatch):
                 found += r.stats.locus_found
             check_against_oracle(docs, r, pattern, k)
     assert skipped >= 50 and found >= 500
+
+
+def test_counted_intervals_are_shorter_than_2g(monkeypatch):
+    # Level k samples slots 1, g + 1, 2g + 1, ... of its W_k windows, and a
+    # pattern interval holding two consecutive slots holds their marked
+    # node.  So an interval the count answers holds at most one slot s and
+    # spans at most s - g + 1 .. s + g - 1.  Past the last slot
+    # S = 1 + W_k * g the suffix array still runs on: W_1 = (n - 1) // g'
+    # and an odd count drops the last window at each doubling, so
+    # W_k = W_1 // k, yet n - S < g still.  The bound is 2g - 1 even there.
+    real = SuffixIndex.top_documents
+    counted = []
+
+    def recording(self, sp, ep, k):
+        counted.append((sp, ep))
+        return real(self, sp, ep, k)
+
+    monkeypatch.setattr(SuffixIndex, "top_documents", recording)
+    rng = random.Random(269)
+    before_last = past_last = past_dropped = 0
+    for _ in range(100):
+        docs = random_docs(rng, max_docs=rng.choice((3, 10)),
+                           max_total=rng.choice((80, 300)), sigma=rng.randint(2, 4))
+        g_prime = rng.randint(1, 5)
+        idx = build_index(docs, g_prime=g_prime, k_max=8)
+        intervals = {}
+        for pattern in occurring_patterns(docs, 6):
+            iv = pattern_interval(idx.suffixes, idx.corpus, pattern)
+            intervals.setdefault((iv.sp, iv.ep), pattern)
+        windows = (idx.corpus.n - 1) // g_prime
+        for k in idx.sgst.levels():
+            if not idx.sgst.level_nodes(k):
+                continue
+            g = k * g_prime
+            last_slot = 1 + windows // k * g
+            dropped = k > 1 and windows // (k // 2) % 2 == 1
+            for (sp, ep), pattern in intervals.items():
+                counted.clear()
+                r = query_topk(idx, pattern, k)
+                if not counted:
+                    assert r.stats.locus_found
+                    continue
+                assert counted == [(sp, ep)] and not r.stats.locus_found
+                assert ep - sp + 1 < 2 * g
+                if ep <= last_slot:
+                    before_last += 1
+                else:
+                    past_last += 1
+                    past_dropped += dropped
+    assert before_last > 20_000 and past_last > 2000 and past_dropped > 1000
+
+
+def test_locus_less_queries_read_no_wavelet_tree(monkeypatch):
+    # A query no marked node serves is answered from the document array
+    # alone, ties to the lowest ids, on both layouts and with every
+    # strategy: bounded ones (sampled tree used, no node inside) and
+    # unbounded ones (k* above k_max, or the sampled tree disabled) alike.
+    rng = random.Random(277)
+    corpora = [(revisions_corpus(rng), 3), (acgt_corpus(rng), 10),
+               (random_docs(rng, max_docs=8, max_total=200, sigma=2), 400)]
+    locus_less = []
+    for docs, g_prime in corpora:
+        for variant in ("light", "xlight"):
+            idx = build_index(docs, g_prime=g_prime, k_max=8, variant=variant)
+            for pattern in occurring_patterns(docs, 3):
+                for k in (1, 2, 5, 8, 9):
+                    for strat in STRATEGIES:
+                        for use in (True, False):
+                            r = query_topk(idx, pattern, k, strategy=strat, use_sgst=use)
+                            if not r.stats.locus_found:
+                                locus_less.append((docs, idx, pattern, k, strat, use, r))
+
+    def refuse(*args):
+        raise AssertionError("a locus-less query read the wavelet tree")
+
+    for name in ("greedy_topk", "doc_freq"):
+        monkeypatch.setattr(WaveletTree, name, refuse)
+    monkeypatch.setattr(RankBitVector, "rank1_pair", refuse)
+    for docs, idx, pattern, k, strat, use, r in locus_less:
+        again = query_topk(idx, pattern, k, strategy=strat, use_sgst=use)
+        assert again.pairs == r.pairs == naive_topk(docs, pattern, k)
+    bounded = sum(r.stats.used_sgst for *_, r in locus_less)
+    assert bounded > 2000 and len(locus_less) - bounded > 10_000
+
+
+def test_locus_less_queries_count_the_pattern_interval_once(monkeypatch):
+    # top_documents runs, once over the pattern interval, exactly when no
+    # marked node serves the query; that includes every k* > k_max and
+    # use_sgst=False query.  Its pairs are the oracle's, lowest ids first.
+    calls = []
+    real = SuffixIndex.top_documents
+
+    def recording(self, sp, ep, k):
+        calls.append((sp, ep, k))
+        return real(self, sp, ep, k)
+
+    monkeypatch.setattr(SuffixIndex, "top_documents", recording)
+    docs = revisions_corpus(random.Random(281))
+    idx = build_index(docs, g_prime=3, k_max=8)
+    unbounded = bounded = 0
+    for pattern in occurring_patterns(docs, 3)[::2]:
+        iv = pattern_interval(idx.suffixes, idx.corpus, pattern)
+        for k in (1, 3, 8, 9, 16):
+            for use in (True, False):
+                calls.clear()
+                r = query_topk(idx, pattern, k, use_sgst=use)
+                assert r.stats.used_sgst == (use and kstar(k) <= idx.sgst.k_max)
+                if r.stats.locus_found:
+                    assert calls == []
+                    check_against_oracle(docs, r, pattern, k)
+                    continue
+                assert calls == [(iv.sp, iv.ep, k)]
+                assert r.pairs == naive_topk(docs, pattern, k)
+                unbounded += not r.stats.used_sgst
+                bounded += r.stats.used_sgst
+    assert unbounded > 500 and bounded > 50
+
+
+@pytest.mark.parametrize("stored_sa", [None, False, True])
+def test_edge_k_and_overlong_patterns(tmp_path, stored_sa):
+    # k at or above d lists every matching document with its exact count,
+    # bounded (k* <= k_max) or not (k far above k_max); a pattern longer
+    # than every document matches nothing.  The document array is derived
+    # at load, so reloaded indexes (suffix array stored or rebuilt) must
+    # answer the same.
+    rng = random.Random(283)
+    counted = 0
+    for trial in range(3):
+        docs = random_docs(rng, max_docs=6, max_total=150, sigma=2)
+        d = len(docs)
+        idx = build_index(docs, g_prime=2, k_max=8)
+        if stored_sa is not None:
+            path = tmp_path / f"edge{trial}.tkdi"
+            save_index(idx, path, include_suffix_array=stored_sa)
+            idx = load_index(path)
+        for pattern in occurring_patterns(docs, 5):
+            every = naive_topk(docs, pattern, d)
+            for k in (d, d + 2, 8, 10**6):
+                for strat in STRATEGIES:
+                    r = query_topk(idx, pattern, k, strategy=strat)
+                    assert r.pairs == every
+                    assert r.stats.used_sgst == (k != 10**6)
+                    counted += r.stats.used_sgst and not r.stats.locus_found
+        longest = max(docs, key=len)
+        for pattern in (longest + "a", longest * 2, "ab" * len(longest)):
+            for k in (1, d, 10**6):
+                for use in (True, False):
+                    assert query_topk(idx, pattern, k, use_sgst=use).pairs == []
+    assert counted > 150
 
 
 def test_flanked_locus_unary_run():

@@ -6,6 +6,7 @@ import pytest
 from topkdoc import build_suffix_array, ingest, pattern_interval
 from topkdoc.errors import EmptyPatternError, SentinelInPatternError
 from topkdoc.suffixes import PatternInterval, _suffix_order
+from topkdoc.wavelet import WaveletTree
 
 from conftest import (
     WORKED_D,
@@ -201,3 +202,39 @@ def test_interval_slots_all_match_pattern():
             start = int(s.sa[slot - 1]) - 1
             matches = c.text[start:start + len(raw)] == raw
             assert matches == (iv.sp <= slot <= iv.ep)
+
+
+def test_top_documents_equals_greedy_topk_with_ties():
+    # The document-array count and the wavelet traversal must list the same
+    # pairs in the same order, ties at the k-th frequency included (lowest
+    # ids).  Ties abound here: few documents, alphabets of one to three
+    # symbols, and every third corpus made of repeated documents.  Corpora
+    # of up to 60 documents give short slices whose largest id is at least
+    # 16 times their length, which are counted by sorting, not bincount.
+    rng = random.Random(271)
+    compared = cut_in_a_tie = sorted_slices = 0
+    for trial in range(60):
+        max_docs = rng.choice((1, 3, 8, 60))
+        docs = random_docs(rng, max_docs=max_docs, sigma=rng.randint(1, 3),
+                           max_total=max(rng.choice((20, 150)), 3 * max_docs))
+        if trial % 3 == 0:
+            docs = docs * rng.randint(2, 4)
+        c = ingest(docs)
+        s = build_suffix_array(c)
+        w = WaveletTree(s.doc_ids, c.d)
+        n = len(s)
+        intervals = [(1, n)] + [(i, i) for i in rng.sample(range(1, n + 1), min(n, 4))]
+        for _ in range(12):
+            sp = rng.randint(1, n)
+            intervals.append((sp, rng.randint(sp, n)))
+            intervals.append((sp, min(n, sp + rng.randint(1, 3))))
+        for sp, ep in intervals:
+            sorted_slices += s.doc_ids[sp - 1:ep].max() >= 16 * (ep - sp + 1)
+            freqs = [f for _, f in s.top_documents(sp, ep, c.d)]
+            for k in range(1, c.d + 3):
+                got = s.top_documents(sp, ep, k)
+                assert got == w.greedy_topk(sp, ep, k)
+                assert all(type(v) is int for pair in got for v in pair)
+                compared += 1
+                cut_in_a_tie += k < len(freqs) and freqs[k - 1] == freqs[k]
+    assert compared > 6000 and cut_in_a_tie > 1000 and sorted_slices > 30
