@@ -24,7 +24,8 @@ whole sampled tree (see sgst).  At load the text must end with a terminator
 and hold no empty document.  Unknown section ids are skipped so the format
 can grow; a version mismatch or a rank step other than 64 is an error, as
 is any declared length that does not match its payload, a stored suffix
-array that is not a permutation of 1..n, wavelet bitmaps whose lengths do
+array that is not a permutation of 1..n or whose suffixes' first symbols
+descend somewhere (see _read_suffix_array), wavelet bitmaps whose lengths do
 not follow the tree's routing, or sampled-tree nodes or candidate lists
 that no build could have written (see _check_nodes and _check_candidates).
 """
@@ -40,7 +41,7 @@ from .engine import Index
 from .errors import (ContainerFormatError, EmptyDocumentError, InconsistentIntervalsError,
                      VersionMismatchError)
 from .sgst import SGST
-from .suffixes import SuffixIndex, build_suffix_array
+from .suffixes import build_suffix_array, stored_suffix_index
 from .wavelet import WaveletTree
 
 MAGIC = b"TKDI"
@@ -207,15 +208,20 @@ def _read_corpus(payload, n):
 
 
 def _read_suffix_array(payload, corpus):
-    """The stored suffix array, which must be a permutation of 1..n.  That
-    it sorts the suffixes is not checked."""
+    """The stored suffix array, which must be a permutation of 1..n whose
+    suffixes ascend by their first q symbols: their keys may not descend.
+    That it sorts the suffixes beyond those symbols is not checked."""
     n = corpus.n
     if len(payload) != 8 * n:
         raise ContainerFormatError("suffix array section has the wrong length")
     sa = np.frombuffer(payload, dtype="<u8").astype(np.int64)   # 2**63 and up wrap below 1
     if not ((1 <= sa) & (sa <= n)).all() or np.bincount(sa).max() > 1:
         raise ContainerFormatError("stored suffix array is not a permutation of 1..n")
-    return SuffixIndex(sa=sa, doc_ids=corpus.doc_ids(sa))
+    s = stored_suffix_index(corpus, sa)
+    if (s.keys[1:] < s.keys[:-1]).any():
+        raise ContainerFormatError("stored suffix array is not sorted by its "
+                                   "suffixes' first symbols")
+    return s
 
 
 def _wavelet_payload(w: WaveletTree) -> bytes:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .corpus import Corpus, ingest
 from .errors import OutOfRangeError, UnknownStrategyError
 from .sgst import SGST, build_sgst, candidates_of, find_locus
-from .suffixes import SuffixIndex, as_pattern_bytes, build_suffix_array, pattern_interval
+from .suffixes import SuffixIndex, build_suffix_array, pattern_interval
 from .wavelet import WaveletTree
 
 GREEDY = "greedy"
@@ -184,21 +184,22 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
         raise ValueError("k must be at least 1")
     w = index.wavelet
     x = index.sgst
-    stats = QueryStats(kstar=kstar(k), g=kstar(k) * x.g_prime)
+    k_star = kstar(k)
+    stats = QueryStats(kstar=k_star, g=k_star * x.g_prime)
 
-    pat = as_pattern_bytes(pattern)
-    interval = pattern_interval(index.suffixes, index.corpus, pat)
+    interval = pattern_interval(index.suffixes, index.corpus, pattern)
+    pat = interval.pattern
     if interval.is_empty:
         return TopKResult([], pat, k, x.variant, stats)
     sp, ep = interval.sp, interval.ep
 
     locus = None
-    if use_sgst and stats.kstar <= x.k_max:
+    if use_sgst and k_star <= x.k_max:
         stats.used_sgst = True
         # A level-k* node spans at least g + 1 slots: none fits a shorter
         # interval.
         if ep - sp >= stats.g:
-            locus = find_locus(x, stats.kstar, sp, ep)
+            locus = find_locus(x, k_star, sp, ep)
 
     if locus is None:
         pairs = index.suffixes.top_documents(sp, ep, k)

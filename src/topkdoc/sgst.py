@@ -18,9 +18,9 @@ class >= k.  find_locus is one binary search over a level's (sp, -ep) keys.
 
 The node spanning two sample slots is the locus of their suffixes' common
 prefix, measured by galloping slice comparisons on the text; its interval
-is found by the binary search queries use (suffixes.prefix_interval).  So
-marking holds nothing beyond the text and the suffix array, and its time
-grows with the level-1 windows' common-prefix lengths times log n.
+is found by the search queries use (SuffixIndex.interval).  So marking
+holds nothing beyond the text and the suffix index, and its time grows
+with the level-1 windows' common-prefix lengths times log n.
 """
 
 from bisect import bisect_left
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 from .wavelet import WaveletTree
 from .errors import KStarNotPrecomputedError
-from .suffixes import prefix_interval
 
 VARIANTS = ("light", "xlight")
 
@@ -107,7 +106,7 @@ def build_sgst(corpus, s, g_prime=400, k_max=16, variant="light") -> SGST:
     def spanning_node(p, q):
         a, b = sa[p - 1] - 1, sa[q - 1] - 1
         h = _common_prefix(text, a, b)
-        iv = prefix_interval(sa, text, text[a:a + h])
+        iv = s.interval(text, text[a:a + h])
         return h, (iv.sp, iv.ep)
 
     # A level-2k window is two adjacent level-k windows, and its node is

@@ -2,19 +2,28 @@
 
 The suffix array holds 1-based text positions sorted by the suffixes they
 start; the parallel document array records which document owns each sorted
-suffix.  Pattern occurrences form one contiguous run of suffix-array slots,
-found by binary search in O(m log n) byte comparisons.
+suffix.  Pattern occurrences form one contiguous run of suffix-array slots.
+
+Next to them the index keeps each slot's key: the codes of its suffix's
+first q symbols packed into an int32, q = 31 // width for codes of width
+bits (10 on DNA, 6 on 27 symbols).  The suffixes are sorted, so the keys
+never decrease, and a pattern of m symbols has its interval found by two
+binary searches over them, on the codes of its first min(m, q) symbols.
+Only a pattern longer than q is then searched byte by byte, by binary
+search over the occ slots of that range: O(m log occ) byte comparisons.
 
 Suffixes are sorted by prefix doubling in numpy.  The first round sorts
 every suffix once by its first symbols, as many as pack into one int64
-key (21 on DNA, 12 on 27 symbols).  Each later round doubles the sorted
-prefix length but re-sorts only the suffixes still tied with another, one
-argsort of a packed int64 key: the rank of a suffix's first h symbols
-times a radix, plus the rank of the next h.  Loading a container without
-a stored suffix array reruns the same sort.
+key (21 on DNA, 12 on 27 symbols); the keys above are its top q symbols.
+Each later round doubles the sorted prefix length but re-sorts only the
+suffixes still tied with another, one argsort of a packed int64 key: the
+rank of a suffix's first h symbols times a radix, plus the rank of the
+next h.  Loading a container without a stored suffix array reruns the same
+sort; one with a stored suffix array derives the keys from the text.
 """
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,10 +33,14 @@ from .errors import EmptyPatternError, SentinelInPatternError
 
 @dataclass(frozen=True)
 class PatternInterval:
-    """Suffix-array index range [sp, ep] of a pattern; empty when ep < sp."""
+    """Suffix-array index range [sp, ep] of a pattern; empty when ep < sp.
+
+    `pattern` is the searched bytes, as pattern_interval normalised them;
+    it takes no part in comparisons."""
 
     sp: int
     ep: int
+    pattern: bytes = field(default=b"", compare=False, repr=False)
 
     @property
     def is_empty(self):
@@ -44,11 +57,49 @@ class PatternInterval:
 
 @dataclass(frozen=True)
 class SuffixIndex:
-    sa: np.ndarray       # 1-based text positions, suffix-sorted
-    doc_ids: np.ndarray  # doc_ids[i] = document owning position sa[i]
+    sa: np.ndarray       # 1-based text positions, suffix-sorted; int32 below 2**30 symbols
+    doc_ids: np.ndarray  # doc_ids[i] = document owning position sa[i], int32
+    keys: np.ndarray     # int32, never decreasing: suffix sa[i]'s first q codes, packed
+    code: tuple          # symbol -> code, 1..sigma + 1 (1 for the terminator); 0 if absent
+    width: int           # bits per code; q = 31 // width
+    _views: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # memoryviews yield plain ints, which bisect and slicing want.
+        object.__setattr__(self, "_views", (memoryview(self.keys), memoryview(self.sa)))
 
     def __len__(self):
         return len(self.sa)
+
+    def interval(self, text, pat: bytes) -> PatternInterval:
+        """Suffix-array interval of the suffixes of text starting with pat.
+
+        pat is not checked: it may be empty, giving (1, n), or hold
+        terminators, as a common prefix of two suffixes may.  Its first
+        t = min(m, q) symbols, coded and packed like the keys, bound the
+        keys of the suffixes that start with them: [key, key + 1) shifted
+        past the q - t symbols left.  A symbol absent from the text has no
+        code, and no suffix starts with pat.  A longer pat is then searched
+        by prefix_interval within that range.
+        """
+        code, width = self.code, self.width
+        q = 31 // width
+        key = 0
+        for symbol in pat[:q]:
+            c = code[symbol]
+            if not c:
+                return PatternInterval(1, 0, pat)
+            key = key << width | c
+        shift = width * (q - min(len(pat), q))
+        keys, sa = self._views
+        lo = bisect_left(keys, key << shift)
+        hi = bisect_left(keys, (key + 1) << shift, lo)
+        if len(pat) > q and lo < hi:
+            iv = prefix_interval(sa[lo:hi], text, pat)
+            lo, hi = lo + iv.sp - 1, lo + iv.ep
+        if lo >= hi:
+            return PatternInterval(1, 0, pat)
+        return PatternInterval(lo + 1, hi, pat)
 
     def top_documents(self, sp, ep, k):
         """The k documents owning the most slots of [sp, ep], as (doc, freq)
@@ -69,18 +120,56 @@ class SuffixIndex:
 
 
 def build_suffix_array(corpus: Corpus) -> SuffixIndex:
-    sa = _suffix_order(corpus.text) + 1         # 1-based start positions
-    return SuffixIndex(sa=sa, doc_ids=corpus.doc_ids(sa))
+    order, keys = _suffix_order(corpus.text)
+    sa = order + 1                              # 1-based start positions
+    code, width = _symbol_codes(corpus.text)
+    return SuffixIndex(sa, corpus.doc_ids(sa), keys, tuple(code.tolist()), width)
 
 
-def _suffix_order(text: bytes) -> np.ndarray:
-    """0-based start positions of text's suffixes, in sorted order.
+def stored_suffix_index(corpus: Corpus, sa) -> SuffixIndex:
+    """SuffixIndex over a suffix array that was stored, not sorted here.
 
-    The first round packs q symbols per position into one int64 and sorts
+    sa must be a permutation of 1..n.  Its keys are derived from the text:
+    every position's first q codes are packed in text order, then gathered
+    through sa - 1.  Keys that descend anywhere would make searches wrong;
+    the caller checks them (a partial check that sa sorts the suffixes).
+    """
+    n = corpus.n
+    sa = np.asarray(sa).astype(np.int32 if n < 2**30 else np.int64)
+    code, width = _symbol_codes(corpus.text)
+    codes = code[np.frombuffer(corpus.text, dtype=np.uint8)]
+    keys = _packed(codes, width, 31 // width, np.int32)[sa - 1]
+    return SuffixIndex(sa, corpus.doc_ids(sa), keys, tuple(code.tolist()), width)
+
+
+def _symbol_codes(text: bytes):
+    """(code, width): code[b] is 1..P for the P distinct bytes of text, in
+    byte order, and 0 for bytes absent from it; codes take width bits."""
+    present = np.bincount(np.frombuffer(text, dtype=np.uint8), minlength=256) > 0
+    code = np.where(present, np.cumsum(present), 0).astype(np.uint16)
+    return code, int(present.sum()).bit_length()
+
+
+def _packed(codes, width, count, dtype):
+    """key[i] = codes[i:i + count] packed, first code highest, 0 past the end."""
+    n = len(codes)
+    key = np.zeros(n, dtype=dtype)
+    for j in range(count):
+        key <<= width
+        key[:max(n - j, 0)] |= codes[j:]
+    return key
+
+
+def _suffix_order(text: bytes):
+    """(order, keys): the 0-based start positions of text's suffixes in
+    sorted order, and the int32 keys SuffixIndex searches.
+
+    The first round packs h symbols per position into one int64 and sorts
     all positions once: the symbols present get codes 1..sigma (0 past the
-    end) of b = sigma.bit_length() bits, and q = 63 // b codes fit below
-    the sign bit.  A suffix's rank is the slot where its group, the run of
-    equal keys holding it, starts.
+    end) of b = sigma.bit_length() bits, and h = 63 // b codes fit below
+    the sign bit.  In slot order the sorted keys' top q = 31 // b codes are
+    the int32 keys.  A suffix's rank is the slot where its group, the run
+    of equal keys holding it, starts.
 
     The suffixes of groups of two or more stay active, carried with their
     slots in slot order.  Each later round, with ranks sorted on h
@@ -94,21 +183,15 @@ def _suffix_order(text: bytes) -> np.ndarray:
     are the inverse of the suffix array.
     """
     # Each array is dropped as soon as it is spent, which keeps the peak
-    # near 36 bytes per symbol.
+    # near 40 bytes per symbol, 4 of them the int32 keys.
     n = len(text)
     itype = np.int32 if n < 2**30 else np.int64  # i + h < 2n must fit
-    symbols = np.frombuffer(text, dtype=np.uint8)
-    present = np.bincount(symbols, minlength=256) > 0
-    codes = np.cumsum(present, dtype=np.uint16)[symbols]
-    width = int(present.sum()).bit_length()
+    code, width = _symbol_codes(text)
     h = 63 // width
-    key = np.zeros(n, dtype=np.int64)
-    for j in range(h):
-        key <<= width
-        key[:max(n - j, 0)] |= codes[j:]
-    del codes
+    key = _packed(code[np.frombuffer(text, dtype=np.uint8)], width, h, np.int64)
     order = np.argsort(key)
     key = key[order]
+    keys = (key >> width * (h - 31 // width)).astype(np.int32)
     pos = order.astype(itype)               # the active suffixes, in slot order
     del order
     slots = np.arange(n, dtype=itype)       # and their slots
@@ -141,9 +224,9 @@ def _suffix_order(text: bytes) -> np.ndarray:
         pos = pos[order]
         del order
         h <<= 1
-    sa = np.empty(n, dtype=np.int64)
-    sa[rank[:n]] = np.arange(n)
-    return sa
+    sa = np.empty(n, dtype=itype)
+    sa[rank[:n]] = np.arange(n, dtype=itype)
+    return sa, keys
 
 
 def as_pattern_bytes(pattern) -> bytes:
@@ -157,16 +240,19 @@ def as_pattern_bytes(pattern) -> bytes:
 
 
 def pattern_interval(s: SuffixIndex, corpus: Corpus, pattern) -> PatternInterval:
-    """Suffix-array interval of all suffixes starting with pattern."""
-    return prefix_interval(memoryview(s.sa), corpus.text, as_pattern_bytes(pattern))
+    """Suffix-array interval of all suffixes starting with pattern, which is
+    normalised by as_pattern_bytes; the interval carries the bytes."""
+    return s.interval(corpus.text, as_pattern_bytes(pattern))
 
 
 def prefix_interval(sa, text: bytes, pat: bytes) -> PatternInterval:
-    """Suffix-array interval of the suffixes of text starting with pat.
+    """Suffix-array interval of the suffixes of text starting with pat, by
+    binary search comparing byte slices.
 
-    `sa` is the suffix array as a sequence of Python ints.  pat is not
-    checked: it may be empty, giving (1, n), or hold terminators, as a
-    common prefix of two suffixes may.
+    `sa` is the suffix array, or a run of its slots, as a sequence of
+    Python ints; the interval counts from its first slot.  pat is not
+    checked: it may be empty, giving (1, len(sa)), or hold terminators.
+    SuffixIndex.interval calls it for patterns longer than its keys.
     """
     m = len(pat)
 

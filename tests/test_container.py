@@ -451,8 +451,11 @@ def test_sampled_tree_section_bit_flips():
 
 
 def test_stored_suffix_array_validated_at_load():
-    # Entries must be a permutation of 1..n.  A swap of two entries keeps
-    # that and still loads: only a checksum could tell.
+    # Entries must be a permutation of 1..n, and the keys derived from them
+    # (each suffix's first q symbols) may not descend.  A swap of two
+    # entries whose suffixes differ within their first q symbols is
+    # rejected; one of two entries with equal keys would still load: only a
+    # checksum could tell.
     idx = build_index(["abab", "abba", "bab"], g_prime=1, k_max=4)
     blob = serialize_index(idx, include_suffix_array=True)
     (start,) = [start for sec_id, start, _ in section_spans(blob) if sec_id == 4]
@@ -463,6 +466,22 @@ def test_stored_suffix_array_validated_at_load():
         struct.pack_into("<Q", bad, start + 16 + 8 * i, value)
         with pytest.raises(ContainerFormatError, match="permutation"):
             deserialize_index(bytes(bad))
+    # Slot 1 holds a terminator's suffix and the last slot one starting "b".
+    bad = bytearray(blob)
+    struct.pack_into("<Q", bad, start + 16, sa[-1])
+    struct.pack_into("<Q", bad, start + 16 + 8 * (n - 1), sa[0])
+    with pytest.raises(ContainerFormatError, match="not sorted"):
+        deserialize_index(bytes(bad))
+
+
+def test_resident_suffix_arrays_take_twelve_bytes_per_symbol():
+    # Built, or loaded with the suffix array rebuilt or stored: below 2**30
+    # symbols the suffix array, its keys and the document array are int32.
+    idx = build_index(acgt_corpus(random.Random(89)), g_prime=20, k_max=4)
+    for include in (None, False, True):
+        back = idx if include is None else deserialize_index(serialize_index(idx, include))
+        s = back.suffixes
+        assert s.sa.nbytes + s.keys.nbytes + s.doc_ids.nbytes <= 12 * back.corpus.n
 
 
 def test_load_memory_budget():

@@ -2,10 +2,12 @@ import dataclasses
 import hashlib
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 import topkdoc.engine as engine_module
+import topkdoc.suffixes as suffixes_module
 from topkdoc import (
     DFS, GREEDY, SELECT, STRATEGIES, build_index, ingest, load_index, query_topk, save_index,
 )
@@ -371,6 +373,41 @@ def test_locus_less_queries_count_the_pattern_interval_once(monkeypatch):
                 unbounded += not r.stats.used_sgst
                 bounded += r.stats.used_sgst
     assert unbounded > 500 and bounded > 50
+
+
+def test_query_searches_through_pattern_interval_once(monkeypatch):
+    # The benchmark times the interval search by wrapping the name
+    # pattern_interval that topkdoc.engine bound, so every query must search
+    # through it, once; the pattern is normalised once, inside it.  Absent
+    # patterns and every regime, strategy and k* are included.
+    calls = Counter()
+    search, normalise = engine_module.pattern_interval, suffixes_module.as_pattern_bytes
+
+    def counted_search(*args):
+        calls["pattern_interval"] += 1
+        return search(*args)
+
+    def counted_normalise(pattern):
+        calls["as_pattern_bytes"] += 1
+        return normalise(pattern)
+
+    docs = revisions_corpus(random.Random(307))
+    idx = build_index(docs, g_prime=3, k_max=8)
+    patterns = occurring_patterns(docs, 4)[::7] + ["zz", b"q", "abcdefgh" * 3]
+    patterns += [p.encode() for p in patterns[:20]]
+    regimes = Counter()
+    for pattern in patterns:
+        for k in (1, 3, 16):
+            for strat in STRATEGIES:
+                for use in (True, False):
+                    with monkeypatch.context() as m:
+                        m.setattr(engine_module, "pattern_interval", counted_search)
+                        m.setattr(suffixes_module, "as_pattern_bytes", counted_normalise)
+                        r = query_topk(idx, pattern, k, strategy=strat, use_sgst=use)
+                    assert calls == {"pattern_interval": 1, "as_pattern_bytes": 1}
+                    calls.clear()
+                    regimes[regime(idx, r) if r.pairs else "absent"] += 1
+    assert min(regimes.values()) > 50 and len(regimes) == 4, regimes
 
 
 @pytest.mark.parametrize("stored_sa", [None, False, True])

@@ -1,11 +1,13 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from topkdoc import build_suffix_array, ingest, pattern_interval
 from topkdoc.errors import EmptyPatternError, SentinelInPatternError
-from topkdoc.suffixes import PatternInterval, _suffix_order
+from topkdoc.suffixes import (PatternInterval, _suffix_order, prefix_interval,
+                              stored_suffix_index)
 from topkdoc.wavelet import WaveletTree
 
 from conftest import (
@@ -105,7 +107,7 @@ def test_suffix_order_vs_oracle_across_alphabets_and_lengths():
     for n in lengths:
         for alphabet in alphabets:
             text = bytes(rng.choice(alphabet) for _ in range(n))
-            assert (_suffix_order(text) + 1).tolist() == brute_suffix_array(text)
+            assert (_suffix_order(text)[0] + 1).tolist() == brute_suffix_array(text)
 
 
 def test_suffix_order_unary_runs_vs_oracle():
@@ -113,7 +115,7 @@ def test_suffix_order_unary_runs_vs_oracle():
     # most doubling rounds.
     for text in (b"a" * 300, b"\xff" * 600, b"a" * 200 + b"\x00" + b"a" * 199,
                  (b"\xff" * 40 + b"\x00") * 13):
-        assert (_suffix_order(text) + 1).tolist() == brute_suffix_array(text)
+        assert (_suffix_order(text)[0] + 1).tolist() == brute_suffix_array(text)
 
 
 PACKING_SIGMAS = (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 127, 128, 255, 256)
@@ -131,7 +133,58 @@ def test_suffix_order_across_packing_widths_vs_oracle():
             head = bytearray(alphabet + bytes(rng.choice(alphabet) for _ in range(n - sigma)))
             rng.shuffle(head)
             text = bytes(head) + bytes(head[:n // 2])
-            assert (_suffix_order(text) + 1).tolist() == brute_suffix_array(text)
+            assert (_suffix_order(text)[0] + 1).tolist() == brute_suffix_array(text)
+
+
+def test_keyed_interval_equals_byte_search_at_every_width():
+    # SuffixIndex.interval must give exactly prefix_interval over the whole
+    # suffix array, on an index built here and on one over a stored suffix
+    # array, at every packing width.  Each sigma of PACKING_SIGMAS counts the
+    # terminator (sigma 1 gets one letter too), so q = 31 // width runs from
+    # 15 down to 3.  Patterns are shorter than q, q long and longer; some
+    # hold a symbol absent from the text; the windows marking searches may
+    # be empty or run across terminators.
+    rng = random.Random(293)
+    cases = Counter()
+    for sigma in PACKING_SIGMAS:
+        letters = bytes(range(1, max(sigma, 2)))
+        absent = bytes(b for b in range(1, 256) if b not in letters)
+        for _ in range(3):
+            body = bytearray(letters + bytes(rng.choice(letters)
+                                             for _ in range(rng.randint(0, 300))))
+            rng.shuffle(body)
+            cuts = sorted(rng.sample(range(1, len(body)), min(len(body) - 1, 5)))
+            docs = [bytes(body[a:b]) for a, b in zip([0] + cuts, cuts + [len(body)])]
+            docs += docs[:rng.randint(1, len(docs))]     # repeats longer than q
+            c = ingest(docs)
+            built = build_suffix_array(c)
+            stored = stored_suffix_index(c, built.sa)
+            assert np.array_equal(stored.keys, built.keys)
+            text, q = c.text, 31 // built.width
+            pats = [b""]
+            for m in (1, q - 1, q, q + 1, q + 7):
+                for _ in range(8):
+                    a = rng.randrange(c.n)
+                    window = text[a:a + m]
+                    pats.append(window)
+                    if window and absent:
+                        i = rng.randrange(len(window))
+                        pats.append(window[:i] + bytes([rng.choice(absent)]) + window[i + 1:])
+                    if window:
+                        i = rng.randrange(len(window))
+                        pats.append(window[:i] + bytes([rng.choice(letters)]) + window[i + 1:])
+            for pat in pats:
+                want = prefix_interval(memoryview(built.sa), text, pat)
+                for s in (built, stored):
+                    got = s.interval(text, pat)
+                    assert (got.sp, got.ep) == (want.sp, want.ep)
+                    assert got.pattern == pat
+                m = len(pat)
+                cases["empty" if not m else "absent" if want.is_empty
+                      else "terminator" if 0 in pat
+                      else "short" if m < q else "q" if m == q else "long"] += 1
+    assert cases.pop("empty") == 3 * len(PACKING_SIGMAS)
+    assert len(cases) == 5 and min(cases.values()) > 250, cases
 
 
 def test_suffix_order_shorter_than_one_packed_key():
@@ -141,14 +194,14 @@ def test_suffix_order_shorter_than_one_packed_key():
         alphabet = bytes(range(256 - sigma, 256))
         for n in range(1, q):
             text = bytes(rng.choice(alphabet) for _ in range(n))
-            assert (_suffix_order(text) + 1).tolist() == brute_suffix_array(text)
+            assert (_suffix_order(text)[0] + 1).tolist() == brute_suffix_array(text)
 
 
 def test_suffix_order_long_repeats_vs_full_doubling():
     rng = random.Random(71)
     document = "".join(rng.choice("abcdefghij") for _ in range(10_000))
     for text in (ingest([document] * 21).text, b"a" * 50_000, b"\x00" * 50_000 + b"a"):
-        assert np.array_equal(_suffix_order(text), doubling_suffix_order(text))
+        assert np.array_equal(_suffix_order(text)[0], doubling_suffix_order(text))
 
 
 def test_later_rounds_sort_only_unfinished_groups(monkeypatch):
@@ -167,7 +220,7 @@ def test_later_rounds_sort_only_unfinished_groups(monkeypatch):
         return argsort(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", recording_argsort)
-    order = _suffix_order(c.text)
+    order, _ = _suffix_order(c.text)
     monkeypatch.undo()
     assert np.array_equal(order, doubling_suffix_order(c.text))
     assert sizes[0] == c.n and len(sizes) >= 3
