@@ -3,13 +3,16 @@
 Bits are packed into 64-bit words.  A rank directory stores the running
 popcount every `sample_step` bits, so rank costs one directory lookup plus
 at most `sample_step / 64` word popcounts; at the default of one sample
-per word that is one lookup and one popcount.  select binary-searches the
-directory and then scans within one sample block.  Words and directory
-are built in numpy, then kept as lists of Python ints for the queries.
+per word that is one lookup and one popcount.  select is one bisect over
+the directory, keyed by the ones or zeros before each block, then a scan
+within that block.  Words and directory are built in numpy, then kept as
+lists of Python ints for the queries.
 
 The wavelet tree projects an interval through a node with rank1 at its two
 ends, so rank1_pair answers both positions with one range check.
 """
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -141,20 +144,14 @@ class RankBitVector:
         """select without the occurrence check."""
         samples = self._samples
         step = self._step
-        # Largest block whose preceding count stays below j.  The last
-        # sample's zero count may include padding past n, but it is at
-        # least the true total, so that block is never chosen either way.
-        lo, hi = 0, len(samples) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            before = samples[mid] if bit else mid * step - samples[mid]
-            if before < j:
-                lo = mid
-            else:
-                hi = mid - 1
-        remaining = j - (samples[lo] if bit else lo * step - samples[lo])
+        # Occurrences before each block; the last sample's zero count may
+        # include padding past n, but it is at least the true total.  The
+        # block holding the j-th is the last whose count stays below j.
+        before = samples.__getitem__ if bit else lambda b: b * step - samples[b]
+        blk = bisect_left(range(len(samples)), j, key=before) - 1
+        remaining = j - before(blk)
         words = self._words
-        t = lo * self._step_words
+        t = blk * self._step_words
         while True:
             # Zeros past n in the last word come after every real one.
             word = words[t] if bit else ~words[t] & _FULL

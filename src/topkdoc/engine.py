@@ -171,11 +171,11 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
     Returns fewer than k pairs when fewer documents match, and an empty
     result when the pattern does not occur at all.  When the marked node
     found spans exactly the pattern's interval, its first k stored
-    candidates are the answer: no heap, flank traversal or final recount
-    runs, and only xlight counts, once per candidate returned.  When
-    flanks remain, the node's first k candidates seed a heap, the flanks are
-    repaired with the chosen strategy, and every heap member is recounted
-    over the whole interval.  With no marked node inside, or with k* above
+    candidates are the answer, already ranked by candidates_of: no heap,
+    flank traversal, final recount or sort runs, and only xlight counts,
+    once per candidate returned.  When flanks remain, the node's first k
+    candidates seed a heap, the flanks are repaired with the chosen
+    strategy, and every heap member is recounted over the whole interval.  With no marked node inside, or with k* above
     k_max or use_sgst=False, the interval's document array is counted.
     """
     if strategy not in STRATEGIES:
@@ -210,9 +210,8 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
     seeds = candidates_of(x, locus, w, k)
 
     if (locus.sp, locus.ep) == (sp, ep):
-        # The node's candidates are counted over [sp, ep] itself: exact.
+        # The node's candidates are counted over [sp, ep] itself and ranked.
         stats.heap_offers = len(seeds)
-        seeds.sort(key=lambda p: (-p[1], p[0]))
         return TopKResult(seeds, pat, k, x.variant, stats)
 
     heap = CandidateHeap(k)

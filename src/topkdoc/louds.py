@@ -29,7 +29,7 @@ class LoudsTree:
         self.node_count = node_count
 
     @classmethod
-    def encode(cls, root, children=None, sample_step=64):
+    def encode(cls, root, children=None):
         """Encode the tree reachable from root.
 
         `children` maps a node to its ordered child list (default: its
@@ -49,7 +49,7 @@ class LoudsTree:
             kids = children(node)
             pieces.append("1" * len(kids) + "0")
             queue.extend(kids)
-        bits = RankBitVector("".join(pieces), sample_step)
+        bits = RankBitVector("".join(pieces))
         return cls(bits, len(order)), order
 
     @classmethod

@@ -155,11 +155,13 @@ def find_locus(x: SGST, k_star, sp, ep):
 
 
 def candidates_of(x: SGST, node: MarkedNode, w: WaveletTree, k=None):
-    """Precomputed (doc, freq) list of a marked node, most frequent first.
+    """Precomputed (doc, freq) list of a marked node, ranked by (-freq, doc).
 
     Only the first k entries when k is given.  The light layout returns
-    stored frequencies; xlight recounts each doc returned over the node's
-    interval through the wavelet tree.
+    its stored pairs, which the build ranked and the loader checks are
+    ranked.  xlight stores no frequencies to check: it recounts each doc
+    returned over the node's interval through the wavelet tree, then ranks
+    them.
     """
     lo, hi = x.cand_off[node.rank - 1], x.cand_off[node.rank]
     if k is not None:
@@ -167,7 +169,8 @@ def candidates_of(x: SGST, node: MarkedNode, w: WaveletTree, k=None):
     docs = x.cand_docs[lo:hi]
     if x.cand_freqs is not None:
         return list(zip(docs, x.cand_freqs[lo:hi]))
-    return [(doc, w.doc_freq(doc, node.sp, node.ep)) for doc in docs]
+    pairs = [(doc, w.doc_freq(doc, node.sp, node.ep)) for doc in docs]
+    return sorted(pairs, key=lambda p: (-p[1], p[0]))
 
 
 def _common_prefix(text, a, b):

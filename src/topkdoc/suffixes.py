@@ -9,8 +9,10 @@ first q symbols packed into an int32, q = 31 // width for codes of width
 bits (10 on DNA, 6 on 27 symbols).  The suffixes are sorted, so the keys
 never decrease, and a pattern of m symbols has its interval found by two
 binary searches over them, on the codes of its first min(m, q) symbols.
-Only a pattern longer than q is then searched byte by byte, by binary
-search over the occ slots of that range: O(m log occ) byte comparisons.
+Only a pattern longer than q is then searched byte by byte, by two bisects
+over the occ slots of that range keyed by each suffix's first m bytes:
+O(m log occ) byte comparisons.  prefix_interval runs the same byte search
+over the whole suffix array.
 
 Suffixes are sorted by prefix doubling in numpy.  The first round sorts
 every suffix once by its first symbols, as many as pack into one int64
@@ -22,7 +24,7 @@ next h.  Loading a container without a stored suffix array reruns the same
 sort; one with a stored suffix array derives the keys from the text.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,10 +52,6 @@ class PatternInterval:
     def occurrences(self):
         return 0 if self.is_empty else self.ep - self.sp + 1
 
-    @classmethod
-    def empty(cls):
-        return cls(1, 0)
-
 
 @dataclass(frozen=True)
 class SuffixIndex:
@@ -80,7 +78,7 @@ class SuffixIndex:
         keys of the suffixes that start with them: [key, key + 1) shifted
         past the q - t symbols left.  A symbol absent from the text has no
         code, and no suffix starts with pat.  A longer pat is then searched
-        by prefix_interval within that range.
+        byte by byte within that range, as prefix_interval searches.
         """
         code, width = self.code, self.width
         q = 31 // width
@@ -95,8 +93,7 @@ class SuffixIndex:
         lo = bisect_left(keys, key << shift)
         hi = bisect_left(keys, (key + 1) << shift, lo)
         if len(pat) > q and lo < hi:
-            iv = prefix_interval(sa[lo:hi], text, pat)
-            lo, hi = lo + iv.sp - 1, lo + iv.ep
+            lo, hi = _byte_search(sa, text, pat, lo, hi)
         if lo >= hi:
             return PatternInterval(1, 0, pat)
         return PatternInterval(lo + 1, hi, pat)
@@ -249,37 +246,20 @@ def prefix_interval(sa, text: bytes, pat: bytes) -> PatternInterval:
     """Suffix-array interval of the suffixes of text starting with pat, by
     binary search comparing byte slices.
 
-    `sa` is the suffix array, or a run of its slots, as a sequence of
-    Python ints; the interval counts from its first slot.  pat is not
+    `sa` is the suffix array as a sequence of Python ints.  pat is not
     checked: it may be empty, giving (1, len(sa)), or hold terminators.
-    SuffixIndex.interval calls it for patterns longer than its keys.
     """
+    sp, ep = _byte_search(sa, text, pat, 0, len(sa))
+    return PatternInterval(sp + 1, ep, pat) if sp < ep else PatternInterval(1, 0, pat)
+
+
+def _byte_search(sa, text, pat, lo, hi):
+    """[sp, ep): the slots of [lo, hi) whose suffixes start with pat.
+
+    Sorted suffixes keep their first m = len(pat) bytes in order, so two
+    bisects over them find the first slot at or above pat and the first
+    above it (Manber and Myers, SIAM J. Comput. 1993)."""
     m = len(pat)
-
-    lo, hi = 0, len(sa)                 # first suffix with prefix >= pat
-    above = hi                          # a suffix with prefix > pat, if any
-    while lo < hi:
-        mid = (lo + hi) // 2
-        a = sa[mid] - 1
-        prefix = text[a:a + m]
-        if prefix < pat:
-            lo = mid + 1
-        else:
-            hi = mid
-            if prefix != pat:
-                above = mid
-    sp = lo
-
-    hi = above                          # first suffix with prefix > pat
-    while lo < hi:
-        mid = (lo + hi) // 2
-        a = sa[mid] - 1
-        if text[a:a + m] <= pat:
-            lo = mid + 1
-        else:
-            hi = mid
-    ep = lo
-
-    if sp >= ep:
-        return PatternInterval.empty()
-    return PatternInterval(sp + 1, ep)
+    prefix = lambda p: text[p - 1:p - 1 + m]
+    sp = bisect_left(sa, pat, lo, hi, key=prefix)
+    return sp, bisect_right(sa, pat, sp, hi, key=prefix)

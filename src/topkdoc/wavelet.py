@@ -15,20 +15,23 @@ Since rank0(i) = i - rank1(i), both sides come from the one rank1_pair
 call that `project` makes per node; greedy_topk, doc_freq and the
 restricted walks all project through it.
 
-greedy_topk reports the k most frequent documents of one interval by
-visiting nodes from a priority queue ordered by interval length, so leaves
-pop in non-increasing frequency order.  restricted_greedy / restricted_dfs
-take an outer interval [l, r] and a covered core [core_sp, core_ep] inside
-it, the interval of a sampled node whose documents are already counted.
-They project both intervals down the tree, at most two rank1_pair calls per
-node, and descend only where the outer projection is longer than the core's,
-that is where positions outside the core remain.  Each reachable leaf is
-reported with its frequency in the whole outer interval, and a node is
-pruned once its outer interval cannot beat the caller's current k-th best
-frequency.
+restricted_greedy / restricted_dfs take an outer interval [l, r] and a
+covered core [core_sp, core_ep] inside it, the interval of a sampled node
+whose documents are already counted.  They project both intervals down the
+tree, at most two rank1_pair calls per node, and descend only where the
+outer projection is longer than the core's, that is where positions
+outside the core remain.  Each reachable leaf is reported with its
+frequency in the whole outer interval, and a node is pruned once its outer
+interval cannot beat the caller's current k-th best frequency.
+
+greedy_topk, the k most frequent documents of one interval, is the same
+walk with an empty core and no threshold: nodes pop from a priority queue
+ordered by interval length, so leaves pop in non-increasing frequency
+order and the first k are the answer.
 """
 
 import heapq
+from itertools import islice
 
 import numpy as np
 
@@ -101,15 +104,11 @@ class WaveletTree:
 
     def internal_nodes(self):
         """Internal nodes in level order; the shape is a function of d alone."""
-        out = []
-        queue = [self.root]
-        while queue:
-            node = queue.pop(0)
-            if node.is_leaf:
-                continue
-            out.append(node)
-            queue.append(node.left)
-            queue.append(node.right)
+        out, level = [], [self.root]
+        while level:
+            level = [node for node in level if not node.is_leaf]
+            out += level
+            level = [child for node in level for child in (node.left, node.right)]
         return out
 
     def access(self, i):
@@ -171,23 +170,10 @@ class WaveletTree:
             raise OutOfRangeError(f"interval [{l}, {r}] outside 1..{self.n}")
         if k < 1:
             raise ValueError("k must be at least 1")
-        out = []
-        # Key (-length, lo): among equal lengths the smaller id range pops
+        # Keys (-length, lo): among equal lengths the smaller id range pops
         # first, which is what makes ties land on lower document ids.
-        heap = [(-(r - l + 1), self.root.lo, self.root, l, r)]
-        pop, push, project = heapq.heappop, heapq.heappush, self.project
-        while heap and len(out) < k:
-            _, _, node, nl, nr = pop(heap)
-            if node.bits is None:
-                out.append((node.lo, nr - nl + 1))
-                continue
-            (i0, j0), (i1, j1) = project(node, nl, nr)
-            if j0 >= i0:
-                push(heap, (-(j0 - i0 + 1), node.left.lo, node.left, i0, j0))
-            if j1 >= i1:
-                push(heap, (-(j1 - i1 + 1), node.right.lo, node.right, i1, j1))
-        out.sort(key=lambda p: (-p[1], p[0]))
-        return out
+        walk = self._restricted(l, r, 1, 0, lambda: 0, heapq.heappush, heapq.heappop)
+        return sorted(islice(walk, k), key=lambda p: (-p[1], p[0]))
 
     def restricted_greedy(self, l, r, core_sp, core_ep, threshold_source):
         """Yield (doc, frequency in [l, r]) for each document occurring in

@@ -8,7 +8,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from topkdoc import STRATEGIES, build_index, errors, load_index, query_topk, save_index
+from topkdoc import (STRATEGIES, build_index, candidates_of, errors, load_index,
+                     pattern_interval, query_topk, save_index)
 from topkdoc.container import deserialize_index, serialize_index
 from topkdoc.errors import ContainerFormatError, VersionMismatchError
 
@@ -330,6 +331,61 @@ def test_candidate_store_bit_flips():
                             query_topk(back, pattern, k, strategy=strat)
     assert rejected["doc"] and rejected["freq"] and rejected["order"], rejected
     assert loaded
+
+
+@pytest.mark.parametrize("variant", ["light", "xlight"])
+def test_candidates_stay_ranked(variant):
+    # candidates_of lists every node's first k candidates by (-freq, doc),
+    # as top_documents counts them, in built and reloaded indexes alike:
+    # the equal regime returns them without sorting.
+    rng = random.Random(239)
+    checked = ties = 0
+    for docs in (revisions_corpus(rng), acgt_corpus(rng)):
+        idx = build_index(docs, g_prime=4, k_max=8, variant=variant)
+        back = deserialize_index(serialize_index(idx))
+        s = idx.suffixes
+        for index in (idx, back):
+            x, w = index.sgst, index.wavelet
+            for rank in range(1, x.node_count + 1):
+                node = x.node_at(rank)
+                for k in range(1, node.cls + 1):
+                    want = s.top_documents(node.sp, node.ep, k)
+                    assert candidates_of(x, node, w, k) == want
+                    checked += 1
+                    ties += len({f for _, f in want}) < len(want)
+    assert checked > 1000 and ties > 100
+
+
+def test_reversed_xlight_candidates_answer_ranked():
+    # xlight stores no frequencies, so a node whose stored list is reversed
+    # still loads.  Its equal-regime answers are still listed by
+    # (-freq, doc) with true counts: candidates_of ranks after recounting.
+    docs = acgt_corpus(random.Random(241))
+    idx = build_index(docs, g_prime=10, k_max=16, variant="xlight")
+    x = idx.sgst
+    by_iv = {(x.sp_arr[r - 1], x.ep_arr[r - 1]): r for r in range(1, x.node_count + 1)}
+    patterns = {}
+    for pattern in occurring_patterns(docs, 3):
+        iv = pattern_interval(idx.suffixes, idx.corpus, pattern)
+        rank = by_iv.get((iv.sp, iv.ep))
+        if rank and x.cand_off[rank] - x.cand_off[rank - 1] >= 4:
+            patterns.setdefault(rank, []).append(pattern)
+    rank = min(patterns)
+    node = x.node_at(rank)
+    lo, hi = x.cand_off[rank - 1], x.cand_off[rank]
+    blob = bytearray(serialize_index(idx))
+    at = sgst_fields(idx, blob)
+    struct.pack_into(f"<{hi - lo}Q", blob, at["docs"] + 8 * lo, *x.cand_docs[lo:hi][::-1])
+    back = deserialize_index(bytes(blob))
+    assert back.sgst.cand_docs[lo:hi] == x.cand_docs[lo:hi][::-1]
+    for pattern in patterns[rank]:
+        freqs = doc_frequency_map(docs, pattern)
+        for k in range(2, hi - lo + 1):
+            r = query_topk(back, pattern, k)
+            assert (r.stats.locus_sp, r.stats.locus_ep) == (node.sp, node.ep)
+            assert len(r.pairs) == k
+            assert r.pairs == sorted(r.pairs, key=lambda p: (-p[1], p[0]))
+            assert all(freqs[doc] == f for doc, f in r.pairs)
 
 
 def bitvector_fields(blob, pos, count):

@@ -68,7 +68,7 @@ def test_pattern_validation(worked_suffixes, worked_corpus):
 
 
 def test_empty_interval_constant():
-    iv = PatternInterval.empty()
+    iv = PatternInterval(1, 0)
     assert iv.is_empty
     assert iv.occurrences == 0
 
@@ -139,9 +139,10 @@ def test_suffix_order_across_packing_widths_vs_oracle():
 def test_keyed_interval_equals_byte_search_at_every_width():
     # SuffixIndex.interval must give exactly prefix_interval over the whole
     # suffix array, on an index built here and on one over a stored suffix
-    # array, at every packing width.  Each sigma of PACKING_SIGMAS counts the
-    # terminator (sigma 1 gets one letter too), so q = 31 // width runs from
-    # 15 down to 3.  Patterns are shorter than q, q long and longer; some
+    # array, at every packing width; both bisect, so prefix_interval is
+    # checked in turn against a scan of every slot.  Each sigma of
+    # PACKING_SIGMAS counts the terminator (sigma 1 gets one letter too), so
+    # q = 31 // width runs from 15 down to 3.  Patterns are shorter than q, q long and longer; some
     # hold a symbol absent from the text; the windows marking searches may
     # be empty or run across terminators.
     rng = random.Random(293)
@@ -173,8 +174,11 @@ def test_keyed_interval_equals_byte_search_at_every_width():
                     if window:
                         i = rng.randrange(len(window))
                         pats.append(window[:i] + bytes([rng.choice(letters)]) + window[i + 1:])
+            sa = built.sa.tolist()
             for pat in pats:
                 want = prefix_interval(memoryview(built.sa), text, pat)
+                hits = [i for i, p in enumerate(sa, 1) if text[p - 1:p - 1 + len(pat)] == pat]
+                assert hits == list(range(want.sp, want.ep + 1))
                 for s in (built, stored):
                     got = s.interval(text, pat)
                     assert (got.sp, got.ep) == (want.sp, want.ep)

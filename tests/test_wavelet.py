@@ -1,5 +1,6 @@
 import heapq
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -57,6 +58,22 @@ def test_internal_node_count_by_d():
         assert len(w.internal_nodes()) == want
     assert WaveletTree([1], 1).height == 0
     assert WaveletTree([1], 8).height == 3
+
+
+def test_internal_nodes_in_level_order_at_large_d():
+    # Every save and load lists the nodes, so the walk must stay linear in d.
+    d = 1 << 18
+    w = WaveletTree.__new__(WaveletTree)
+    w._shape(d, 0)
+    start = time.perf_counter()
+    nodes = w.internal_nodes()
+    assert time.perf_counter() - start < 5
+    assert len(nodes) == d - 1
+    # A power of two splits evenly: level t holds 2**t nodes of 2**(18 - t) ids.
+    assert [(node.lo, node.hi) for node in nodes[:3]] == [(1, d), (1, d // 2), (d // 2 + 1, d)]
+    assert all(node.hi - node.lo + 1 == d >> (i + 1).bit_length() - 1
+               for i, node in enumerate(nodes))
+    assert all(a.hi < b.lo for a, b in zip(nodes, nodes[1:]) if a.hi - a.lo == b.hi - b.lo)
 
 
 def test_access_worked(worked_wavelet):
