@@ -1,4 +1,4 @@
-"""Command line interface: build an index, query it, benchmark it."""
+"""Command line interface: build an index, query it, inspect it, benchmark it."""
 
 import argparse
 import os
@@ -54,6 +54,10 @@ def _build_parser():
                    help="ignore precomputed candidates")
     q.set_defaults(func=cmd_query)
 
+    i = sub.add_parser("inspect", help="header fields and bytes per container section")
+    i.add_argument("index")
+    i.set_defaults(func=cmd_inspect)
+
     n = sub.add_parser("bench", help="query throughput and work counters")
     n.add_argument("index")
     n.add_argument("--num-queries", type=int, default=1000)
@@ -106,6 +110,25 @@ def cmd_query(args):
                                use_sgst=not args.no_sgst)
     for doc, freq in result.pairs:
         print(f"{doc}\t{freq}")
+    return 0
+
+
+def cmd_inspect(args):
+    """Print the header's fields, then the bytes and bits per symbol of the
+    fixed header and of each section, its 16-byte frame included; the rows
+    before the total sum to the file size.  The file is loaded first, so a
+    container that does not load is reported as an error."""
+    with open(args.index, "rb") as fh:
+        data = fh.read()
+    container.deserialize_index(data)
+    header, frames = container.read_frames(data)
+    print(" ".join(f"{name}={value}" for name, value in header._asdict().items()))
+    rows = [("header", container.HEADER_BYTES)]
+    rows += [(container.SECTION_NAMES.get(sec_id, f"section_{sec_id}"), end - start + 16)
+             for sec_id, start, end in frames]
+    rows.append(("total", len(data)))
+    for name, size in rows:
+        print(f"{name} bytes={size} bits_per_symbol={size * 8 / header.n:.3f}")
     return 0
 
 

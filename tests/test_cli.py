@@ -92,6 +92,36 @@ def test_query_missing_index(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_inspect_sections_sum_to_file_size(worked_dir, tmp_path, capsys):
+    for extra in ([], ["--include-sa", "--variant", "xlight"]):
+        idx = tmp_path / "inspect.idx"
+        assert main(["build", str(worked_dir), str(idx), "--gprime", "1", "--kmax", "4"]
+                    + extra) == 0
+        capsys.readouterr()
+        assert main(["inspect", str(idx)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        variant = "xlight" if extra else "light"
+        assert lines[0] == f"n=14 d=3 sigma=2 g_prime=1 k_max=4 variant={variant}"
+        rows = {}
+        for line in lines[1:]:
+            name, size, bits = line.split()
+            rows[name] = int(size.removeprefix("bytes="))
+            assert float(bits.removeprefix("bits_per_symbol=")) == \
+                pytest.approx(rows[name] * 8 / 14, abs=1e-3)
+        sections = ["corpus", "wavelet", "sgst"] + (["suffix_array"] if extra else [])
+        assert list(rows) == ["header"] + sections + ["total"]
+        assert rows["header"] == 62
+        assert rows["total"] == idx.stat().st_size == sum(rows.values()) - rows["total"]
+
+
+def test_inspect_rejects_a_damaged_index(worked_file, capsys):
+    data = bytearray(worked_file.read_bytes())
+    data[-1] ^= 1
+    worked_file.write_bytes(bytes(data))
+    assert main(["inspect", str(worked_file)]) == 1
+    assert "CRC" in capsys.readouterr().err
+
+
 def test_bench_runs_and_is_deterministic(tmp_path, capsys):
     src = tmp_path / "docs"
     src.mkdir()

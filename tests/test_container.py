@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import struct
+import time
 import tracemalloc
 from collections import Counter
 
@@ -10,17 +11,20 @@ import pytest
 
 from topkdoc import (STRATEGIES, build_index, candidates_of, errors, load_index,
                      pattern_interval, query_topk, save_index)
-from topkdoc.container import deserialize_index, serialize_index
+from topkdoc.container import (HEADER_BYTES, _pack, _seal, _unpack, deserialize_index,
+                               read_frames, serialize_index)
 from topkdoc.errors import ContainerFormatError, VersionMismatchError
 
 from conftest import (acgt_corpus, doc_frequency_map, naive_topk, occurring_patterns,
                       random_docs, revisions_corpus)
 
 HEADER_LEN = 6 + 7 * 8
+assert HEADER_LEN == HEADER_BYTES
 
 
 def section_spans(blob):
-    """(section id, start, end) triples of the payloads in blob."""
+    """(section id, start, end) triples of the sections in blob, each from
+    its 16-byte frame to the end of its payload."""
     spans = []
     offset = HEADER_LEN
     while offset < len(blob):
@@ -31,20 +35,72 @@ def section_spans(blob):
     return spans
 
 
-def sgst_fields(index, blob):
-    """Byte offset in blob of each array of the sampled-tree section."""
-    (start,) = [start for sec_id, start, _ in section_spans(blob) if sec_id == 3]
-    x = index.sgst
-    nodes, total = x.node_count, len(x.cand_docs)
-    pos = start + 16 + 8
-    at = {}
-    for name, count in (("sp", nodes), ("ep", nodes), ("cls", nodes),
-                        ("off", nodes + 1), ("docs", total), ("freqs", total)):
-        at[name] = pos
-        pos += 8 * count
-    assert list(np.frombuffer(blob, "<u8", nodes, at["sp"])) == x.sp_arr
-    assert list(np.frombuffer(blob, "<u8", total, at["docs"])) == x.cand_docs
-    return at
+# The fields of each section in stored order: u64 scalars, packed fields
+# and, closing the wavelet section, its bit vectors.  xlight stores no freqs.
+LAYOUT = {1: ("table", "codes", "ends"),
+          2: ("d", "internal", "bitmaps"),
+          3: ("nodes", "cands", "sp", "ep", "cls", "off", "docs", "freqs"),
+          4: ("sa",)}
+SCALARS = {"d", "internal", "nodes", "cands"}
+
+
+def unseal(blob):
+    """(header, fields) of a container: the 7 header integers, and each
+    field by name, a scalar as an int, a packed field as [values, width],
+    the wavelet's bit vectors as a list of [length in bits, word bytes]."""
+    header = list(struct.unpack_from("<7Q", blob, 6))
+    fields = {}
+    for sec_id, start, end in read_frames(blob)[1]:
+        payload, pos = blob[start:end - 4], 0
+        for name in LAYOUT[sec_id]:
+            if pos == len(payload):
+                break
+            if name in SCALARS:
+                (fields[name],) = struct.unpack_from("<Q", payload, pos)
+                pos += 8
+            elif name == "bitmaps":
+                fields[name] = []
+                while pos < len(payload):
+                    (nbits,) = struct.unpack_from("<Q", payload, pos)
+                    words = payload[pos + 8:pos + 8 + 8 * ((nbits + 63) // 64)]
+                    fields[name].append([nbits, words])
+                    pos += 8 + len(words)
+            else:
+                count, width = struct.unpack_from("<QB", payload, pos)
+                nbytes = (count * width + 7) // 8
+                values = _unpack(payload[pos + 9:pos + 9 + nbytes], count, width)
+                fields[name] = [values.tolist(), width]
+                pos += 9 + nbytes
+    return header, fields
+
+
+def reseal(header, fields):
+    """The container unseal took apart, as edited, every CRC recomputed."""
+    sections = []
+    for sec_id, names in LAYOUT.items():
+        parts = []
+        for name in names:
+            if name not in fields:
+                continue
+            value = fields[name]
+            if name in SCALARS:
+                parts.append(struct.pack("<Q", value))
+            elif name == "bitmaps":
+                parts += [struct.pack("<Q", nbits) + words for nbits, words in value]
+            else:
+                values, width = value
+                assert all(0 <= v < 1 << width for v in values), (name, width)
+                parts.append(struct.pack("<QB", len(values), width) + _pack(values, width))
+        if parts:
+            sections.append((sec_id, b"".join(parts)))
+    return _seal(struct.pack("<4sH7Q", b"TKDI", 3, *header), sections)
+
+
+def edited(blob, edit):
+    """blob with edit(header, fields) applied to its decoded fields, resealed."""
+    header, fields = unseal(blob)
+    edit(header, fields)
+    return reseal(header, fields)
 
 
 def answers(index, docs):
@@ -86,20 +142,20 @@ def test_roundtrip_preserves_everything(variant):
 
 # sha256 of serialize_index for fixed seeded corpora, every level of each
 # holding marked nodes.  A change to the container bytes needs a format
-# version bump, not new digests.
+# version bump, not new digests; these are format version 3's.
 FROZEN_CONTAINERS = {
     "acgt-light": (
         acgt_corpus, 211, dict(g_prime=10, k_max=16, variant="light"),
-        "5400e5fc52297fe0bf91a1966b9b5197b1c97edb47f3ba6ad9dd995eaea4d435"),
+        "aff2ac782689990539294d857e1333a4802ce420c0dd641a4b74dcea0f65e05f"),
     # Revisions repeat long stretches: lcp values reach several hundred.
     "revisions-xlight": (
         revisions_corpus, 223, dict(g_prime=8, k_max=16, variant="xlight"),
-        "1686e965426d6572261095cc4007305991b15378179621750b437f4b7ad64f71"),
+        "227d21c66ed93ecf783974e06813084bcaab445dee776d60a86b60ebce6a6048"),
     # g' = 1 samples every slot.
     "dense-light": (
         lambda rng: random_docs(rng, max_docs=6, max_total=150, sigma=2), 227,
         dict(g_prime=1, k_max=8, variant="light"),
-        "4b6d51f0cb6904324cccb91edd0df7fa5214ca269e12ec66ee38963bf0c3026f"),
+        "006e97a702539cad23db2ec0dea11fa4ddc6a844b42085125f521e1a3eec575e"),
 }
 
 
@@ -174,6 +230,105 @@ def test_empty_sampling_roundtrip():
     assert query_topk(back, "b", 2).pairs == [(1, 2), (2, 2)]
 
 
+@pytest.mark.parametrize("width", [0, 1, 2, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 57, 63])
+def test_pack_round_trips_at_every_width(width):
+    rng = np.random.default_rng(width)
+    for count in (0, 1, 7, 8, 9, 64, 1001):
+        values = rng.integers(0, 1 << width, count, dtype=np.int64, endpoint=False) \
+            if width else np.zeros(count, dtype=np.int64)
+        values[:1] = (1 << width) - 1                   # the widest value
+        buf = _pack(values, width)
+        assert len(buf) == (count * width + 7) // 8
+        back = _unpack(buf, count, width)
+        assert back.dtype == np.int64 and back.tolist() == values.tolist()
+
+
+def _n_docs(n):
+    """Three documents whose text, terminators included, is n symbols long."""
+    return ["ab" * 10, "ba" * 10, ("abb" * n)[:n - 43]]
+
+
+# Corpora at the format's edge widths: (documents, build parameters, the
+# field widths they must store).
+EDGE_SHAPES = {
+    "sigma 1": (["aaa", "a", "aa"], dict(g_prime=1, k_max=2), {"codes": 0}),
+    "sigma 255": ([bytes(range(1, 256)), bytes(range(255, 0, -1)), b"\x01\xff"],
+                  dict(g_prime=3, k_max=4), {"codes": 8}),
+    "one document": (["abracadabra"], dict(g_prime=1, k_max=4), {"docs": 1}),
+    "n 2**6 - 1": (_n_docs(63), dict(g_prime=2, k_max=4), {"ends": 6, "sp": 6}),
+    "n 2**6": (_n_docs(64), dict(g_prime=2, k_max=4), {"ends": 7, "sp": 7}),
+    "n 2**6 + 1": (_n_docs(65), dict(g_prime=2, k_max=4), {"ends": 7, "sp": 7}),
+    "k_max 1": (["abab", "abba", "bab"], dict(g_prime=1, k_max=1), {"cls": 0}),
+    "no marked node": (["abab", "abba", "bab"], dict(g_prime=400, k_max=16), {"sp": 4}),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(EDGE_SHAPES))
+@pytest.mark.parametrize("variant", ["light", "xlight"])
+@pytest.mark.parametrize("include_sa", [False, True])
+def test_edge_shapes_round_trip(shape, variant, include_sa):
+    docs, params, widths = EDGE_SHAPES[shape]
+    idx = build_index(docs, variant=variant, **params)
+    blob = serialize_index(idx, include_sa)
+    header, fields = unseal(blob)
+    assert {name: fields[name][1] for name in widths} == widths
+    assert reseal(header, fields) == blob
+    if shape == "no marked node":
+        assert fields["sp"][0] == [] and idx.sgst.is_empty
+    back = deserialize_index(blob)
+    assert serialize_index(back, include_sa) == blob
+    assert back.store_suffix_array == include_sa
+    assert (back.corpus.text, back.corpus.ends) == (idx.corpus.text, idx.corpus.ends)
+    assert (back.corpus.n, back.corpus.d, back.corpus.sigma) == \
+        (idx.corpus.n, idx.corpus.d, idx.corpus.sigma)
+    assert list(back.suffixes.sa) == list(idx.suffixes.sa)
+    assert answers(back, docs) == answers(idx, docs)
+
+
+@pytest.mark.parametrize("variant", ["light", "xlight"])
+def test_whole_container_fuzz(variant):
+    # Every single-bit flip of a small container, header included, and
+    # every cut of it short is rejected with a topkdoc error or loads and
+    # answers every query exactly as the intact container does.  Only a
+    # flip that makes the optional suffix-array section's id unknown, or a
+    # cut just before that section, loads: the suffix array is rebuilt.
+    rng = random.Random(263)
+    docs = ["".join(rng.choice("abc") for _ in range(rng.randint(4, 10))) for _ in range(4)]
+    idx = build_index(docs, g_prime=2, k_max=4, variant=variant)
+    blob = serialize_index(idx, include_suffix_array=True)
+    queries = [(p, k, s) for p in occurring_patterns(docs, 2) for k in (1, 3) for s in STRATEGIES]
+    want = [query_topk(idx, *q).pairs for q in queries]
+    for (pattern, k, _), pairs in zip(queries, want):
+        assert sorted(f for _, f in pairs) == sorted(f for _, f in naive_topk(docs, pattern, k))
+    (sa_start,) = [start for sec_id, start, _ in section_spans(blob) if sec_id == 4]
+
+    def outcome(bad):
+        try:
+            back = deserialize_index(bad)
+        except errors.Error:
+            return "rejected"
+        assert [query_topk(back, *q).pairs for q in queries] == want
+        return "loaded"
+
+    began = time.perf_counter()
+    flips = Counter()
+    for pos in range(len(blob)):
+        for bit in range(8):
+            bad = bytearray(blob)
+            bad[pos] ^= 1 << bit
+            result = outcome(bytes(bad))
+            flips[result] += 1
+            if result == "loaded":
+                assert sa_start <= pos < sa_start + 8, (pos, bit)
+    cuts = Counter(outcome(blob[:length]) for length in range(len(blob)))
+    elapsed = time.perf_counter() - began
+    assert flips["rejected"] + flips["loaded"] == 8 * len(blob)
+    assert flips["loaded"] and cuts["loaded"] == 1 and outcome(blob) == "loaded"
+    assert elapsed < 5, elapsed
+    print(f"{variant}: {len(blob)} bytes; bit flips {dict(flips)}; cuts {dict(cuts)}; "
+          f"{elapsed:.2f} s")
+
+
 def test_unknown_sections_are_skipped():
     idx = build_index(["abab", "abba", "bab"], g_prime=1, k_max=4)
     blob = serialize_index(idx)
@@ -195,8 +350,8 @@ def test_bad_magic_rejected():
 def test_version_mismatch_rejected():
     idx = build_index(["ab"], g_prime=1, k_max=1)
     blob = serialize_index(idx)
-    assert struct.unpack_from("<H", blob, 4) == (2,)
-    for version in (1, 3):
+    assert struct.unpack_from("<H", blob, 4) == (3,)
+    for version in (1, 2, 4):
         with pytest.raises(VersionMismatchError):
             deserialize_index(blob[:4] + struct.pack("<H", version) + blob[6:])
 
@@ -217,76 +372,143 @@ def test_truncations_rejected():
 
 
 def test_header_payload_disagreement_rejected():
-    idx = build_index(["abab", "abba", "bab"], g_prime=1, k_max=4)
-    for field, value in ((0, 99),                       # claim n=99
-                         (6, 0),                        # rank step 0
-                         (6, 128)):                     # any step but 64
-        blob = bytearray(serialize_index(idx))
-        struct.pack_into("<Q", blob, 6 + 8 * field, value)
-        with pytest.raises(ContainerFormatError):
-            deserialize_index(bytes(blob))
+    # Every section is resealed, so each case reaches the check it names,
+    # not the CRC.
+    blob = serialize_index(build_index(["abab", "abba", "bab"], g_prime=1, k_max=4))
+    for field, value, reason in ((0, 99, "count or width"),      # claim n=99
+                                 (1, 4, "count or width"),       # claim d=4
+                                 (2, 3, "count or width"),       # claim sigma=3
+                                 (3, 0, "g_prime"),              # g' = 0
+                                 (4, 3, "k_max"),                # k_max no power of two
+                                 (6, 0, "rank step"),            # rank step 0
+                                 (6, 128, "rank step")):         # any step but 64
+        def edit(header, fields):
+            header[field] = value
+        with pytest.raises(ContainerFormatError, match=reason):
+            deserialize_index(edited(blob, edit))
 
 
 def test_corrupted_text_rejected():
     idx = build_index(["abab", "abba", "bab"], g_prime=1, k_max=4)
     blob = serialize_index(idx)
-    text = idx.corpus.text                      # abab.abba.bab.
-    start = HEADER_LEN + 16 + 8                 # first byte of the text
+    header, fields = unseal(blob)
+    assert fields["ends"] == [[5, 10, 14], 4]               # abab.abba.bab.
+    assert bytes(fields["table"][0]) == b"ab"
 
-    def with_corpus(text):
-        return blob[:start] + text + blob[start + len(text):]
+    def with_ends(ends):
+        return reseal(header, dict(fields, ends=[ends, 4]))
 
-    assert with_corpus(text) == blob
-    empty_doc = text[:3] + b"\x00" + text[4:]   # aba..abba.bab.
-    unterminated = text[:-1] + b"b"             # abab.abba.babb
     cases = [
-        (with_corpus(empty_doc), "empty document"),
-        (with_corpus(unterminated), "terminator"),
+        (with_ends([5, 6, 14]), "empty document"),          # abab..bba.bab. in effect
+        (with_ends([1, 10, 14]), "empty document"),         # the first document empty
+        (with_ends([5, 10, 13]), "terminator"),             # abab.abba.babb
     ]
     for bad, reason in cases:
         with pytest.raises(ContainerFormatError, match=reason):
             deserialize_index(bad)
 
 
+def _set_codes(old, new):
+    def edit(header, fields):
+        codes = fields["codes"][0]
+        fields["codes"][0] = [new if c == old else c for c in codes]
+    return edit
+
+
+def _set_field(name, values=None, width=None, append=None):
+    def edit(header, fields):
+        field = fields[name]
+        if values is not None:
+            field[0] = values
+        if append is not None:
+            field[0] = field[0] + [append]
+        if width is not None:
+            field[1] = width
+    return edit
+
+
+# Each case writes one packed corpus field as no build would, then reseals.
+PACKED_CORPUS_CASES = {
+    # sigma = 3 codes take 2 bits, so a code of 3 fits and is outside the table.
+    "code outside table": (_set_codes(2, 3), "outside the symbol table"),
+    "unused symbol": (_set_codes(2, 1), "lacks"),
+    "table descends": (_set_field("table", values=list(b"acb")), "strictly ascending"),
+    "table repeats": (_set_field("table", values=list(b"aac")), "strictly ascending"),
+    "table holds 0x00": (_set_field("table", values=[0, 98, 99]), "above 0x00"),
+    "ends step 1": (_set_field("ends", values=[4, 5, 12]), "empty document"),
+    "ends short of n": (_set_field("ends", values=[4, 8, 11]), "terminator"),
+    "ends too wide": (_set_field("ends", width=5), "count or width"),
+    "codes too narrow": (_set_field("codes", width=1, values=[0] * 9), "count or width"),
+    "codes too many": (_set_field("codes", append=0), "count or width"),
+    "table too long": (_set_field("table", append=100), "count or width"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PACKED_CORPUS_CASES))
+def test_packed_corpus_fields_validated_at_load(case):
+    blob = serialize_index(build_index(["abc", "cab", "bca"], g_prime=1, k_max=2))
+    header, fields = unseal(blob)
+    assert fields["table"] == [list(b"abc"), 8] and fields["ends"] == [[4, 8, 12], 4]
+    assert fields["codes"][1] == 2
+    edit, reason = PACKED_CORPUS_CASES[case]
+    with pytest.raises(ContainerFormatError, match=reason):
+        deserialize_index(edited(blob, edit))
+
+
+def set_value(field, i, value):
+    """An edit for `edited` that sets value i of a packed field."""
+    def edit(header, fields):
+        fields[field][0][i] = value
+    return edit
+
+
 @pytest.mark.parametrize("variant", ["light", "xlight"])
 def test_sgst_arrays_validated_at_load(variant):
+    # Each field is rewritten and the container resealed, so every case
+    # reaches the check it names, not the CRC.
     idx = build_index(["abab", "abba", "bab"], g_prime=1, k_max=4, variant=variant)
     blob = serialize_index(idx)
-    at = sgst_fields(idx, blob)
-    x, n, d = idx.sgst, idx.corpus.n, idx.corpus.d
+    x, n = idx.sgst, idx.corpus.n
+    assert unseal(blob)[1]["sp"] == [x.sp_arr, 4]
     # A node holding at least two candidates, and the slot of its first one.
     r = next(r for r in range(x.node_count) if x.cand_off[r + 1] - x.cand_off[r] >= 2)
     c = x.cand_off[r]
+    last = x.node_count
+    assert x.cand_off[last] > x.cand_off[last - 1]
     corruptions = [
-        ("sp", 0, 0),                          # interval starts before 1
-        ("ep", 0, n + 1),                      # interval ends after n
-        ("sp", r, x.ep_arr[r] + 1),            # sp > ep
-        ("cls", 0, 3),                         # not a power of two
-        ("cls", 0, 2 * x.k_max),               # above k_max
-        ("cls", r, 1),                         # more candidates than its class
-        ("off", 0, 1),                         # offsets do not start at 0
-        ("off", r + 1, x.cand_off[r + 2] + 1),  # offsets decrease
-        ("docs", c, 0),                        # doc below 1
-        ("docs", c, d + 1),                    # doc above d
-        ("docs", c + 1, x.cand_docs[c]),       # doc listed twice in one node
+        ("sp", 0, 0, "outside 1..n"),                           # starts before 1
+        ("ep", 0, n + 1, "outside 1..n"),                       # ends after n
+        ("sp", r, x.ep_arr[r] + 1, "outside 1..n"),             # sp > ep
+        ("cls", 0, 3, "outside 1..k_max"),                      # class 8 > k_max
+        ("cls", r, 0, "more candidates than its class"),        # class 1
+        ("off", 0, 1, "offsets"),                               # do not start at 0
+        ("off", r + 1, x.cand_off[r + 2] + 1, "offsets"),        # decrease
+        ("off", last, x.cand_off[last] - 1, "offsets"),         # end short of c
+        ("docs", c, 0, "outside 1..d"),                         # doc below 1
+        ("docs", c + 1, x.cand_docs[c], "twice"),               # listed twice in one node
     ]
-    for field, i, value in corruptions:
-        bad = bytearray(blob)
-        struct.pack_into("<Q", bad, at[field] + 8 * i, value)
-        with pytest.raises(ContainerFormatError):
-            deserialize_index(bytes(bad))
+    for field, i, value, reason in corruptions:
+        with pytest.raises(ContainerFormatError, match=reason):
+            deserialize_index(edited(blob, set_value(field, i, value)))
+    # d = 3 documents take 2 bits, so no doc above d fits; d = 4 take 3.
+    four = serialize_index(build_index(["abab", "abba", "bab", "ab"], g_prime=1, k_max=4,
+                                       variant=variant))
+    with pytest.raises(ContainerFormatError, match="outside 1..d"):
+        deserialize_index(edited(four, set_value("docs", 0, 5)))
 
 
 def test_candidate_store_bit_flips():
-    # A single-bit flip of the light candidate store is rejected at load
-    # exactly when it leaves a list that is no plausible answer: a doc
-    # outside 1..d or repeated, a frequency outside 1..interval length, or
-    # an order other than (-freq, doc).
+    # A single-bit flip of a light candidate's stored doc or frequency,
+    # resealed so that the CRC passes, is rejected at load exactly when it
+    # leaves a list that is no plausible answer: a doc outside 1..d or
+    # repeated, a frequency outside 1..interval length, or an order other
+    # than (-freq, doc).
     docs = random_docs(random.Random(229), max_docs=6, max_total=150, sigma=2)
     idx = build_index(docs, g_prime=1, k_max=4, variant="light")
     blob = serialize_index(idx)
-    at = sgst_fields(idx, blob)
+    header, fields = unseal(blob)
     x, d = idx.sgst, idx.corpus.d
+    assert fields["docs"][0] == x.cand_docs and fields["freqs"][0] == x.cand_freqs
     owner = [r for r in range(x.node_count)
              for _ in range(x.cand_off[r], x.cand_off[r + 1])]
     patterns = occurring_patterns(docs, 3)
@@ -294,7 +516,7 @@ def test_candidate_store_bit_flips():
     loaded = 0
     for field in ("docs", "freqs"):
         for i, r in enumerate(owner):
-            for bit in range(64):
+            for bit in range(fields[field][1]):
                 cand_docs, cand_freqs = list(x.cand_docs), list(x.cand_freqs)
                 column = cand_docs if field == "docs" else cand_freqs
                 column[i] ^= 1 << bit
@@ -312,10 +534,10 @@ def test_candidate_store_bit_flips():
                     kind = "repeat"
                 else:
                     kind = None
-                bad = bytearray(blob)
-                struct.pack_into("<Q", bad, at[field] + 8 * i, column[i])
+                bad = dict(fields, docs=[cand_docs, fields["docs"][1]],
+                           freqs=[cand_freqs, fields["freqs"][1]])
                 try:
-                    back = deserialize_index(bytes(bad))
+                    back = deserialize_index(reseal(header, bad))
                 except ContainerFormatError:
                     assert kind is not None, (field, i, bit)
                     rejected[kind] += 1
@@ -373,10 +595,11 @@ def test_reversed_xlight_candidates_answer_ranked():
     rank = min(patterns)
     node = x.node_at(rank)
     lo, hi = x.cand_off[rank - 1], x.cand_off[rank]
-    blob = bytearray(serialize_index(idx))
-    at = sgst_fields(idx, blob)
-    struct.pack_into(f"<{hi - lo}Q", blob, at["docs"] + 8 * lo, *x.cand_docs[lo:hi][::-1])
-    back = deserialize_index(bytes(blob))
+
+    def reverse(header, fields):
+        fields["docs"][0][lo:hi] = x.cand_docs[lo:hi][::-1]
+
+    back = deserialize_index(edited(serialize_index(idx), reverse))
     assert back.sgst.cand_docs[lo:hi] == x.cand_docs[lo:hi][::-1]
     for pattern in patterns[rank]:
         freqs = doc_frequency_map(docs, pattern)
@@ -388,25 +611,6 @@ def test_reversed_xlight_candidates_answer_ranked():
             assert all(freqs[doc] == f for doc, f in r.pairs)
 
 
-def bitvector_fields(blob, pos, count):
-    """Offsets of the length field of count consecutive stored bit vectors
-    starting at pos, and the offset just past them."""
-    out = []
-    for _ in range(count):
-        (nbits,) = struct.unpack_from("<Q", blob, pos)
-        out.append(pos)
-        pos += 8 + 8 * ((nbits + 63) // 64)
-    return out, pos
-
-
-def set_bit(blob, field, pos, value):
-    """Set 1-based bit pos of the bit vector whose length field is at field."""
-    word_at = field + 8 + 8 * ((pos - 1) // 64)
-    (word,) = struct.unpack_from("<Q", blob, word_at)
-    mask = 1 << ((pos - 1) % 64)
-    struct.pack_into("<Q", blob, word_at, word | mask if value else word & ~mask)
-
-
 def test_wavelet_bit_lengths_validated_at_load():
     # Each internal node must hold as many bits as its parent routes to it,
     # the root n; one bit more or less anywhere is rejected.
@@ -414,19 +618,18 @@ def test_wavelet_bit_lengths_validated_at_load():
     docs = ["".join(rng.choice("ab") for _ in range(rng.randint(10, 30))) for _ in range(9)]
     idx = build_index(docs, g_prime=2, k_max=4)
     blob = serialize_index(idx)
-    (start,) = [start for sec_id, start, _ in section_spans(blob) if sec_id == 2]
+    header, fields = unseal(blob)
     d = idx.corpus.d
-    fields, _ = bitvector_fields(blob, start + 16 + 16, d - 1)
+    assert len(fields["bitmaps"]) == d - 1
     tried = 0
-    for field in fields:
-        (nbits,) = struct.unpack_from("<Q", blob, field)
+    for node, (nbits, words) in enumerate(fields["bitmaps"]):
         for delta in (-1, 1):
             if (nbits + delta + 63) // 64 != (nbits + 63) // 64:
                 continue                       # would change the word count
-            bad = bytearray(blob)
-            struct.pack_into("<Q", bad, field, nbits + delta)
+            bitmaps = list(fields["bitmaps"])
+            bitmaps[node] = [nbits + delta, words]
             with pytest.raises(ContainerFormatError, match="wavelet"):
-                deserialize_index(bytes(bad))
+                deserialize_index(reseal(header, dict(fields, bitmaps=bitmaps)))
             tried += 1
     assert tried >= d
 
@@ -437,18 +640,17 @@ def test_sampled_trees_validated_at_load():
     idx = build_index(["abab", "abba", "bab"], g_prime=1, k_max=8, variant="light")
     blob = serialize_index(idx)
     x = idx.sgst
-    at = sgst_fields(idx, blob)
     sp, ep = list(x.sp_arr), list(x.ep_arr)
     # Node j starts strictly inside an earlier node i that ends before n.
     i, j = next((i, j) for j in range(x.node_count) for i in range(j)
                 if sp[i] < sp[j] <= ep[j] <= ep[i] < idx.corpus.n)
 
     def with_nodes(changes):
-        bad = bytearray(blob)
-        for r, (new_sp, new_ep) in changes.items():
-            struct.pack_into("<Q", bad, at["sp"] + 8 * r, new_sp)
-            struct.pack_into("<Q", bad, at["ep"] + 8 * r, new_ep)
-        return bytes(bad)
+        def edit(header, fields):
+            for r, (new_sp, new_ep) in changes.items():
+                fields["sp"][0][r] = new_sp
+                fields["ep"][0][r] = new_ep
+        return edited(blob, edit)
 
     corruptions = [
         (with_nodes({1: (sp[2], ep[2]), 2: (sp[1], ep[1])}), "preorder"),   # swapped
@@ -461,20 +663,15 @@ def test_sampled_trees_validated_at_load():
 
 
 def test_sampled_tree_section_bit_flips():
-    # Every single-bit flip of the sampled-tree section is rejected at load,
-    # or loads and answers every query without raising outside
-    # topkdoc.errors.  A flipped class is never a power of two in
-    # 1..k_max, so every class flip is rejected.  Wrong answers are
-    # counted, not gated: some flips leave a plausible node or candidate
-    # list that only a checksum could tell apart.
+    # Every single-bit flip of the sampled-tree section is rejected at
+    # load, so none answers wrongly.  Without the CRC some flips left a
+    # plausible node or candidate list that loaded and answered wrongly.
     rng = random.Random(257)
     docs = ["".join(rng.choice("abc") for _ in range(rng.randint(5, 15))) for _ in range(4)]
     idx = build_index(docs, g_prime=1, k_max=8, variant="light")
     assert idx.corpus.n <= 60
     blob = serialize_index(idx)
     (start, end), = [(start, end) for sec_id, start, end in section_spans(blob) if sec_id == 3]
-    at = sgst_fields(idx, blob)
-    cls_bytes = range(at["cls"], at["off"])
     patterns = ["".join(p) for length in (1, 2) for p in itertools.product("abc", repeat=length)]
     truth = {(p, k): naive_topk(docs, p, k) for p in patterns for k in (1, 3, 8)}
     reasons = Counter()
@@ -488,7 +685,6 @@ def test_sampled_tree_section_bit_flips():
             except ContainerFormatError as exc:
                 reasons[str(exc)] += 1
                 continue
-            assert pos not in cls_bytes, (pos, bit)
             loaded += 1
             for (pattern, k), want in truth.items():
                 for strat in STRATEGIES:
@@ -499,9 +695,8 @@ def test_sampled_tree_section_bit_flips():
                     freqs = doc_frequency_map(docs, pattern)
                     wrong += (sorted(f for _, f in got) != sorted(f for _, f in want)
                               or any(freqs.get(doc) != f for doc, f in got))
-    assert reasons["marked nodes are not in preorder by (sp, -ep)"]
-    assert reasons["two marked intervals cross"]
-    assert loaded
+    assert wrong == 0
+    assert loaded == 0 and reasons["section 3 fails its CRC"] > 8 * (end - start - 16)
     print(f"section 3 bit flips: {sum(reasons.values())} rejected, {loaded} loaded, "
           f"{wrong} wrong answers")
 
@@ -510,24 +705,24 @@ def test_stored_suffix_array_validated_at_load():
     # Entries must be a permutation of 1..n, and the keys derived from them
     # (each suffix's first q symbols) may not descend.  A swap of two
     # entries whose suffixes differ within their first q symbols is
-    # rejected; one of two entries with equal keys would still load: only a
-    # checksum could tell.
+    # rejected; a swap of two entries with equal keys would still load,
+    # but the CRC rejects it unless the section is resealed.
     idx = build_index(["abab", "abba", "bab"], g_prime=1, k_max=4)
     blob = serialize_index(idx, include_suffix_array=True)
-    (start,) = [start for sec_id, start, _ in section_spans(blob) if sec_id == 4]
     n = idx.corpus.n
     sa = list(idx.suffixes.sa)
-    for i, value in ((0, n + 50), (3, 0), (5, sa[6]), (13, 2 ** 64 - 1)):
-        bad = bytearray(blob)
-        struct.pack_into("<Q", bad, start + 16 + 8 * i, value)
+    assert unseal(blob)[1]["sa"] == [sa, 4]
+    for i, value in ((0, n + 1), (3, 0), (5, sa[6]), (13, 15)):
         with pytest.raises(ContainerFormatError, match="permutation"):
-            deserialize_index(bytes(bad))
+            deserialize_index(edited(blob, set_value("sa", i, value)))
     # Slot 1 holds a terminator's suffix and the last slot one starting "b".
-    bad = bytearray(blob)
-    struct.pack_into("<Q", bad, start + 16, sa[-1])
-    struct.pack_into("<Q", bad, start + 16 + 8 * (n - 1), sa[0])
+
+    def swap(header, fields):
+        values = fields["sa"][0]
+        values[0], values[-1] = values[-1], values[0]
+
     with pytest.raises(ContainerFormatError, match="not sorted"):
-        deserialize_index(bytes(bad))
+        deserialize_index(edited(blob, swap))
 
 
 def test_resident_suffix_arrays_take_twelve_bytes_per_symbol():

@@ -2,8 +2,8 @@
 
 A change that should leave the container format alone must leave these
 digests alone too; a byte change needs a format version bump and new
-digests.  perfbench/workloads.py generates the corpora and is only read,
-never changed.
+digests.  These are format version 3's.  perfbench/workloads.py generates
+the corpora and is only read, never changed.
 """
 
 import hashlib
@@ -19,12 +19,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
 DIGESTS = {
-    ("dna-uniform", 201): "bc1a05b2294e3fffe490c15d395e851760ac47304c26af7321efa559ec8d3ebe",
-    ("dna-uniform", 202): "43afac5b2d514384fe3759768e4a22074b2b6df8d8f83a823ac82b5df976fff6",
-    ("dna-uniform", 203): "e534f6b30306f7103b063e6fed5e2a0b7e20b97355baef4f102f3686caaf5d4f",
-    ("versioned-xlight", 201): "bfb6e7f3f7227e58702552b96d836f76b5734110383e4786a2f785c6e78f1f86",
-    ("versioned-xlight", 202): "d32f1d902c6cffdfddd4a6bfae0d916e4b69be9b278ce6eef7277519538502a0",
-    ("versioned-xlight", 203): "04cb4c710fc477e5957e61a9ec358cc038c036c55ee21126736fc1fa4a7f8dfc",
+    ("dna-uniform", 201): "8c394de05f29f031d9087abdec405ae4ac1e177ba180f3fbbefa8b05b41733f1",
+    ("dna-uniform", 202): "f41f482bf0b75ba6e0a6b7815ccffcb3a8f82d33b59e2080fa373979874f8603",
+    ("dna-uniform", 203): "b1b30405ee5796e6e758f53fd3a570170c00cf7f393a2a7019bb625669460279",
+    ("versioned-xlight", 201): "a232664621df2a0e04d18953173414deb1173d9bf6a548385c9a6fa39dff7b06",
+    ("versioned-xlight", 202): "c033960be460158ea33b5523a6b2bb92a8ae9f502e553cb7f683413c98799167",
+    ("versioned-xlight", 203): "6f98771a6ee9a5428d6b6e9f0b122cee4bc8bde8d701ac1f8f191cc6f9aaa7f9",
 }
 
 
