@@ -40,8 +40,8 @@ class RankBitVector:
         self._init_from_words(words, n, sample_step)
 
     @classmethod
-    def from_words(cls, words, n, sample_step=64):
-        """Rebuild from packed 64-bit words (e.g. after deserialization)."""
+    def from_words(cls, words, n):
+        """Rebuild from packed 64-bit words, with a rank sample per word."""
         self = cls.__new__(cls)
         words = np.array(words, dtype=np.uint64)
         need = (n + _WORD - 1) // _WORD
@@ -49,7 +49,7 @@ class RankBitVector:
             raise OutOfRangeError(f"expected {need} words for {n} bits, got {len(words)}")
         if n % _WORD:
             words[-1] &= np.uint64((1 << (n % _WORD)) - 1)  # mask stray tail bits
-        self._init_from_words(words, n, sample_step)
+        self._init_from_words(words, n, _WORD)
         return self
 
     def _init_from_words(self, words, n, sample_step):

@@ -39,15 +39,16 @@ width must be the ones the header implies, the widths being minimal:
 The marked nodes are stored in preorder, sorted by (sp, -ep); they are the
 whole sampled tree (see sgst).  Unknown section ids are skipped, their CRC
 unchecked, so the format can grow.  A version mismatch is an error, as is
-a rank step other than 64, a g_prime or k_max no build accepts, a CRC
-mismatch, any declared length that does not match its payload, a symbol
-table that is not strictly ascending above 0x00 or lists a symbol the text
-lacks, a symbol code outside the table, document ends that do not rise by
-at least 2 each up to n, a stored suffix array that is not a permutation
-of 1..n or whose suffixes' first symbols descend somewhere (see
-_read_suffix_array), wavelet bitmaps whose lengths do not follow the
-tree's routing, or sampled-tree nodes or candidate lists that no build
-could have written (see _check_nodes and _check_candidates).
+a rank step other than 64, a g_prime or k_max no build accepts, an n above
+corpus.MAX_SYMBOLS, a CRC mismatch, any declared length that does not
+match its payload, a symbol table that is not strictly ascending above
+0x00 or lists a symbol the text lacks, a symbol code outside the table,
+document ends that do not rise by at least 2 each up to n, a stored suffix
+array that does not sort the suffixes (see _read_suffix_array), wavelet
+bitmaps whose lengths do not follow the tree's routing, or sampled-tree
+nodes or candidate lists that no build could have written (see
+_check_nodes and _check_candidates).  A single-symbol text packs into a
+few bytes yet loads into n: a resource limit, not a format error.
 """
 
 import struct
@@ -57,11 +58,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .bitrank import RankBitVector
-from .corpus import SENTINEL, Corpus
+from .corpus import MAX_SYMBOLS, SENTINEL, Corpus
 from .engine import Index
 from .errors import ContainerFormatError, InconsistentIntervalsError, VersionMismatchError
 from .sgst import SGST
-from .suffixes import build_suffix_array, stored_suffix_index
+from .suffixes import _symbol_codes, build_suffix_array, stored_suffix_index
 from .wavelet import WaveletTree
 
 MAGIC = b"TKDI"
@@ -157,6 +158,8 @@ def read_frames(data):
     if g_prime < 1 or k_max < 1 or k_max & (k_max - 1):
         raise ContainerFormatError(f"g_prime {g_prime} or k_max {k_max} is not one "
                                    "a build accepts")
+    if n > MAX_SYMBOLS:
+        raise ContainerFormatError(f"n = {n} exceeds the {MAX_SYMBOLS} symbols supported")
     view = memoryview(data)
     head_crc = zlib.crc32(view[:HEADER_BYTES])
     frames = []
@@ -268,11 +271,9 @@ class _Reader:
 
 def _corpus_payload(corpus: Corpus) -> bytes:
     symbols = np.frombuffer(corpus.text, dtype=np.uint8)
-    table = np.flatnonzero(np.bincount(symbols, minlength=256)[1:]) + 1
-    code = np.zeros(256, dtype=np.uint8)
-    code[table] = np.arange(len(table))
-    return (_field(table, 8)
-            + _field(code[symbols[symbols != SENTINEL]], _width(corpus.sigma - 1))
+    code, _ = _symbol_codes(corpus.alphabet)        # table index + 2
+    return (_field(list(corpus.alphabet), 8)
+            + _field(code[symbols[symbols != SENTINEL]] - 2, _width(corpus.sigma - 1))
             + _field(corpus.ends, _width(corpus.n)))
 
 
@@ -280,7 +281,7 @@ def _read_corpus(payload, n, d, sigma):
     """The corpus whose text is the table's symbols at the stored codes,
     with a terminator at each stored end."""
     r = _Reader(payload)
-    table = r.field(sigma, 8)
+    table = r.field(sigma, 8).astype(np.uint8)
     codes = r.field(n - d, _width(sigma - 1))
     ends = r.field(d, _width(n))
     r.done()
@@ -298,14 +299,15 @@ def _read_corpus(payload, n, d, sigma):
     symbols = np.full(n, SENTINEL, dtype=np.uint8)
     keep = np.ones(n, dtype=bool)
     keep[ends - 1] = False
-    symbols[keep] = table.astype(np.uint8)[codes]
-    return Corpus(text=symbols.tobytes(), n=n, d=d, sigma=sigma, ends=tuple(ends.tolist()))
+    symbols[keep] = table[codes]
+    return Corpus(text=symbols.tobytes(), n=n, d=d, alphabet=table.tobytes(),
+                  ends=tuple(ends.tolist()))
 
 
 def _read_suffix_array(payload, corpus):
-    """The stored suffix array, which must be a permutation of 1..n whose
-    suffixes ascend by their first q symbols: their keys may not descend.
-    That it sorts the suffixes beyond those symbols is not checked."""
+    """The stored suffix array, a permutation of 1..n that must sort the
+    suffixes: adjacent ones rise in their first symbol, or tie and the
+    suffixes one symbol on ascend (Burkhardt and Kärkkäinen, CPM 2003)."""
     n = corpus.n
     r = _Reader(payload)
     sa = r.field(n, _width(n))
@@ -313,9 +315,11 @@ def _read_suffix_array(payload, corpus):
     if not ((1 <= sa) & (sa <= n)).all() or np.bincount(sa).max() > 1:
         raise ContainerFormatError("stored suffix array is not a permutation of 1..n")
     s = stored_suffix_index(corpus, sa)
-    if (s.keys[1:] < s.keys[:-1]).any():
-        raise ContainerFormatError("stored suffix array is not sorted by its "
-                                   "suffixes' first symbols")
+    isa = np.full(n + 1, -1, dtype=np.int32)    # slot of each 0-based start, -1 past the end
+    isa[s.sa - 1] = np.arange(n, dtype=np.int32)
+    rise = np.diff(np.frombuffer(corpus.text, dtype=np.uint8)[s.sa - 1].astype(np.int16))
+    if ((rise < 0) | (rise == 0) & (np.diff(isa[s.sa]) < 0)).any():
+        raise ContainerFormatError("stored suffix array is not sorted by its suffixes")
     return s
 
 

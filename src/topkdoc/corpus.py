@@ -3,18 +3,19 @@
 Documents are byte strings.  They are concatenated into one text with a
 terminator byte 0x00 appended after each document; 0x00 is reserved and
 compares below every document symbol, so it may not appear in the input.
-The text is the collection's only copy: document bounds and ids are read
-off its terminators.
+The text is the collection's only copy: document bounds and ids, and the
+symbol table `alphabet` that the index codes symbols by, are read off it.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDocumentError, OutOfRangeError, SentinelInDocumentError
+from .errors import (CorpusTooLargeError, EmptyDocumentError, OutOfRangeError,
+                     SentinelInDocumentError)
 
 SENTINEL = 0
+MAX_SYMBOLS = 2**30 - 1     # longest text: positions, even summed in pairs, fit int32
 
 
 @dataclass(frozen=True)
@@ -22,23 +23,29 @@ class Corpus:
     text: bytes     # concatenation, one terminator after each document
     n: int          # len(text)
     d: int          # number of documents, ids 1..d in text order
-    sigma: int      # distinct symbols of text, terminator excluded
+    alphabet: bytes # distinct symbols of text, terminator excluded, ascending
     ends: tuple     # 1-based position of each document's terminator, ascending
 
     @classmethod
     def from_text(cls, text):
         """Corpus over text, which must end with a terminator.
 
-        Raises EmptyDocumentError when text holds no document or an empty one.
-        """
+        Raises EmptyDocumentError when text holds no document or an empty
+        one, and CorpusTooLargeError when it is longer than MAX_SYMBOLS."""
+        if len(text) > MAX_SYMBOLS:
+            raise CorpusTooLargeError(f"{len(text)} symbols; at most {MAX_SYMBOLS} fit")
         symbols = np.frombuffer(text, dtype=np.uint8)
         ends = np.flatnonzero(symbols == SENTINEL) + 1
         if not ends.size or (np.diff(ends, prepend=0) == 1).any():
             raise EmptyDocumentError("need at least one document, each of at least "
                                      "one symbol")
-        sigma = np.count_nonzero(np.bincount(symbols, minlength=256)[1:])
-        return cls(text=bytes(text), n=len(text), d=len(ends), sigma=int(sigma),
-                   ends=tuple(ends.tolist()))
+        alphabet = np.flatnonzero(np.bincount(symbols, minlength=256)[1:]) + 1
+        return cls(text=bytes(text), n=len(text), d=len(ends),
+                   alphabet=alphabet.astype(np.uint8).tobytes(), ends=tuple(ends.tolist()))
+
+    @property
+    def sigma(self):
+        return len(self.alphabet)
 
     def doc_ids(self, positions):
         """Document id owning each 1-based text position, as int32.
@@ -50,12 +57,6 @@ class Corpus:
         owner = np.repeat(np.arange(1, self.d + 1, dtype=np.int32),
                           np.diff(self.ends, prepend=0))
         return owner[np.asarray(positions) - 1]
-
-    def doc_of_position(self, pos):
-        """Document id owning 1-based text position pos."""
-        if not 1 <= pos <= self.n:
-            raise OutOfRangeError(f"position {pos} outside 1..{self.n}")
-        return bisect_left(self.ends, pos) + 1
 
     def document(self, doc_id):
         """Original bytes of document doc_id (1-based)."""

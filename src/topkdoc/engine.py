@@ -175,8 +175,9 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
     flank traversal, final recount or sort runs, and only xlight counts,
     once per candidate returned.  When flanks remain, the node's first k
     candidates seed a heap, the flanks are repaired with the chosen
-    strategy, and every heap member is recounted over the whole interval.  With no marked node inside, or with k* above
-    k_max or use_sgst=False, the interval's document array is counted.
+    strategy, and every heap member is recounted over the whole interval.
+    With no marked node inside, or with k* above k_max or use_sgst=False,
+    the interval's document array is counted.
     """
     if strategy not in STRATEGIES:
         raise UnknownStrategyError(f"strategy must be one of {STRATEGIES}")

@@ -21,6 +21,10 @@ class SentinelInDocumentError(Error, ValueError):
     """A document contains the reserved terminator byte."""
 
 
+class CorpusTooLargeError(Error, ValueError):
+    """A text is longer than corpus.MAX_SYMBOLS, the largest supported."""
+
+
 class EmptyPatternError(Error, ValueError):
     """An empty pattern cannot be searched."""
 

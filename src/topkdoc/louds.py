@@ -7,13 +7,11 @@ which makes every navigation step a closed rank/select formula.  A node is
 addressed by the 1-based bit position where its encoding begins; the j-th
 one in the sequence is the edge pointing to the j-th node in level order.
 
-A public structure of the package; the index does not use it, because its
-sampled tree is fixed by the marked nodes' intervals alone (see sgst).
+Trees are built only by encode.  The index does not use one: its sampled
+tree is fixed by the marked nodes' intervals alone (see sgst).
 """
 
 from collections import deque
-
-import numpy as np
 
 from .bitrank import RankBitVector
 from .errors import EmptyTreeError, InvalidHandleError
@@ -51,25 +49,6 @@ class LoudsTree:
             queue.extend(kids)
         bits = RankBitVector("".join(pieces))
         return cls(bits, len(order)), order
-
-    @classmethod
-    def from_bits(cls, bits: RankBitVector):
-        """Wrap an already-built bit sequence (pseudo-root prefix included).
-
-        Raises InvalidHandleError unless it encodes a nonempty tree in
-        level order: the "10" prefix, one edge per node, and every node's
-        children ranked after it, so that the ones before the r-th zero
-        number at least r.
-        """
-        node_count = bits.rank0(len(bits)) - 1
-        packed = np.asarray(bits.words, dtype="<u8").view(np.uint8)
-        arr = np.unpackbits(packed, bitorder="little")[:len(bits)]
-        zeros = np.flatnonzero(arr == 0)[:-1]         # 0-based, ranks 1..N
-        ranks = np.arange(1, node_count + 1)
-        if (node_count < 1 or bits.ones != node_count or zeros[0] != 1
-                or not (zeros - ranks + 1 >= ranks).all()):
-            raise InvalidHandleError("bits do not encode a tree in level order")
-        return cls(bits, node_count)
 
     def degree_bits(self):
         """The raw unary degree string, without the pseudo-root prefix."""

@@ -67,10 +67,6 @@ class SGST:
     def node_count(self):
         return len(self.sp_arr)
 
-    @property
-    def is_empty(self):
-        return not self.sp_arr
-
     def levels(self):
         """The powers of two up to k_max."""
         return [1 << i for i in range(self.k_max.bit_length())]

@@ -4,15 +4,15 @@ The suffix array holds 1-based text positions sorted by the suffixes they
 start; the parallel document array records which document owns each sorted
 suffix.  Pattern occurrences form one contiguous run of suffix-array slots.
 
-Next to them the index keeps each slot's key: the codes of its suffix's
-first q symbols packed into an int32, q = 31 // width for codes of width
-bits (10 on DNA, 6 on 27 symbols).  The suffixes are sorted, so the keys
-never decrease, and a pattern of m symbols has its interval found by two
-binary searches over them, on the codes of its first min(m, q) symbols.
-Only a pattern longer than q is then searched byte by byte, by two bisects
-over the occ slots of that range keyed by each suffix's first m bytes:
-O(m log occ) byte comparisons.  prefix_interval runs the same byte search
-over the whole suffix array.
+Next to them the index keeps each slot's key: the codes (see _symbol_codes)
+of its suffix's first q symbols packed into an int32, q = 31 // width for
+codes of width bits (10 on DNA, 6 on 27 symbols).  The suffixes are
+sorted, so the keys never decrease, and a pattern of m symbols has its
+interval found by two binary searches over them, on the codes of its
+first min(m, q) symbols.  Only a pattern longer than q is then searched
+byte by byte, by two bisects over the occ slots of that range keyed by
+each suffix's first m bytes: O(m log occ) byte comparisons.
+prefix_interval runs the same byte search over the whole suffix array.
 
 Suffixes are sorted by prefix doubling in numpy.  The first round sorts
 every suffix once by its first symbols, as many as pack into one int64
@@ -55,7 +55,7 @@ class PatternInterval:
 
 @dataclass(frozen=True)
 class SuffixIndex:
-    sa: np.ndarray       # 1-based text positions, suffix-sorted; int32 below 2**30 symbols
+    sa: np.ndarray       # 1-based text positions, suffix-sorted, int32
     doc_ids: np.ndarray  # doc_ids[i] = document owning position sa[i], int32
     keys: np.ndarray     # int32, never decreasing: suffix sa[i]'s first q codes, packed
     code: tuple          # symbol -> code, 1..sigma + 1 (1 for the terminator); 0 if absent
@@ -117,9 +117,9 @@ class SuffixIndex:
 
 
 def build_suffix_array(corpus: Corpus) -> SuffixIndex:
-    order, keys = _suffix_order(corpus.text)
+    code, width = _symbol_codes(corpus.alphabet)
+    order, keys = _suffix_order(code[np.frombuffer(corpus.text, dtype=np.uint8)], width)
     sa = order + 1                              # 1-based start positions
-    code, width = _symbol_codes(corpus.text)
     return SuffixIndex(sa, corpus.doc_ids(sa), keys, tuple(code.tolist()), width)
 
 
@@ -128,23 +128,22 @@ def stored_suffix_index(corpus: Corpus, sa) -> SuffixIndex:
 
     sa must be a permutation of 1..n.  Its keys are derived from the text:
     every position's first q codes are packed in text order, then gathered
-    through sa - 1.  Keys that descend anywhere would make searches wrong;
-    the caller checks them (a partial check that sa sorts the suffixes).
+    through sa - 1.  A sa that does not sort the suffixes would make
+    searches wrong; the caller checks that it does.
     """
-    n = corpus.n
-    sa = np.asarray(sa).astype(np.int32 if n < 2**30 else np.int64)
-    code, width = _symbol_codes(corpus.text)
+    sa = np.asarray(sa, dtype=np.int32)
+    code, width = _symbol_codes(corpus.alphabet)
     codes = code[np.frombuffer(corpus.text, dtype=np.uint8)]
     keys = _packed(codes, width, 31 // width, np.int32)[sa - 1]
     return SuffixIndex(sa, corpus.doc_ids(sa), keys, tuple(code.tolist()), width)
 
 
-def _symbol_codes(text: bytes):
-    """(code, width): code[b] is 1..P for the P distinct bytes of text, in
-    byte order, and 0 for bytes absent from it; codes take width bits."""
-    present = np.bincount(np.frombuffer(text, dtype=np.uint8), minlength=256) > 0
-    code = np.where(present, np.cumsum(present), 0).astype(np.uint16)
-    return code, int(present.sum()).bit_length()
+def _symbol_codes(alphabet: bytes):
+    """(code, width): code[b] is 1 for the terminator, 2..sigma + 1 for the
+    bytes of alphabet in order and 0 for others; codes take width bits."""
+    code = np.zeros(256, dtype=np.uint16)
+    code[[SENTINEL, *alphabet]] = np.arange(1, len(alphabet) + 2)
+    return code, (len(alphabet) + 1).bit_length()
 
 
 def _packed(codes, width, count, dtype):
@@ -157,42 +156,39 @@ def _packed(codes, width, count, dtype):
     return key
 
 
-def _suffix_order(text: bytes):
-    """(order, keys): the 0-based start positions of text's suffixes in
-    sorted order, and the int32 keys SuffixIndex searches.
+def _suffix_order(codes, width):
+    """(order, keys): the 0-based start positions of the suffixes of a text
+    coded by _symbol_codes, in sorted order, and the keys SuffixIndex searches.
 
-    The first round packs h symbols per position into one int64 and sorts
-    all positions once: the symbols present get codes 1..sigma (0 past the
-    end) of b = sigma.bit_length() bits, and h = 63 // b codes fit below
-    the sign bit.  In slot order the sorted keys' top q = 31 // b codes are
-    the int32 keys.  A suffix's rank is the slot where its group, the run
-    of equal keys holding it, starts.
+    The first round packs h = 63 // width codes per position into one
+    int64 (0 past the end) and sorts all positions once.  In slot order the
+    sorted keys' top q = 31 // width codes are the int32 keys.  A suffix's
+    rank is the first slot of its group, the run of equal keys holding it.
 
     The suffixes of groups of two or more stay active, carried with their
     slots in slot order.  Each later round, with ranks sorted on h
     symbols, sorts only them, by rank[i] * (n + 1) + rank[i + h] + 1 (0
     past the end): the first term keeps every group in its own slots, the
     rest orders it on 2h symbols.  Ranks are below n, so keys stay below
-    n * (n + 1), within int64 for n up to 3 * 10**9.  Groups left with one
-    member drop out, their rank final (Larsson and Sadakane, "Faster
-    suffix sorting", 2007).  Suffixes differ in length, hence are
-    distinct: the rounds end once no group is left, and the final ranks
-    are the inverse of the suffix array.
+    n * (n + 1), within int64, and positions plus h below 2n, within int32
+    up to corpus.MAX_SYMBOLS.  Groups left with one member drop out, their
+    rank final (Larsson and Sadakane, "Faster suffix sorting", 2007).
+    Suffixes differ in length, hence are distinct: the rounds end once no
+    group is left, and the final ranks are the inverse of the suffix array.
     """
     # Each array is dropped as soon as it is spent, which keeps the peak
     # near 40 bytes per symbol, 4 of them the int32 keys.
-    n = len(text)
-    itype = np.int32 if n < 2**30 else np.int64  # i + h < 2n must fit
-    code, width = _symbol_codes(text)
+    n = len(codes)
     h = 63 // width
-    key = _packed(code[np.frombuffer(text, dtype=np.uint8)], width, h, np.int64)
+    key = _packed(codes, width, h, np.int64)
+    del codes                               # freed unless the caller kept a reference
     order = np.argsort(key)
     key = key[order]
     keys = (key >> width * (h - 31 // width)).astype(np.int32)
-    pos = order.astype(itype)               # the active suffixes, in slot order
+    pos = order.astype(np.int32)            # the active suffixes, in slot order
     del order
-    slots = np.arange(n, dtype=itype)       # and their slots
-    rank = np.empty(n + 1, dtype=itype)
+    slots = np.arange(n, dtype=np.int32)    # and their slots
+    rank = np.empty(n + 1, dtype=np.int32)
     rank[n] = -1                            # past the end
     while True:
         start = np.empty(len(key), dtype=bool)
@@ -221,8 +217,8 @@ def _suffix_order(text: bytes):
         pos = pos[order]
         del order
         h <<= 1
-    sa = np.empty(n, dtype=itype)
-    sa[rank[:n]] = np.arange(n, dtype=itype)
+    sa = np.empty(n, dtype=np.int32)
+    sa[rank[:n]] = np.arange(n, dtype=np.int32)
     return sa, keys
 
 

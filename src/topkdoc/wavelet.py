@@ -99,7 +99,6 @@ class WaveletTree:
     def _shape(self, d, n):
         self.d = d
         self.n = n
-        self.height = (d - 1).bit_length()
         self.root = _Node(1, d)
 
     def internal_nodes(self):

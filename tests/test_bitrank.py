@@ -114,7 +114,7 @@ def test_from_words_roundtrip():
     rng = random.Random(17)
     bits = "".join(rng.choice("01") for _ in range(130))
     v = RankBitVector(bits, sample_step=128)
-    w = RankBitVector.from_words(v.words, len(v), sample_step=128)
+    w = RankBitVector.from_words(v.words, len(v))
     assert w.words == v.words
     assert w.ones == v.ones
     assert all(w.rank1(i) == v.rank1(i) for i in range(131))
@@ -138,7 +138,7 @@ def test_from_words_takes_a_read_only_u64_array():
     words = list(v.words)
     words[-1] |= ((1 << 64) - 1) ^ ((1 << 8) - 1)      # 200 = 3 * 64 + 8
     stored = np.frombuffer(np.array(words, dtype="<u8").tobytes(), dtype="<u8")
-    w = RankBitVector.from_words(stored, len(v), sample_step=128)
+    w = RankBitVector.from_words(stored, len(v))
     assert w.words == v.words and all(type(x) is int for x in w.words)
     assert w.ones == v.ones == bits.count("1")
     assert all(w.rank1(i) == brute_rank(bits, 1, i) for i in range(201))

@@ -222,10 +222,10 @@ def test_save_defaults_follow_loaded_shape(tmp_path):
 
 def test_empty_sampling_roundtrip():
     idx = build_index(["abab", "abba", "bab"], g_prime=400, k_max=16)
-    assert idx.sgst.is_empty
+    assert idx.sgst.node_count == 0
     blob = serialize_index(idx)
     back = deserialize_index(blob)
-    assert back.sgst.is_empty
+    assert back.sgst.node_count == 0
     assert serialize_index(back) == blob
     assert query_topk(back, "b", 2).pairs == [(1, 2), (2, 2)]
 
@@ -274,13 +274,14 @@ def test_edge_shapes_round_trip(shape, variant, include_sa):
     assert {name: fields[name][1] for name in widths} == widths
     assert reseal(header, fields) == blob
     if shape == "no marked node":
-        assert fields["sp"][0] == [] and idx.sgst.is_empty
+        assert fields["sp"][0] == [] and idx.sgst.node_count == 0
     back = deserialize_index(blob)
     assert serialize_index(back, include_sa) == blob
     assert back.store_suffix_array == include_sa
     assert (back.corpus.text, back.corpus.ends) == (idx.corpus.text, idx.corpus.ends)
     assert (back.corpus.n, back.corpus.d, back.corpus.sigma) == \
         (idx.corpus.n, idx.corpus.d, idx.corpus.sigma)
+    assert back.corpus.alphabet == idx.corpus.alphabet == bytes(sorted(set(idx.corpus.text) - {0}))
     assert list(back.suffixes.sa) == list(idx.suffixes.sa)
     assert answers(back, docs) == answers(idx, docs)
 
@@ -725,6 +726,55 @@ def test_stored_suffix_array_validated_at_load():
         deserialize_index(edited(blob, swap))
 
 
+def test_stored_suffix_array_sorts_beyond_its_keys():
+    # Keys cover a suffix's first q symbols; two adjacent slots with equal
+    # keys swapped keep the keys ascending, yet answer longer patterns with
+    # wrong frequencies.  Every such swap must be rejected.
+    rng = random.Random(8)
+    docs = ["".join(rng.choice("ab") for _ in range(60)) for _ in range(6)]
+    idx = build_index(docs, g_prime=4, k_max=4)
+    blob = serialize_index(idx, include_suffix_array=True)
+    keys = idx.suffixes.keys
+    assert 31 // idx.suffixes.width == 15
+    ties = np.flatnonzero(keys[1:] == keys[:-1])
+    assert len(ties) == 6
+
+    def swap(j):
+        def edit(header, fields):
+            values = fields["sa"][0]
+            values[j], values[j + 1] = values[j + 1], values[j]
+        return edit
+
+    for j in ties.tolist():
+        with pytest.raises(ContainerFormatError, match="not sorted"):
+            deserialize_index(edited(blob, swap(j)))
+
+
+def test_oversized_header_rejected_before_allocating():
+    # A 242-byte container with valid CRCs, sigma = d = 1 and n = 2**40:
+    # its n - 1 codes take 0 bits, so unpacking them would allocate n bytes.
+    n = 2**40
+
+    def field(count, width, data=b""):
+        return struct.pack("<QB", count, width) + data
+
+    corpus = field(1, 8, b"a") + field(n - 1, 0) + field(1, 41, n.to_bytes(6, "little"))
+    wavelet = struct.pack("<QQ", 1, 0)
+    sgst = (struct.pack("<QQ", 0, 0) + field(0, 41) + field(0, 41) + field(0, 0)
+            + field(1, 0) + field(0, 1) + field(0, 41))
+    blob = _seal(struct.pack("<4sH7Q", b"TKDI", 3, n, 1, 1, 1, 1, 0, 64),
+                 [(1, corpus), (2, wavelet), (3, sgst)])
+    assert len(blob) == 242
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContainerFormatError, match="exceeds"):
+            deserialize_index(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_resident_suffix_arrays_take_twelve_bytes_per_symbol():
     # Built, or loaded with the suffix array rebuilt or stored: below 2**30
     # symbols the suffix array, its keys and the document array are int32.
@@ -737,15 +787,15 @@ def test_resident_suffix_arrays_take_twelve_bytes_per_symbol():
 
 def test_load_memory_budget():
     # At most 60 bytes per symbol of traced allocation for a load that
-    # rebuilds the suffix array, on the inputs of
+    # rebuilds the suffix array, or checks a stored one, on the inputs of
     # test_engine.py::test_whole_build_memory_budget.  The suffix sort is
     # most of the peak.
     rng = random.Random(5)
     revisions = revisions_corpus(rng, bases=10, revisions=20, length=220)
     copies = ["".join(rng.choice("abcdefghij") for _ in range(10_000))] * 21
-    for docs in (revisions, copies):
+    for docs, include_sa in itertools.product((revisions, copies), (False, True)):
         idx = build_index(docs, g_prime=50, k_max=16)
-        blob = serialize_index(idx)
+        blob = serialize_index(idx, include_sa)
         n = idx.corpus.n
         del idx
         tracemalloc.start()

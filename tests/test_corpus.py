@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from topkdoc import ingest
-from topkdoc.errors import EmptyDocumentError, OutOfRangeError, SentinelInDocumentError
+from topkdoc import Corpus, corpus, ingest
+from topkdoc.errors import (CorpusTooLargeError, EmptyDocumentError, OutOfRangeError,
+                            SentinelInDocumentError)
 
 from conftest import WORKED_DOCS, WORKED_TEXT, random_docs
 
@@ -27,36 +28,21 @@ def test_document_roundtrip(worked_corpus):
         worked_corpus.document(4)
 
 
-def test_doc_of_position_worked(worked_corpus):
+def test_doc_ids_worked(worked_corpus):
     # Positions 1..5 (incl. the terminator) are doc 1, 6..10 doc 2, 11..14 doc 3.
-    owners = [worked_corpus.doc_of_position(p) for p in range(1, 15)]
-    assert owners == [1] * 5 + [2] * 5 + [3] * 4
-    with pytest.raises(OutOfRangeError):
-        worked_corpus.doc_of_position(0)
-    with pytest.raises(OutOfRangeError):
-        worked_corpus.doc_of_position(15)
+    owners = worked_corpus.doc_ids(range(1, 15))
+    assert owners.dtype == np.int32
+    assert owners.tolist() == [1] * 5 + [2] * 5 + [3] * 4
 
 
-def test_doc_of_position_random(monkeypatch):
-    # The second run makes np.repeat raise: one position's owner comes from
-    # a binary search over the terminators, not from an owner array of all n.
-    def refuse(*args, **kwargs):
-        raise AssertionError("doc_of_position built the owner array")
-
-    for patched in (False, True):
-        if patched:
-            monkeypatch.setattr(np, "repeat", refuse)
-        rng = random.Random(11)
-        for _ in range(30):
-            docs = random_docs(rng)
-            c = ingest(docs)
-            pos = 0
-            for i, doc in enumerate(docs, start=1):
-                for _ in range(len(doc) + 1):
-                    pos += 1
-                    assert c.doc_of_position(pos) == i
-                assert c.document(i) == doc.encode()
-            assert pos == c.n
+def test_doc_ids_random():
+    rng = random.Random(11)
+    for _ in range(30):
+        docs = random_docs(rng)
+        c = ingest(docs)
+        want = [i for i, doc in enumerate(docs, start=1) for _ in range(len(doc) + 1)]
+        assert c.doc_ids(np.arange(1, c.n + 1)).tolist() == want
+        assert [c.document(i) for i in range(1, c.d + 1)] == [doc.encode() for doc in docs]
 
 
 def test_bytes_input_accepted():
@@ -83,3 +69,21 @@ def test_rejects_terminator_byte():
 def test_sigma_counts_distinct_symbols():
     assert ingest(["aaa"]).sigma == 1
     assert ingest(["abc", "cde"]).sigma == 5
+
+
+def test_alphabet_is_the_distinct_document_bytes():
+    rng = random.Random(13)
+    for docs in [["aaa"], ["abc", "cde"], [bytes(range(1, 256))]] + \
+            [random_docs(rng, sigma=rng.randint(1, 3)) for _ in range(10)]:
+        c = ingest(docs)
+        assert c.alphabet == bytes(sorted(set(c.text) - {0}))
+        assert c.sigma == len(c.alphabet)
+
+
+def test_rejects_a_text_over_the_size_limit(monkeypatch):
+    monkeypatch.setattr(corpus, "MAX_SYMBOLS", 10)
+    assert ingest(["abcd", "efgh"]).n == 10
+    with pytest.raises(CorpusTooLargeError):
+        ingest(["abcd", "efghi"])
+    with pytest.raises(CorpusTooLargeError):
+        Corpus.from_text(b"abcdefghij\x00")

@@ -220,7 +220,7 @@ def test_empty_sampling_always_falls_back():
     rng = random.Random(163)
     docs = random_docs(rng, max_docs=6, max_total=100)
     idx = build_index(docs, g_prime=400, k_max=16)
-    assert idx.sgst.is_empty
+    assert idx.sgst.node_count == 0
     for pattern in occurring_patterns(docs, 2)[:10]:
         r = query_topk(idx, pattern, 3)
         assert r.stats.used_sgst and not r.stats.locus_found

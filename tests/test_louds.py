@@ -1,9 +1,7 @@
-import itertools
 import random
 
 import pytest
 
-from topkdoc.bitrank import RankBitVector
 from topkdoc.errors import EmptyTreeError, InvalidHandleError
 from topkdoc.louds import PSEUDO_ROOT_BITS, LoudsTree
 
@@ -99,39 +97,6 @@ def test_invalid_handles():
 def test_encode_rejects_missing_root():
     with pytest.raises(EmptyTreeError):
         LoudsTree.encode(None)
-
-
-def test_from_bits_roundtrip():
-    tree, _ = encode_ids({0: [1, 2], 1: [], 2: []})
-    again = LoudsTree.from_bits(tree.bits)
-    assert again.node_count == tree.node_count
-    assert again.degree_bits() == tree.degree_bits()
-
-
-def all_encodings(max_nodes):
-    """Every LOUDS string of up to max_nodes nodes: each tree in level
-    order is one choice of an earlier parent for every node after the root."""
-    out = set()
-    for n in range(1, max_nodes + 1):
-        for parents in itertools.product(*(range(node) for node in range(1, n))):
-            kids = {node: [] for node in range(n)}
-            for node, parent in enumerate(parents, start=1):
-                kids[parent].append(node)
-            tree, _ = encode_ids(kids)
-            out.add(PSEUDO_ROOT_BITS + tree.degree_bits())
-    return out
-
-
-def test_from_bits_accepts_exactly_the_tree_encodings():
-    valid = all_encodings(5)
-    for length in range(1, 12):
-        for word in range(1 << length):
-            bits = format(word, f"0{length}b")
-            if bits in valid:
-                assert LoudsTree.from_bits(RankBitVector(bits)).node_count == len(bits) // 2
-            else:
-                with pytest.raises(InvalidHandleError):
-                    LoudsTree.from_bits(RankBitVector(bits))
 
 
 def test_random_trees_vs_structure():

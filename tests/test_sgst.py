@@ -241,7 +241,6 @@ def test_containment_tree_is_laminar():
 
 def test_degenerate_sampling_leaves_structure_empty():
     _, _, _, x = build_all(["abab", "abba", "bab"], g_prime=400, k_max=16)
-    assert x.is_empty
     assert x.node_count == 0
     assert x.level_nodes(1) == []
     assert x.level_nodes(16) == []
@@ -294,7 +293,7 @@ def test_find_locus_agrees_with_exhaustive_search():
     found = missing = 0
     for docs, g_prime in corpora:
         c, s, _, x = build_all(docs, g_prime=g_prime, k_max=8)
-        if x.is_empty:
+        if x.node_count == 0:
             continue
         intervals = {(iv.sp, iv.ep) for iv in
                      (pattern_interval(s, c, p) for p in occurring_patterns(docs, 6))}

@@ -6,8 +6,8 @@ import pytest
 
 from topkdoc import build_suffix_array, ingest, pattern_interval
 from topkdoc.errors import EmptyPatternError, SentinelInPatternError
-from topkdoc.suffixes import (PatternInterval, _suffix_order, prefix_interval,
-                              stored_suffix_index)
+from topkdoc.suffixes import (PatternInterval, _suffix_order, _symbol_codes,
+                              prefix_interval, stored_suffix_index)
 from topkdoc.wavelet import WaveletTree
 
 from conftest import (
@@ -20,6 +20,13 @@ from conftest import (
     random_docs,
     revisions_corpus,
 )
+
+
+def sort_raw(text: bytes):
+    """_suffix_order over raw bytes, which may lack terminators or hold them
+    anywhere, coded as a corpus with those bytes would be."""
+    code, width = _symbol_codes(bytes(sorted(set(text) - {0})))
+    return _suffix_order(code[np.frombuffer(text, dtype=np.uint8)], width)[0]
 
 
 def doubling_suffix_order(text: bytes):
@@ -107,7 +114,7 @@ def test_suffix_order_vs_oracle_across_alphabets_and_lengths():
     for n in lengths:
         for alphabet in alphabets:
             text = bytes(rng.choice(alphabet) for _ in range(n))
-            assert (_suffix_order(text)[0] + 1).tolist() == brute_suffix_array(text)
+            assert (sort_raw(text) + 1).tolist() == brute_suffix_array(text)
 
 
 def test_suffix_order_unary_runs_vs_oracle():
@@ -115,7 +122,7 @@ def test_suffix_order_unary_runs_vs_oracle():
     # most doubling rounds.
     for text in (b"a" * 300, b"\xff" * 600, b"a" * 200 + b"\x00" + b"a" * 199,
                  (b"\xff" * 40 + b"\x00") * 13):
-        assert (_suffix_order(text)[0] + 1).tolist() == brute_suffix_array(text)
+        assert (sort_raw(text) + 1).tolist() == brute_suffix_array(text)
 
 
 PACKING_SIGMAS = (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 127, 128, 255, 256)
@@ -133,7 +140,7 @@ def test_suffix_order_across_packing_widths_vs_oracle():
             head = bytearray(alphabet + bytes(rng.choice(alphabet) for _ in range(n - sigma)))
             rng.shuffle(head)
             text = bytes(head) + bytes(head[:n // 2])
-            assert (_suffix_order(text)[0] + 1).tolist() == brute_suffix_array(text)
+            assert (sort_raw(text) + 1).tolist() == brute_suffix_array(text)
 
 
 def test_keyed_interval_equals_byte_search_at_every_width():
@@ -194,18 +201,19 @@ def test_keyed_interval_equals_byte_search_at_every_width():
 def test_suffix_order_shorter_than_one_packed_key():
     rng = random.Random(67)
     for sigma in PACKING_SIGMAS:
-        q = 63 // sigma.bit_length()
+        # The codes count the terminator apart: only sigma = 256 has 0x00.
+        q = 63 // (min(sigma, 255) + 1).bit_length()
         alphabet = bytes(range(256 - sigma, 256))
         for n in range(1, q):
             text = bytes(rng.choice(alphabet) for _ in range(n))
-            assert (_suffix_order(text)[0] + 1).tolist() == brute_suffix_array(text)
+            assert (sort_raw(text) + 1).tolist() == brute_suffix_array(text)
 
 
 def test_suffix_order_long_repeats_vs_full_doubling():
     rng = random.Random(71)
     document = "".join(rng.choice("abcdefghij") for _ in range(10_000))
     for text in (ingest([document] * 21).text, b"a" * 50_000, b"\x00" * 50_000 + b"a"):
-        assert np.array_equal(_suffix_order(text)[0], doubling_suffix_order(text))
+        assert np.array_equal(sort_raw(text), doubling_suffix_order(text))
 
 
 def test_later_rounds_sort_only_unfinished_groups(monkeypatch):
@@ -224,12 +232,28 @@ def test_later_rounds_sort_only_unfinished_groups(monkeypatch):
         return argsort(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", recording_argsort)
-    order, _ = _suffix_order(c.text)
+    order = sort_raw(c.text)
     monkeypatch.undo()
     assert np.array_equal(order, doubling_suffix_order(c.text))
     assert sizes[0] == c.n and len(sizes) >= 3
     assert all(size < c.n for size in sizes[1:])
     assert sizes[-1] < c.n / 10
+
+
+def test_build_codes_from_the_corpus_alphabet(monkeypatch):
+    # The corpus counts its symbols once; neither a sort nor a stored suffix
+    # array counts them again.
+    c = ingest(revisions_corpus(random.Random(79)))
+    want = build_suffix_array(c)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.bincount called")
+
+    monkeypatch.setattr(np, "bincount", refuse)
+    for s in (build_suffix_array(c), stored_suffix_index(c, want.sa)):
+        assert np.array_equal(s.sa, want.sa) and np.array_equal(s.keys, want.keys)
+        assert s.code == want.code and s.width == (c.sigma + 1).bit_length()
+    assert list(s.sa) == brute_suffix_array(c.text)
 
 
 def test_interval_size_counts_occurrences():

@@ -56,8 +56,12 @@ def test_internal_node_count_by_d():
     for d, want in [(1, 0), (2, 1), (3, 2), (4, 3), (5, 4), (8, 7)]:
         w = WaveletTree([1] * 3, d)
         assert len(w.internal_nodes()) == want
-    assert WaveletTree([1], 1).height == 0
-    assert WaveletTree([1], 8).height == 3
+    for d, height in [(1, 0), (2, 1), (3, 2), (8, 3), (9, 4)]:
+        # The left half is never the smaller, so the leftmost path is the longest.
+        node, depth = WaveletTree([1], d).root, 0
+        while not node.is_leaf:
+            node, depth = node.left, depth + 1
+        assert depth == height == (d - 1).bit_length()
 
 
 def test_internal_nodes_in_level_order_at_large_d():
