@@ -36,6 +36,19 @@ width must be the ones the header implies, the widths being minimal:
     4 suffix array  n entries of ceil(log2(n + 1)) bits (optional,
                     rebuilt from the text when absent)
 
+Without section 4 the wavelet tree is read first and the suffix array is
+rebuilt by suffixes.build_suffix_array, whose first sorting round picks
+the path.  On repetitive text (more than suffixes.DOCUMENT_PATH_TIES of
+the suffixes tied after that round) it takes the document path: the
+tree's document array orders each document's suffixes into their slots,
+after a check that each document holds as many slots as positions, and
+the result must pass the O(n) sortedness check, which only the true suffix
+array passes.  A CRC-valid bitmap edit that keeps the routing lengths is
+then rejected.  On other text it takes the sort path, which, like a load
+with a stored suffix array, trusts the wavelet bitmaps beyond their
+routing lengths: an edit that swaps a node's 1 and 0 loads and may answer
+wrongly.
+
 The marked nodes are stored in preorder, sorted by (sp, -ep); they are the
 whole sampled tree (see sgst).  Unknown section ids are skipped, their CRC
 unchecked, so the format can grow.  A version mismatch is an error, as is
@@ -44,8 +57,9 @@ corpus.MAX_SYMBOLS, a CRC mismatch, any declared length that does not
 match its payload, a symbol table that is not strictly ascending above
 0x00 or lists a symbol the text lacks, a symbol code outside the table,
 document ends that do not rise by at least 2 each up to n, a stored suffix
-array that does not sort the suffixes (see _read_suffix_array), wavelet
-bitmaps whose lengths do not follow the tree's routing, or sampled-tree
+array that does not sort the suffixes (see suffixes.sorts_suffixes), wavelet
+bitmaps whose lengths do not follow the tree's routing or, on the document
+path, whose document array does not order the suffixes, or sampled-tree
 nodes or candidate lists that no build could have written (see
 _check_nodes and _check_candidates).  A single-symbol text packs into a
 few bytes yet loads into n: a resource limit, not a format error.
@@ -62,7 +76,8 @@ from .corpus import MAX_SYMBOLS, SENTINEL, Corpus
 from .engine import Index
 from .errors import ContainerFormatError, InconsistentIntervalsError, VersionMismatchError
 from .sgst import SGST
-from .suffixes import _symbol_codes, build_suffix_array, stored_suffix_index
+from .suffixes import (_symbol_codes, build_suffix_array, sorts_suffixes,
+                       stored_suffix_index)
 from .wavelet import WaveletTree
 
 MAGIC = b"TKDI"
@@ -195,11 +210,18 @@ def deserialize_index(data: bytes) -> Index:
             raise ContainerFormatError(f"missing required section {required}")
 
     corpus = _read_corpus(sections[SECTION_CORPUS], h.n, h.d, h.sigma)
+    # A stored suffix array is checked before the wavelet tree is read, so
+    # that the tree is not held through the check; a rebuild needs the tree.
     if SECTION_SUFFIX_ARRAY in sections:
         suffixes = _read_suffix_array(sections[SECTION_SUFFIX_ARRAY], corpus)
+        wavelet = _read_wavelet(sections[SECTION_WAVELET], h.d, h.n)
     else:
-        suffixes = build_suffix_array(corpus)
-    wavelet = _read_wavelet(sections[SECTION_WAVELET], h.d, h.n)
+        wavelet = _read_wavelet(sections[SECTION_WAVELET], h.d, h.n)
+        try:
+            suffixes = build_suffix_array(corpus, wavelet)
+        except InconsistentIntervalsError as exc:
+            raise ContainerFormatError(f"wavelet bitmaps disagree with the text: "
+                                       f"{exc}") from exc
     sgst = _read_sgst(sections[SECTION_SGST], h)
     return Index(corpus=corpus, suffixes=suffixes, wavelet=wavelet, sgst=sgst,
                  store_suffix_array=SECTION_SUFFIX_ARRAY in sections)
@@ -221,15 +243,28 @@ def _pack(values, width) -> bytes:
 
 
 def _unpack(buf, count, width):
-    """The count values of width bits that _pack stored in buf, as int64."""
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=count * width,
-                         bitorder="little").reshape(count, width)
-    # Accumulate in the narrowest unsigned type that holds width bits.
-    dtype = np.dtype(f"<u{1 << max(0, (width - 1).bit_length() - 3)}")
-    values = np.zeros(count, dtype=dtype)
-    for j in range(width):
-        values |= bits[:, j].astype(dtype) << dtype.type(j)
-    return values.astype(np.int64)
+    """The count values of width bits that _pack stored in buf, as int64.
+
+    Value i starts at bit i * width, so values 8 apart start width bytes
+    apart: each of the 8 residues is one strided read of unaligned u64
+    words, shifted into place, plus the ninth byte when a value reaches
+    past the word (width above 57)."""
+    values = np.zeros(count, dtype=np.int64)
+    if not width:
+        return values
+    data = np.frombuffer(bytes(buf) + bytes(9), dtype=np.uint8)
+    mask = np.uint64((1 << width) - 1)
+    for r in range(min(count, 8)):
+        m = (count - r + 7) // 8
+        byte, shift = divmod(r * width, 8)
+        word = np.ndarray(m, dtype="<u8", buffer=data, offset=byte, strides=width)
+        word = word >> np.uint64(shift)
+        if shift + width > 64:
+            ninth = np.ndarray(m, dtype=np.uint8, buffer=data, offset=byte + 8, strides=width)
+            word |= ninth.astype(np.uint64) << np.uint64(64 - shift)
+        word &= mask
+        values[r::8] = word
+    return values
 
 
 def _field(values, width) -> bytes:
@@ -306,19 +341,16 @@ def _read_corpus(payload, n, d, sigma):
 
 def _read_suffix_array(payload, corpus):
     """The stored suffix array, a permutation of 1..n that must sort the
-    suffixes: adjacent ones rise in their first symbol, or tie and the
-    suffixes one symbol on ascend (Burkhardt and Kärkkäinen, CPM 2003)."""
+    suffixes (see suffixes.sorts_suffixes)."""
     n = corpus.n
     r = _Reader(payload)
     sa = r.field(n, _width(n))
     r.done()
     if not ((1 <= sa) & (sa <= n)).all() or np.bincount(sa).max() > 1:
         raise ContainerFormatError("stored suffix array is not a permutation of 1..n")
-    s = stored_suffix_index(corpus, sa)
-    isa = np.full(n + 1, -1, dtype=np.int32)    # slot of each 0-based start, -1 past the end
-    isa[s.sa - 1] = np.arange(n, dtype=np.int32)
-    rise = np.diff(np.frombuffer(corpus.text, dtype=np.uint8)[s.sa - 1].astype(np.int16))
-    if ((rise < 0) | (rise == 0) & (np.diff(isa[s.sa]) < 0)).any():
+    s = stored_suffix_index(corpus, sa.astype(np.int32))
+    del sa
+    if not sorts_suffixes(corpus.text, s.sa):
         raise ContainerFormatError("stored suffix array is not sorted by its suffixes")
     return s
 

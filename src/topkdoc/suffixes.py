@@ -20,8 +20,20 @@ key (21 on DNA, 12 on 27 symbols); the keys above are its top q symbols.
 Each later round doubles the sorted prefix length but re-sorts only the
 suffixes still tied with another, one argsort of a packed int64 key: the
 rank of a suffix's first h symbols times a radix, plus the rank of the
-next h.  Loading a container without a stored suffix array reruns the same
-sort; one with a stored suffix array derives the keys from the text.
+next h.
+
+Loading a container without a stored suffix array reruns the sort, given
+the wavelet tree it read, and takes one of two paths after the first
+round.  Where at most DOCUMENT_PATH_TIES of the suffixes are still tied,
+the sort path goes on as a build does and trusts the tree.  Where more
+are, the ties run across documents, as in revisions of one text: the
+document path sorts by (document, suffix), which within a document is the
+generalized order, and deals each document's order out to its slots of
+the tree's document array.  It then checks the result with sorts_suffixes
+(Burkhardt and Kärkkäinen, CPM 2003), which only the true suffix array
+passes; that proves the tree's bitmaps too.  A container with a stored
+suffix array derives the keys from the text, and the same check proves
+the stored order.
 """
 
 from bisect import bisect_left, bisect_right
@@ -30,7 +42,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import SENTINEL, Corpus
-from .errors import EmptyPatternError, SentinelInPatternError
+from .errors import EmptyPatternError, InconsistentIntervalsError, SentinelInPatternError
+
+# A sort given the document array (build_suffix_array's wavelet) takes the
+# document path when more than this share of the suffixes is still tied
+# after the first round.  Measured on the benchmark's workloads at seed
+# 201: 0.000% on uniform DNA, where the sort ends after that round and the
+# document path, forced, took 2.1 times as long (114 against 53 ms); 99.3%
+# on revised documents, where the ties run across revisions for about
+# eight rounds and the document path took 106 against 231 ms.
+DOCUMENT_PATH_TIES = 0.5
 
 
 @dataclass(frozen=True)
@@ -116,11 +137,43 @@ class SuffixIndex:
         return list(zip(docs[top].tolist(), freq[top].tolist()))
 
 
-def build_suffix_array(corpus: Corpus) -> SuffixIndex:
+def build_suffix_array(corpus: Corpus, wavelet=None) -> SuffixIndex:
+    """SuffixIndex of corpus, by the sort of _suffix_order.
+
+    A load passes the wavelet tree it read, whose document array then
+    orders the sort when the text is repetitive (see DOCUMENT_PATH_TIES):
+    the later rounds sort each document's suffixes apart, and the tree's
+    document order deals each document's order out to its slots.  That
+    path checks each document's slot count against its length, then
+    checks the result with sorts_suffixes, which only the true suffix
+    array passes; so it also proves the tree.  It raises
+    InconsistentIntervalsError when either check fails.
+    """
     code, width = _symbol_codes(corpus.alphabet)
-    order, keys = _suffix_order(code[np.frombuffer(corpus.text, dtype=np.uint8)], width)
-    sa = order + 1                              # 1-based start positions
-    return SuffixIndex(sa, corpus.doc_ids(sa), keys, tuple(code.tolist()), width)
+    order, keys, by_document = _suffix_order(
+        code[np.frombuffer(corpus.text, dtype=np.uint8)], width,
+        None if wavelet is None else corpus.ends)
+    code = tuple(code.tolist())
+    if not by_document:
+        order += 1                              # 1-based start positions
+        return SuffixIndex(order, corpus.doc_ids(order), keys, code, width)
+    slots, counts = wavelet.document_order()
+    lengths = np.diff(corpus.ends, prepend=0)
+    wrong = np.flatnonzero(counts != lengths)
+    if len(wrong):
+        j = int(wrong[0])
+        raise InconsistentIntervalsError(
+            f"document {j + 1} holds {counts[j]} slots of the document array "
+            f"but {lengths[j]} positions of the text")
+    sa = np.empty(corpus.n, dtype=np.int32)
+    sa[slots] = order + 1
+    doc_ids = np.empty_like(sa)
+    doc_ids[slots] = np.repeat(np.arange(1, corpus.d + 1, dtype=np.int32), counts)
+    del order, slots
+    if not sorts_suffixes(corpus.text, sa):
+        raise InconsistentIntervalsError("the document array does not order the "
+                                         "text's suffixes")
+    return SuffixIndex(sa, doc_ids, keys, code, width)
 
 
 def stored_suffix_index(corpus: Corpus, sa) -> SuffixIndex:
@@ -146,6 +199,17 @@ def _symbol_codes(alphabet: bytes):
     return code, (len(alphabet) + 1).bit_length()
 
 
+def sorts_suffixes(text: bytes, sa) -> bool:
+    """Whether sa, a permutation of 1..n as int32, sorts the suffixes of
+    text: adjacent ones rise in their first symbol, or tie and the suffixes
+    one symbol on ascend (Burkhardt and Kärkkäinen, CPM 2003).  O(n)."""
+    n = len(sa)
+    isa = np.full(n + 1, -1, dtype=np.int32)    # slot of each 0-based start, -1 past the end
+    isa[sa - 1] = np.arange(n, dtype=np.int32)
+    rise = np.diff(np.frombuffer(text, dtype=np.uint8)[sa - 1].astype(np.int16))
+    return not ((rise < 0) | (rise == 0) & (np.diff(isa[sa]) < 0)).any()
+
+
 def _packed(codes, width, count, dtype):
     """key[i] = codes[i:i + count] packed, first code highest, 0 past the end."""
     n = len(codes)
@@ -156,9 +220,10 @@ def _packed(codes, width, count, dtype):
     return key
 
 
-def _suffix_order(codes, width):
-    """(order, keys): the 0-based start positions of the suffixes of a text
-    coded by _symbol_codes, in sorted order, and the keys SuffixIndex searches.
+def _suffix_order(codes, width, ends=None):
+    """(order, keys, by_document): the 0-based start positions of the
+    suffixes of a text coded by _symbol_codes, in sorted order, and the
+    keys SuffixIndex searches.
 
     The first round packs h = 63 // width codes per position into one
     int64 (0 past the end) and sorts all positions once.  In slot order the
@@ -175,6 +240,16 @@ def _suffix_order(codes, width):
     rank final (Larsson and Sadakane, "Faster suffix sorting", 2007).
     Suffixes differ in length, hence are distinct: the rounds end once no
     group is left, and the final ranks are the inverse of the suffix array.
+
+    Given ends, the 1-based positions of the text's terminators, and a
+    first round that leaves more than DOCUMENT_PATH_TIES of the suffixes
+    tied, by_document is True and the later rounds sort by (document,
+    suffix) instead: order lists each document's suffixes in their order,
+    document after document.  The first round's order, stably sorted by
+    document, starts them; its keys stay those of the whole text.  Two
+    suffixes of one document that tie on h symbols hold no terminator in
+    them, so position i + h stays in the document and the rounds never
+    compare across documents.
     """
     # Each array is dropped as soon as it is spent, which keeps the peak
     # near 40 bytes per symbol, 4 of them the int32 keys.
@@ -187,14 +262,15 @@ def _suffix_order(codes, width):
     keys = (key >> width * (h - 31 // width)).astype(np.int32)
     pos = order.astype(np.int32)            # the active suffixes, in slot order
     del order
+    start = _group_starts(key)
+    del key
+    by_document = ends is not None and _tied_share(start) > DOCUMENT_PATH_TIES
+    if by_document:
+        pos, start = _by_document(pos, start, ends)
     slots = np.arange(n, dtype=np.int32)    # and their slots
     rank = np.empty(n + 1, dtype=np.int32)
     rank[n] = -1                            # past the end
     while True:
-        start = np.empty(len(key), dtype=bool)
-        start[:1] = True
-        np.not_equal(key[1:], key[:-1], out=start[1:])
-        del key
         group = np.where(start, slots, 0)   # slots ascend: max is the last start
         np.maximum.accumulate(group, out=group)
         rank[pos] = group
@@ -216,10 +292,41 @@ def _suffix_order(codes, width):
         key = key[order]
         pos = pos[order]
         del order
+        start = _group_starts(key)
+        del key
         h <<= 1
     sa = np.empty(n, dtype=np.int32)
     sa[rank[:n]] = np.arange(n, dtype=np.int32)
-    return sa, keys
+    return sa, keys, by_document
+
+
+def _group_starts(key):
+    """start[i]: sorted key[i] begins a run of equal keys."""
+    start = np.empty(len(key), dtype=bool)
+    start[:1] = True
+    np.not_equal(key[1:], key[:-1], out=start[1:])
+    return start
+
+
+def _tied_share(start):
+    """The share of suffixes in a group of two or more, given group starts."""
+    alone = start.copy()
+    alone[:-1] &= start[1:]
+    return 1 - np.count_nonzero(alone) / len(start)
+
+
+def _by_document(pos, start, ends):
+    """The first round's (pos, start), stably sorted by document (a radix
+    sort below 2**16 documents).  Groups need no break between documents:
+    a document's smallest suffix, its terminator's, never ties the previous
+    document's largest, which starts with a symbol."""
+    owner = np.repeat(np.arange(len(ends), dtype=np.min_scalar_type(len(ends))),
+                      np.diff(ends, prepend=0))[pos]
+    group = np.cumsum(start, dtype=np.int32)
+    del start
+    shuffle = np.argsort(owner, kind="stable")
+    del owner
+    return pos[shuffle], _group_starts(group[shuffle])
 
 
 def as_pattern_bytes(pattern) -> bytes:

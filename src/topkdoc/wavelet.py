@@ -110,6 +110,31 @@ class WaveletTree:
             level = [child for node in level for child in (node.left, node.right)]
         return out
 
+    def document_order(self):
+        """(slots, counts): the 0-based positions holding document 1,
+        ascending, then those holding document 2, and so on, as int32 (the
+        stable argsort of the sequence), and each document's count.
+
+        One top-down pass splits each node's positions by its bits, left
+        child first; a leaf's positions are its document's."""
+        slots = np.empty(self.n, dtype=np.int32)
+        counts = np.zeros(self.d, dtype=np.int64)
+        done = 0
+        stack = [(self.root, np.arange(self.n, dtype=np.int32))]
+        while stack:
+            node, where = stack.pop()
+            if node.bits is None:
+                slots[done:done + len(where)] = where
+                counts[node.lo - 1] = len(where)
+                done += len(where)
+                continue
+            words = np.array(node.bits.words, dtype="<u8").view(np.uint8)
+            right = np.unpackbits(words, count=len(where), bitorder="little").view(bool)
+            # compress, unlike a boolean index, does not branch on each bit.
+            stack.append((node.right, np.compress(right, where)))
+            stack.append((node.left, np.compress(~right, where)))
+        return slots, counts
+
     def access(self, i):
         """Document id stored at 1-based position i."""
         if not 1 <= i <= self.n:

@@ -114,6 +114,20 @@ def revisions_corpus(rng, bases=4, revisions=6, length=60):
     return docs
 
 
+def document_path_calls(monkeypatch):
+    """A list that gains the tree each time a suffix sort takes the document
+    path, the only caller of WaveletTree.document_order."""
+    calls = []
+    decode = WaveletTree.document_order
+
+    def spy(tree):
+        calls.append(tree)
+        return decode(tree)
+
+    monkeypatch.setattr(WaveletTree, "document_order", spy)
+    return calls
+
+
 def occurring_patterns(docs, max_len):
     """Every distinct substring of each length 1..max_len, sorted."""
     seen = set()

@@ -15,8 +15,8 @@ from topkdoc.container import (HEADER_BYTES, _pack, _seal, _unpack, deserialize_
                                read_frames, serialize_index)
 from topkdoc.errors import ContainerFormatError, VersionMismatchError
 
-from conftest import (acgt_corpus, doc_frequency_map, naive_topk, occurring_patterns,
-                      random_docs, revisions_corpus)
+from conftest import (acgt_corpus, doc_frequency_map, document_path_calls, naive_topk,
+                      occurring_patterns, random_docs, revisions_corpus)
 
 HEADER_LEN = 6 + 7 * 8
 assert HEADER_LEN == HEADER_BYTES
@@ -633,6 +633,70 @@ def test_wavelet_bit_lengths_validated_at_load():
                 deserialize_index(reseal(header, dict(fields, bitmaps=bitmaps)))
             tried += 1
     assert tried >= d
+
+
+def swapped_bitmaps(blob):
+    """Containers that swap one 1 and one 0 inside one node's bitmap, which
+    keeps every routing length, resealed: two swaps per node that holds
+    both bits."""
+    header, fields = unseal(blob)
+    for node, (nbits, words) in enumerate(fields["bitmaps"]):
+        bits = np.unpackbits(np.frombuffer(words, dtype=np.uint8), count=nbits,
+                             bitorder="little")
+        ones, zeros = np.flatnonzero(bits), np.flatnonzero(bits == 0)
+        if not (len(ones) and len(zeros)):
+            continue
+        for one, zero in ((ones[0], zeros[-1]), (ones[-1], zeros[0])):
+            bad = bits.copy()
+            bad[one], bad[zero] = 0, 1
+            bitmaps = list(fields["bitmaps"])
+            bitmaps[node] = [nbits, np.packbits(bad, bitorder="little").tobytes()
+                             .ljust(len(words), b"\0")]
+            yield reseal(header, dict(fields, bitmaps=bitmaps))
+
+
+@pytest.mark.parametrize("variant", ["light", "xlight"])
+def test_document_path_proves_the_wavelet_bitmaps(variant, monkeypatch):
+    # A load that rebuilds the suffix array through the document array
+    # checks the result, which only the true suffix array passes, so a
+    # CRC-valid bitmap edit that keeps the routing lengths is rejected.  A
+    # load that sorts the whole text trusts the bitmaps: such an edit loads.
+    calls = document_path_calls(monkeypatch)
+    repetitive = revisions_corpus(random.Random(241))
+    idx = build_index(repetitive, g_prime=4, k_max=4, variant=variant)
+    blob = serialize_index(idx)
+    assert answers(deserialize_index(blob), repetitive) == answers(idx, repetitive)
+    assert len(calls) == 1
+    rejected = 0
+    for bad in swapped_bitmaps(blob):
+        del calls[:]
+        with pytest.raises(ContainerFormatError, match="wavelet bitmaps disagree"):
+            deserialize_index(bad)
+        assert len(calls) == 1
+        rejected += 1
+    assert rejected >= 2 * (idx.corpus.d - 1)
+
+    uniform = acgt_corpus(random.Random(241))
+    blob = serialize_index(build_index(uniform, g_prime=4, k_max=4, variant=variant))
+    del calls[:]
+    loaded = 0
+    for bad in (blob, *swapped_bitmaps(blob)):
+        deserialize_index(bad)
+        loaded += 1
+    assert calls == [] and loaded > 2 * (len(uniform) - 1)
+
+
+def test_document_counts_checked_against_their_lengths():
+    # Another corpus's wavelet section, of the same n and d, routes its
+    # bits consistently but deals document 1 one slot too few.
+    base = revisions_corpus(random.Random(251))
+    idx = build_index(base, g_prime=4, k_max=4)
+    other = build_index([base[0][:-1], base[1] + "a", *base[2:]], g_prime=4, k_max=4)
+    assert other.corpus.n == idx.corpus.n
+    header, fields = unseal(serialize_index(idx))
+    bad = reseal(header, dict(fields, bitmaps=unseal(serialize_index(other))[1]["bitmaps"]))
+    with pytest.raises(ContainerFormatError, match="document 1 holds .* slots"):
+        deserialize_index(bad)
 
 
 def test_sampled_trees_validated_at_load():

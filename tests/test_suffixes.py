@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from topkdoc import build_suffix_array, ingest, pattern_interval
+from topkdoc import build_suffix_array, ingest, pattern_interval, suffixes
 from topkdoc.errors import EmptyPatternError, SentinelInPatternError
 from topkdoc.suffixes import (PatternInterval, _suffix_order, _symbol_codes,
                               prefix_interval, stored_suffix_index)
@@ -16,6 +16,7 @@ from conftest import (
     brute_doc_array,
     brute_suffix_array,
     count_occurrences,
+    document_path_calls,
     occurring_patterns,
     random_docs,
     revisions_corpus,
@@ -254,6 +255,57 @@ def test_build_codes_from_the_corpus_alphabet(monkeypatch):
         assert np.array_equal(s.sa, want.sa) and np.array_equal(s.keys, want.keys)
         assert s.code == want.code and s.width == (c.sigma + 1).bit_length()
     assert list(s.sa) == brute_suffix_array(c.text)
+
+
+_COPIED = "".join(random.Random(83).choice("abcdefghij") for _ in range(500))
+
+# Corpora where a document's own suffix order is easy to get wrong: one
+# document, documents of one symbol, one symbol in all, periodic text,
+# identical copies, documents that are prefixes of others, and revisions.
+DOCUMENT_PATH_CORPORA = {
+    "one document": ["abracadabra" * 30],
+    "one-symbol documents": ["a", "b", "a", "c", "a", "a"],
+    "sigma 1": ["aaa", "a", "a" * 200, "aa"],
+    "periodic ab": ["ab" * 300, "ab" * 150, "ba" * 200, "ab"],
+    "21 identical copies": [_COPIED] * 21,
+    "a prefix of another": ["abcabd" * 10, ("abcabd" * 10)[:31], "abcabd" * 10 + "ab"],
+    "random revisions": revisions_corpus(random.Random(89), bases=6, revisions=8, length=80),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENT_PATH_CORPORA))
+def test_document_path_equals_the_sort(name, monkeypatch):
+    # Forced below any tie share, the document path must give the sort's
+    # suffix array, document array and keys, value for value and in the
+    # same dtypes.
+    c = ingest(DOCUMENT_PATH_CORPORA[name])
+    code, width = _symbol_codes(c.alphabet)
+    order, keys, by_document = _suffix_order(code[np.frombuffer(c.text, dtype=np.uint8)],
+                                             width)
+    assert not by_document
+    sa = order + 1
+    want = {"sa": sa, "doc_ids": c.doc_ids(sa), "keys": keys}
+    wavelet = WaveletTree(want["doc_ids"], c.d)
+    calls = document_path_calls(monkeypatch)
+    monkeypatch.setattr(suffixes, "DOCUMENT_PATH_TIES", -1.0)
+    got = build_suffix_array(c, wavelet)
+    assert calls == [wavelet]
+    for field_name, array in want.items():
+        value = getattr(got, field_name)
+        assert value.dtype == array.dtype and np.array_equal(value, array), field_name
+    if c.n <= 2000:
+        assert sa.tolist() == brute_suffix_array(c.text)
+
+
+def test_document_order_is_the_stable_argsort():
+    rng = random.Random(97)
+    for _ in range(40):
+        docs = random_docs(rng, max_docs=rng.choice((1, 2, 5, 33)), sigma=rng.randint(1, 3))
+        s = build_suffix_array(ingest(docs))
+        slots, counts = WaveletTree(s.doc_ids, len(docs)).document_order()
+        assert slots.dtype == np.int32
+        assert np.array_equal(slots, np.argsort(s.doc_ids, kind="stable"))
+        assert np.array_equal(counts, np.bincount(s.doc_ids, minlength=len(docs) + 1)[1:])
 
 
 def test_interval_size_counts_occurrences():
