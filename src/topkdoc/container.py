@@ -26,7 +26,9 @@ width must be the ones the header implies, the widths being minimal:
                     document ends, the 1-based positions of the
                     terminators (ceil(log2(n + 1)) bits)
     2 wavelet       u64 d, u64 d - 1, then each internal node's bit
-                    vector: length in bits u64, packed u64 words
+                    vector: length in bits u64, packed u64 words; each
+                    node's length and ones count must be the ones the
+                    document lengths give (see WaveletTree.from_bitmaps)
     3 sampled tree  u64 node count m, u64 candidate count c; m sp and m
                     ep (ceil(log2(n + 1)) bits), m class exponents
                     (ceil(log2(log2 k_max + 1)) bits), m + 1 candidate
@@ -36,18 +38,26 @@ width must be the ones the header implies, the widths being minimal:
     4 suffix array  n entries of ceil(log2(n + 1)) bits (optional,
                     rebuilt from the text when absent)
 
-Without section 4 the wavelet tree is read first and the suffix array is
-rebuilt by suffixes.build_suffix_array, whose first sorting round picks
-the path.  On repetitive text (more than suffixes.DOCUMENT_PATH_TIES of
-the suffixes tied after that round) it takes the document path: the
-tree's document array orders each document's suffixes into their slots,
-after a check that each document holds as many slots as positions, and
-the result must pass the O(n) sortedness check, which only the true suffix
-array passes.  A CRC-valid bitmap edit that keeps the routing lengths is
-then rejected.  On other text it takes the sort path, which, like a load
-with a stored suffix array, trusts the wavelet bitmaps beyond their
-routing lengths: an edit that swaps a node's 1 and 0 loads and may answer
-wrongly.
+Every load checks the wavelet tree against the document lengths, so that
+it routes exactly each document's length to its leaf.  Without section 4
+the suffix array is then rebuilt by suffixes.build_suffix_array, whose
+first sorting round picks the path.  On repetitive text (more than
+suffixes.DOCUMENT_PATH_TIES of the suffixes tied after that round) it
+takes the document path: the tree's document array orders each
+document's suffixes into their slots, and the result must pass the O(n)
+sortedness check, which only the true suffix array passes.  On other
+text it takes the sort path.
+
+A container whose CRCs are valid is trusted, unchecked, with three things:
+
+  - the order of the bits inside a wavelet node, on the sort path and
+    with a stored suffix array: swapping a node's 1 and 0 keeps its ones
+    count, loads, and may answer wrongly;
+  - the light layout's candidate frequencies, beyond lying in 1..interval
+    length and ranking the list: one lowered by 1 loads, and
+    sgst.candidates_of returns it as stored;
+  - the marked nodes' intervals, beyond their order and nesting: a
+    childless node's ep shrunk by 1 loads, though no sampling marks it.
 
 The marked nodes are stored in preorder, sorted by (sp, -ep); they are the
 whole sampled tree (see sgst).  Unknown section ids are skipped, their CRC
@@ -58,11 +68,12 @@ match its payload, a symbol table that is not strictly ascending above
 0x00 or lists a symbol the text lacks, a symbol code outside the table,
 document ends that do not rise by at least 2 each up to n, a stored suffix
 array that does not sort the suffixes (see suffixes.sorts_suffixes), wavelet
-bitmaps whose lengths do not follow the tree's routing or, on the document
-path, whose document array does not order the suffixes, or sampled-tree
-nodes or candidate lists that no build could have written (see
-_check_nodes and _check_candidates).  A single-symbol text packs into a
-few bytes yet loads into n: a resource limit, not a format error.
+bitmaps whose lengths or ones counts are not the ones the document lengths
+give or, on the document path, whose document array does not order the
+suffixes, or sampled-tree nodes or candidate lists that no build could
+have written (see _check_nodes and _check_candidates).  A single-symbol
+text packs into a few bytes yet loads into n: a resource limit, not a
+format error.
 """
 
 import struct
@@ -214,9 +225,9 @@ def deserialize_index(data: bytes) -> Index:
     # that the tree is not held through the check; a rebuild needs the tree.
     if SECTION_SUFFIX_ARRAY in sections:
         suffixes = _read_suffix_array(sections[SECTION_SUFFIX_ARRAY], corpus)
-        wavelet = _read_wavelet(sections[SECTION_WAVELET], h.d, h.n)
+        wavelet = _read_wavelet(sections[SECTION_WAVELET], corpus)
     else:
-        wavelet = _read_wavelet(sections[SECTION_WAVELET], h.d, h.n)
+        wavelet = _read_wavelet(sections[SECTION_WAVELET], corpus)
         try:
             suffixes = build_suffix_array(corpus, wavelet)
         except InconsistentIntervalsError as exc:
@@ -364,16 +375,17 @@ def _wavelet_payload(w: WaveletTree) -> bytes:
     return b"".join(parts)
 
 
-def _read_wavelet(payload, d, n):
+def _read_wavelet(payload, corpus):
+    """The stored tree, each node sized by the corpus's document lengths."""
     r = _Reader(payload)
-    if r.u64() != d:
+    if r.u64() != corpus.d:
         raise ContainerFormatError("wavelet alphabet disagrees with the header")
-    if r.u64() != d - 1:
+    if r.u64() != corpus.d - 1:
         raise ContainerFormatError("wavelet section has the wrong node count")
-    bitmaps = [r.bitvector() for _ in range(d - 1)]
+    bitmaps = [r.bitvector() for _ in range(corpus.d - 1)]
     r.done()
     try:
-        return WaveletTree.from_bitmaps(bitmaps, d, n)
+        return WaveletTree.from_bitmaps(bitmaps, corpus.lengths)
     except InconsistentIntervalsError as exc:
         raise ContainerFormatError(f"wavelet bitmaps disagree with the tree: {exc}") from exc
 

@@ -30,15 +30,16 @@ class Corpus:
     def from_text(cls, text):
         """Corpus over text, which must end with a terminator.
 
-        Raises EmptyDocumentError when text holds no document or an empty
-        one, and CorpusTooLargeError when it is longer than MAX_SYMBOLS."""
+        Raises EmptyDocumentError when text holds no document, an empty one
+        or symbols after its last terminator, and CorpusTooLargeError when
+        it is longer than MAX_SYMBOLS."""
         if len(text) > MAX_SYMBOLS:
             raise CorpusTooLargeError(f"{len(text)} symbols; at most {MAX_SYMBOLS} fit")
         symbols = np.frombuffer(text, dtype=np.uint8)
         ends = np.flatnonzero(symbols == SENTINEL) + 1
-        if not ends.size or (np.diff(ends, prepend=0) == 1).any():
+        if not ends.size or ends[-1] != len(text) or (np.diff(ends, prepend=0) == 1).any():
             raise EmptyDocumentError("need at least one document, each of at least "
-                                     "one symbol")
+                                     "one symbol and ended by a terminator")
         alphabet = np.flatnonzero(np.bincount(symbols, minlength=256)[1:]) + 1
         return cls(text=bytes(text), n=len(text), d=len(ends),
                    alphabet=alphabet.astype(np.uint8).tobytes(), ends=tuple(ends.tolist()))
@@ -47,6 +48,12 @@ class Corpus:
     def sigma(self):
         return len(self.alphabet)
 
+    @property
+    def lengths(self):
+        """Each document's length plus its terminator, as int64: the number
+        of text positions, and so of document-array slots, it owns."""
+        return np.diff(self.ends, prepend=0)
+
     def doc_ids(self, positions):
         """Document id owning each 1-based text position, as int32.
 
@@ -54,8 +61,7 @@ class Corpus:
         from an array of every position's owner, built in one pass, so the
         whole suffix array maps without a binary search per position.
         """
-        owner = np.repeat(np.arange(1, self.d + 1, dtype=np.int32),
-                          np.diff(self.ends, prepend=0))
+        owner = np.repeat(np.arange(1, self.d + 1, dtype=np.int32), self.lengths)
         return owner[np.asarray(positions) - 1]
 
     def document(self, doc_id):

@@ -38,8 +38,8 @@ class ValueOutOfRangeError(Error, ValueError):
 
 
 class InconsistentIntervalsError(Error, ValueError):
-    """A walk's core outside its interval, or bitmaps off the tree's routing
-    or off the order of the text's suffixes."""
+    """A walk's core outside its interval, or bitmaps off the document
+    lengths or off the order of the text's suffixes."""
 
 
 class EmptyTreeError(Error, ValueError):

@@ -24,12 +24,15 @@ next h.
 
 Loading a container without a stored suffix array reruns the sort, given
 the wavelet tree it read, and takes one of two paths after the first
-round.  Where at most DOCUMENT_PATH_TIES of the suffixes are still tied,
-the sort path goes on as a build does and trusts the tree.  Where more
-are, the ties run across documents, as in revisions of one text: the
-document path sorts by (document, suffix), which within a document is the
-generalized order, and deals each document's order out to its slots of
-the tree's document array.  It then checks the result with sorts_suffixes
+round.  The tree's node sizes were checked against the document lengths
+when it was read (WaveletTree.from_bitmaps), so each document holds as
+many of its slots as it owns positions.  Where at most DOCUMENT_PATH_TIES
+of the suffixes are still tied, the sort path goes on as a build does and
+trusts the order of the bits inside each node.  Where more are, the ties
+run across documents, as in revisions of one text: the document path
+sorts by (document, suffix), which within a document is the generalized
+order, and deals each document's order out to its slots of the tree's
+document array.  It then checks the result with sorts_suffixes
 (Burkhardt and Kärkkäinen, CPM 2003), which only the true suffix array
 passes; that proves the tree's bitmaps too.  A container with a stored
 suffix array derives the keys from the text, and the same check proves
@@ -42,7 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import SENTINEL, Corpus
-from .errors import EmptyPatternError, InconsistentIntervalsError, SentinelInPatternError
+from .errors import (EmptyPatternError, InconsistentIntervalsError, OutOfRangeError,
+                     SentinelInPatternError)
 
 # A sort given the document array (build_suffix_array's wavelet) takes the
 # document path when more than this share of the suffixes is still tied
@@ -121,11 +125,14 @@ class SuffixIndex:
 
     def top_documents(self, sp, ep, k):
         """The k documents owning the most slots of [sp, ep], as (doc, freq)
-        pairs by (-freq, doc): WaveletTree.greedy_topk's answer.  Both counts
+        pairs by (-freq, doc): WaveletTree.greedy_topk's answer, and like it
+        raising OutOfRangeError unless 1 <= sp <= ep <= n.  Both counts
         list ids ascending and the stable argsort keeps ties in that order.
         bincount's array runs to the slice's largest id, so past 16 times
         the slice's length L one sort counts instead: O(L log L) at most,
         whatever the number of documents."""
+        if not 1 <= sp <= ep <= len(self.sa):
+            raise OutOfRangeError(f"interval [{sp}, {ep}] outside 1..{len(self.sa)}")
         ids = self.doc_ids[sp - 1:ep]
         if ids.max() < 16 * len(ids):
             freq = np.bincount(ids)
@@ -140,40 +147,31 @@ class SuffixIndex:
 def build_suffix_array(corpus: Corpus, wavelet=None) -> SuffixIndex:
     """SuffixIndex of corpus, by the sort of _suffix_order.
 
-    A load passes the wavelet tree it read, whose document array then
-    orders the sort when the text is repetitive (see DOCUMENT_PATH_TIES):
-    the later rounds sort each document's suffixes apart, and the tree's
-    document order deals each document's order out to its slots.  That
-    path checks each document's slot count against its length, then
-    checks the result with sorts_suffixes, which only the true suffix
-    array passes; so it also proves the tree.  It raises
-    InconsistentIntervalsError when either check fails.
+    A load passes the wavelet tree it read, which WaveletTree.from_bitmaps
+    checked to route each document's length to its leaf.  When the text is
+    repetitive (see DOCUMENT_PATH_TIES), its document array orders the
+    sort: the later rounds sort each document's suffixes apart, and the
+    tree's document order deals each document's order out to its slots.
+    That path checks the result with sorts_suffixes, which only the true
+    suffix array passes, so it also proves the tree's bitmaps; it raises
+    InconsistentIntervalsError when the check fails.
     """
     code, width = _symbol_codes(corpus.alphabet)
     order, keys, by_document = _suffix_order(
         code[np.frombuffer(corpus.text, dtype=np.uint8)], width,
-        None if wavelet is None else corpus.ends)
+        None if wavelet is None else corpus.lengths)
     code = tuple(code.tolist())
     if not by_document:
         order += 1                              # 1-based start positions
         return SuffixIndex(order, corpus.doc_ids(order), keys, code, width)
-    slots, counts = wavelet.document_order()
-    lengths = np.diff(corpus.ends, prepend=0)
-    wrong = np.flatnonzero(counts != lengths)
-    if len(wrong):
-        j = int(wrong[0])
-        raise InconsistentIntervalsError(
-            f"document {j + 1} holds {counts[j]} slots of the document array "
-            f"but {lengths[j]} positions of the text")
+    slots = wavelet.document_order()
     sa = np.empty(corpus.n, dtype=np.int32)
     sa[slots] = order + 1
-    doc_ids = np.empty_like(sa)
-    doc_ids[slots] = np.repeat(np.arange(1, corpus.d + 1, dtype=np.int32), counts)
     del order, slots
     if not sorts_suffixes(corpus.text, sa):
         raise InconsistentIntervalsError("the document array does not order the "
                                          "text's suffixes")
-    return SuffixIndex(sa, doc_ids, keys, code, width)
+    return SuffixIndex(sa, corpus.doc_ids(sa), keys, code, width)
 
 
 def stored_suffix_index(corpus: Corpus, sa) -> SuffixIndex:
@@ -220,7 +218,7 @@ def _packed(codes, width, count, dtype):
     return key
 
 
-def _suffix_order(codes, width, ends=None):
+def _suffix_order(codes, width, lengths=None):
     """(order, keys, by_document): the 0-based start positions of the
     suffixes of a text coded by _symbol_codes, in sorted order, and the
     keys SuffixIndex searches.
@@ -241,7 +239,7 @@ def _suffix_order(codes, width, ends=None):
     Suffixes differ in length, hence are distinct: the rounds end once no
     group is left, and the final ranks are the inverse of the suffix array.
 
-    Given ends, the 1-based positions of the text's terminators, and a
+    Given lengths, the positions each document owns (Corpus.lengths), and a
     first round that leaves more than DOCUMENT_PATH_TIES of the suffixes
     tied, by_document is True and the later rounds sort by (document,
     suffix) instead: order lists each document's suffixes in their order,
@@ -264,9 +262,9 @@ def _suffix_order(codes, width, ends=None):
     del order
     start = _group_starts(key)
     del key
-    by_document = ends is not None and _tied_share(start) > DOCUMENT_PATH_TIES
+    by_document = lengths is not None and _tied_share(start) > DOCUMENT_PATH_TIES
     if by_document:
-        pos, start = _by_document(pos, start, ends)
+        pos, start = _by_document(pos, start, lengths)
     slots = np.arange(n, dtype=np.int32)    # and their slots
     rank = np.empty(n + 1, dtype=np.int32)
     rank[n] = -1                            # past the end
@@ -315,13 +313,13 @@ def _tied_share(start):
     return 1 - np.count_nonzero(alone) / len(start)
 
 
-def _by_document(pos, start, ends):
+def _by_document(pos, start, lengths):
     """The first round's (pos, start), stably sorted by document (a radix
     sort below 2**16 documents).  Groups need no break between documents:
     a document's smallest suffix, its terminator's, never ties the previous
     document's largest, which starts with a symbol."""
-    owner = np.repeat(np.arange(len(ends), dtype=np.min_scalar_type(len(ends))),
-                      np.diff(ends, prepend=0))[pos]
+    owner = np.repeat(np.arange(len(lengths), dtype=np.min_scalar_type(len(lengths))),
+                      lengths)[pos]
     group = np.cumsum(start, dtype=np.int32)
     del start
     shuffle = np.argsort(owner, kind="stable")

@@ -76,24 +76,26 @@ class WaveletTree:
                 stack.append((node.right, values[go_right]))
 
     @classmethod
-    def from_bitmaps(cls, bitmaps, d, n):
-        """Rebuild the tree over d ids and n positions from the bit vectors of
-        its d - 1 internal nodes, given in internal_nodes() order.
+    def from_bitmaps(cls, bitmaps, lengths):
+        """Rebuild the tree over the document array of documents holding
+        lengths[j - 1] slots each, from the bit vectors of its d - 1
+        internal nodes, given in internal_nodes() order.
 
-        Raises InconsistentIntervalsError unless the root holds n bits and
-        each child as many as its parent routes to it.
+        With cum the prefix sums of the lengths, the node over ids lo..hi
+        must hold cum[hi] - cum[lo - 1] bits, cum[hi] - cum[mid] of them
+        ones, or InconsistentIntervalsError is raised.  A tree that passes
+        routes exactly each document's length to its leaf.
         """
         self = cls.__new__(cls)
-        self._shape(d, n)
-        length = {self.root: n}
+        cum = np.concatenate(([0], np.cumsum(lengths))).tolist()
+        self._shape(len(lengths), cum[-1])
         for node, bits in zip(self.internal_nodes(), bitmaps, strict=True):
-            if len(bits) != length[node]:
+            size, ones = cum[node.hi] - cum[node.lo - 1], cum[node.hi] - cum[node.mid]
+            if (len(bits), bits.ones) != (size, ones):
                 raise InconsistentIntervalsError(
                     f"node over ids {node.lo}..{node.hi} holds {len(bits)} bits, "
-                    f"its parent routes {length[node]} to it")
+                    f"{bits.ones} of them ones; the document lengths give {size} and {ones}")
             node.bits = bits
-            length[node.left] = len(bits) - bits.ones
-            length[node.right] = bits.ones
         return self
 
     def _shape(self, d, n):
@@ -111,21 +113,19 @@ class WaveletTree:
         return out
 
     def document_order(self):
-        """(slots, counts): the 0-based positions holding document 1,
-        ascending, then those holding document 2, and so on, as int32 (the
-        stable argsort of the sequence), and each document's count.
+        """The 0-based positions holding document 1, ascending, then those
+        holding document 2, and so on, as int32: the stable argsort of the
+        sequence.
 
         One top-down pass splits each node's positions by its bits, left
         child first; a leaf's positions are its document's."""
         slots = np.empty(self.n, dtype=np.int32)
-        counts = np.zeros(self.d, dtype=np.int64)
         done = 0
         stack = [(self.root, np.arange(self.n, dtype=np.int32))]
         while stack:
             node, where = stack.pop()
             if node.bits is None:
                 slots[done:done + len(where)] = where
-                counts[node.lo - 1] = len(where)
                 done += len(where)
                 continue
             words = np.array(node.bits.words, dtype="<u8").view(np.uint8)
@@ -133,7 +133,7 @@ class WaveletTree:
             # compress, unlike a boolean index, does not branch on each bit.
             stack.append((node.right, np.compress(right, where)))
             stack.append((node.left, np.compress(~right, where)))
-        return slots, counts
+        return slots
 
     def access(self, i):
         """Document id stored at 1-based position i."""

@@ -695,8 +695,87 @@ def test_document_counts_checked_against_their_lengths():
     assert other.corpus.n == idx.corpus.n
     header, fields = unseal(serialize_index(idx))
     bad = reseal(header, dict(fields, bitmaps=unseal(serialize_index(other))[1]["bitmaps"]))
-    with pytest.raises(ContainerFormatError, match="document 1 holds .* slots"):
+    with pytest.raises(ContainerFormatError, match="ids 1..2 holds .* ones"):
         deserialize_index(bad)
+
+
+@pytest.mark.parametrize("variant, include_sa", [("xlight", False), ("light", True)])
+def test_document_lengths_checked_on_every_load_path(variant, include_sa, monkeypatch):
+    # The same splice into a container that takes the sort path, or that
+    # stores its suffix array: each node's size and ones count come from
+    # the document lengths, so it is rejected before any sort.
+    calls = document_path_calls(monkeypatch)
+    base = acgt_corpus(random.Random(251))
+    other = [base[0][:-1], base[1] + "a", *base[2:]]
+    blob = serialize_index(build_index(base, g_prime=4, k_max=4, variant=variant), include_sa)
+    deserialize_index(blob)
+    assert calls == []
+    header, fields = unseal(blob)
+    spliced = unseal(serialize_index(build_index(other, g_prime=4, k_max=4)))[1]["bitmaps"]
+    with pytest.raises(ContainerFormatError, match="ids 1..2 holds .* ones"):
+        deserialize_index(reseal(header, dict(fields, bitmaps=spliced)))
+
+
+def abc_corpus(rng):
+    """Twelve random abc documents of 50 to 200 symbols."""
+    return ["".join(rng.choice("abc") for _ in range(rng.randint(50, 200)))
+            for _ in range(12)]
+
+
+def test_stored_suffix_array_trusts_the_bit_order():
+    # A container is trusted with the order of the bits inside a node when
+    # it stores its suffix array: the sortedness check proves the array,
+    # not the tree, so a swap that keeps each node's ones count loads, even
+    # on text whose rebuild would take the document path and reject it.
+    repetitive = revisions_corpus(random.Random(241))
+    idx = build_index(repetitive, g_prime=4, k_max=4)
+    loaded = 0
+    for bad in swapped_bitmaps(serialize_index(idx, include_suffix_array=True)):
+        deserialize_index(bad)
+        loaded += 1
+    assert loaded >= 2 * (idx.corpus.d - 1)
+
+
+def test_lowered_light_frequency_loads():
+    # A container is trusted with the light layout's frequencies: they are
+    # checked for range and rank, not recounted.  A node's last frequency
+    # lowered by 1 keeps both, loads, and is returned as stored.
+    idx = build_index(abc_corpus(random.Random(253)), g_prime=2, k_max=4, variant="light")
+    blob = serialize_index(idx)
+    x = idx.sgst
+    loaded = 0
+    for rank in range(1, x.node_count + 1):
+        last = x.cand_off[rank] - 1
+        if last < x.cand_off[rank - 1] or x.cand_freqs[last] < 2:
+            continue
+        back = deserialize_index(edited(blob, set_value("freqs", last, x.cand_freqs[last] - 1)))
+        got = candidates_of(back.sgst, back.sgst.node_at(rank), back.wavelet)
+        assert got[-1] == (x.cand_docs[last], x.cand_freqs[last] - 1)
+        loaded += 1
+    assert loaded > 200
+
+
+@pytest.mark.parametrize("variant", ["light", "xlight"])
+def test_shrunk_childless_marked_node_loads(variant):
+    # A container is trusted with the marked intervals: they are checked
+    # for order and nesting, not marked again.  A node with none nested in
+    # it keeps both with its ep one smaller, and loads as stored.
+    idx = build_index(abc_corpus(random.Random(257)), g_prime=2, k_max=4, variant=variant)
+    blob = serialize_index(idx)
+    x = idx.sgst
+    sp, ep, off = x.sp_arr, x.ep_arr, x.cand_off
+    loaded = 0
+    for j in range(x.node_count):
+        childless = j + 1 == x.node_count or sp[j + 1] > ep[j]
+        if not childless or sp[j] == ep[j]:
+            continue
+        freqs = x.cand_freqs[off[j]:off[j + 1]] if x.cand_freqs else []
+        if max(freqs, default=0) > ep[j] - sp[j]:
+            continue                           # a frequency above the new length
+        back = deserialize_index(edited(blob, set_value("ep", j, ep[j] - 1)))
+        assert (back.sgst.sp_arr[j], back.sgst.ep_arr[j]) == (sp[j], ep[j] - 1)
+        loaded += 1
+    assert loaded > 200
 
 
 def test_sampled_trees_validated_at_load():

@@ -61,6 +61,14 @@ def test_rejects_empty_collection():
         ingest([])
 
 
+def test_rejects_text_after_the_last_terminator():
+    # The last document must be ended: "cd" has no terminator, so no
+    # document holds its positions.
+    with pytest.raises(EmptyDocumentError):
+        Corpus.from_text(b"ab\x00cd")
+    assert Corpus.from_text(b"ab\x00cd\x00").lengths.tolist() == [3, 3]
+
+
 def test_rejects_terminator_byte():
     with pytest.raises(SentinelInDocumentError):
         ingest([b"a\x00b"])

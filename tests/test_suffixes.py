@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from topkdoc import build_suffix_array, ingest, pattern_interval, suffixes
-from topkdoc.errors import EmptyPatternError, SentinelInPatternError
+from topkdoc.errors import EmptyPatternError, OutOfRangeError, SentinelInPatternError
 from topkdoc.suffixes import (PatternInterval, _suffix_order, _symbol_codes,
                               prefix_interval, stored_suffix_index)
 from topkdoc.wavelet import WaveletTree
@@ -302,10 +302,9 @@ def test_document_order_is_the_stable_argsort():
     for _ in range(40):
         docs = random_docs(rng, max_docs=rng.choice((1, 2, 5, 33)), sigma=rng.randint(1, 3))
         s = build_suffix_array(ingest(docs))
-        slots, counts = WaveletTree(s.doc_ids, len(docs)).document_order()
+        slots = WaveletTree(s.doc_ids, len(docs)).document_order()
         assert slots.dtype == np.int32
         assert np.array_equal(slots, np.argsort(s.doc_ids, kind="stable"))
-        assert np.array_equal(counts, np.bincount(s.doc_ids, minlength=len(docs) + 1)[1:])
 
 
 def test_interval_size_counts_occurrences():
@@ -371,3 +370,16 @@ def test_top_documents_equals_greedy_topk_with_ties():
                 compared += 1
                 cut_in_a_tie += k < len(freqs) and freqs[k - 1] == freqs[k]
     assert compared > 6000 and cut_in_a_tie > 1000 and sorted_slices > 30
+
+
+def test_top_documents_rejects_intervals_outside_the_array(worked_suffixes, worked_wavelet):
+    # Like greedy_topk, whose answer it lists: a slice from slot 0 would
+    # wrap, one past n would be cut short and a reversed one is no slice.
+    n = len(worked_suffixes)
+    assert n == 14
+    for sp, ep, k in ((0, n, 3), (3, 99, 3), (5, 4, 2)):
+        with pytest.raises(OutOfRangeError):
+            worked_suffixes.top_documents(sp, ep, k)
+        with pytest.raises(OutOfRangeError):
+            worked_wavelet.greedy_topk(sp, ep, k)
+    assert worked_suffixes.top_documents(1, n, 3) == worked_wavelet.greedy_topk(1, n, 3)
