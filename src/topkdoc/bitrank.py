@@ -9,7 +9,10 @@ within that block.  Words and directory are built in numpy, then kept as
 lists of Python ints for the queries.
 
 The wavelet tree projects an interval through a node with rank1 at its two
-ends, so rank1_pair answers both positions with one range check.
+ends, so rank1_pair answers both positions with one range check; the tree's
+walks check their range on entry and call the unchecked _rank1_pair.
+ranks1 answers rank1 at many positions at once, in numpy, over the packed
+words, as the container's loader needs for every node of a level.
 """
 
 from bisect import bisect_left
@@ -20,6 +23,7 @@ from .errors import NotEnoughOccurrencesError, OutOfRangeError
 
 _WORD = 64
 _FULL = (1 << 64) - 1
+_LOW = [(1 << r) - 1 for r in range(_WORD)]     # the r low bits of a word
 
 
 class RankBitVector:
@@ -62,7 +66,7 @@ class RankBitVector:
         self._step = step
         self._step_words = step_words
         # Ones before each word; a sample at every block start, then the total.
-        acc = np.concatenate(([0], np.cumsum(np.bitwise_count(words), dtype=np.int64)))
+        acc = _ones_before(words)
         self._samples = np.append(acc[:-1:step_words], acc[-1]).tolist()
         self._words = words.tolist()
         self._ones = self._samples[-1]
@@ -99,6 +103,10 @@ class RankBitVector:
         """(rank1(i), rank1(j)) for 0 <= i <= j <= n."""
         if not 0 <= i <= j <= self._n:
             raise OutOfRangeError(f"prefix lengths {i}, {j} not ordered within 0..{self._n}")
+        return self._rank1_pair(i, j)
+
+    def _rank1_pair(self, i, j):
+        """rank1_pair without the range check."""
         if self._step_words != 1:
             return self._rank1(i), self._rank1(j)
         words = self._words
@@ -106,11 +114,11 @@ class RankBitVector:
         ri = samples[i >> 6]
         r = i & 63
         if r:
-            ri += (words[i >> 6] & ((1 << r) - 1)).bit_count()
+            ri += (words[i >> 6] & _LOW[r]).bit_count()
         rj = samples[j >> 6]
         r = j & 63
         if r:
-            rj += (words[j >> 6] & ((1 << r) - 1)).bit_count()
+            rj += (words[j >> 6] & _LOW[r]).bit_count()
         return ri, rj
 
     def _rank1(self, i):
@@ -123,7 +131,7 @@ class RankBitVector:
             cnt += words[t].bit_count()
         r = i & 63
         if r:
-            cnt += (words[w] & ((1 << r) - 1)).bit_count()
+            cnt += (words[w] & _LOW[r]).bit_count()
         return cnt
 
     def rank0(self, i):
@@ -162,6 +170,22 @@ class RankBitVector:
                 return (t << 6) + (word & -word).bit_length()
             remaining -= cnt
             t += 1
+
+
+def ranks1(words, positions):
+    """rank1 at each of positions, an int64 array, over the packed
+    little-endian u64 words of a bit vector: one numpy pass, no per-position
+    Python work."""
+    before = _ones_before(words)
+    word = positions >> 6
+    head = np.uint64(1) << (positions & 63).astype(np.uint64)
+    tail = np.append(words, np.uint64(0))[word] & (head - np.uint64(1))
+    return before[word] + np.bitwise_count(tail)
+
+
+def _ones_before(words):
+    """The ones before each of the packed words, then their total, as int64."""
+    return np.concatenate(([0], np.cumsum(np.bitwise_count(words), dtype=np.int64)))
 
 
 def _as_bit_array(bits):

@@ -116,11 +116,13 @@ def cmd_query(args):
 def cmd_inspect(args):
     """Print the header's fields, then the bytes and bits per symbol of the
     fixed header and of each section, its 16-byte frame included; the rows
-    before the total sum to the file size.  The file is loaded first, so a
-    container that does not load is reported as an error."""
+    before the total sum to the file size.  A last line gives the wavelet
+    tree's height and the bits stored at each of its levels, top first.
+    The file is loaded first, so a container that does not load is
+    reported as an error."""
     with open(args.index, "rb") as fh:
         data = fh.read()
-    container.deserialize_index(data)
+    wavelet = container.deserialize_index(data).wavelet
     header, frames = container.read_frames(data)
     print(" ".join(f"{name}={value}" for name, value in header._asdict().items()))
     rows = [("header", container.HEADER_BYTES)]
@@ -129,6 +131,8 @@ def cmd_inspect(args):
     rows.append(("total", len(data)))
     for name, size in rows:
         print(f"{name} bytes={size} bits_per_symbol={size * 8 / header.n:.3f}")
+    print(f"wavelet height={wavelet.height} "
+          f"level_bits={','.join(str(len(level)) for level in wavelet.levels)}")
     return 0
 
 

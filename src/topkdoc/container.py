@@ -1,4 +1,4 @@
-"""Binary on-disk container for a built index, format version 3.
+"""Binary on-disk container for a built index, format version 4.
 
 Layout, all integers little-endian:
 
@@ -25,10 +25,13 @@ width must be the ones the header implies, the widths being minimal:
                     its index in the table (ceil(log2 sigma) bits); the d
                     document ends, the 1-based positions of the
                     terminators (ceil(log2(n + 1)) bits)
-    2 wavelet       u64 d, u64 d - 1, then each internal node's bit
-                    vector: length in bits u64, packed u64 words; each
-                    node's length and ones count must be the ones the
-                    document lengths give (see WaveletTree.from_bitmaps)
+    2 wavelet       u64 d, then one width-1 field per level of the tree,
+                    top first, ceil(log2 d) of them: the bits of the
+                    level's internal nodes, left to right, with no
+                    per-node length and no padding between nodes; each
+                    level's count and each node's ones count must be the
+                    ones the document lengths give (see
+                    WaveletTree.from_levels)
     3 sampled tree  u64 node count m, u64 candidate count c; m sp and m
                     ep (ceil(log2(n + 1)) bits), m class exponents
                     (ceil(log2(log2 k_max + 1)) bits), m + 1 candidate
@@ -68,12 +71,12 @@ match its payload, a symbol table that is not strictly ascending above
 0x00 or lists a symbol the text lacks, a symbol code outside the table,
 document ends that do not rise by at least 2 each up to n, a stored suffix
 array that does not sort the suffixes (see suffixes.sorts_suffixes), wavelet
-bitmaps whose lengths or ones counts are not the ones the document lengths
-give or, on the document path, whose document array does not order the
-suffixes, or sampled-tree nodes or candidate lists that no build could
-have written (see _check_nodes and _check_candidates).  A single-symbol
-text packs into a few bytes yet loads into n: a resource limit, not a
-format error.
+levels whose bit counts, or nodes whose ones counts, are not the ones the
+document lengths give or, on the document path, whose document array does
+not order the suffixes, or sampled-tree nodes or candidate lists that no
+build could have written (see _check_nodes and _check_candidates).  A
+single-symbol text packs into a few bytes yet loads into n: a resource
+limit, not a format error.
 """
 
 import struct
@@ -82,7 +85,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitrank import RankBitVector
 from .corpus import MAX_SYMBOLS, SENTINEL, Corpus
 from .engine import Index
 from .errors import ContainerFormatError, InconsistentIntervalsError, VersionMismatchError
@@ -92,7 +94,7 @@ from .suffixes import (_symbol_codes, build_suffix_array, sorts_suffixes,
 from .wavelet import WaveletTree
 
 MAGIC = b"TKDI"
-VERSION = 3
+VERSION = 4
 RANK_STEP = 64      # rank directories are rebuilt at load with this step
 
 SECTION_CORPUS = 1
@@ -305,10 +307,15 @@ class _Reader:
                                        "the header implies")
         return _unpack(self.raw((count * width + 7) // 8), count, width)
 
-    def bitvector(self):
-        nbits = self.u64()
-        words = np.frombuffer(self.raw(8 * ((nbits + 63) // 64)), dtype="<u8")
-        return RankBitVector.from_words(words, nbits)
+    def bits(self):
+        """A width-1 packed field of any count, as (u64 words, count)."""
+        count, width = _FIELD.unpack(self.raw(_FIELD.size))
+        if width != 1:
+            raise ContainerFormatError("a bit field's width is not 1")
+        data = np.frombuffer(self.raw((count + 7) // 8), dtype=np.uint8)
+        words = np.zeros((count + 63) // 64, dtype="<u8")
+        words.view(np.uint8)[:len(data)] = data
+        return words, count
 
     def done(self):
         if self.pos != len(self.data):
@@ -367,25 +374,24 @@ def _read_suffix_array(payload, corpus):
 
 
 def _wavelet_payload(w: WaveletTree) -> bytes:
-    internal = w.internal_nodes()
-    parts = [_U64.pack(w.d), _U64.pack(len(internal))]
-    for node in internal:
-        words = np.asarray(node.bits.words, dtype="<u8")
-        parts += [_U64.pack(len(node.bits)), words.tobytes()]
+    parts = [_U64.pack(w.d)]
+    for level in w.levels:
+        nbits = len(level)
+        words = np.asarray(level.words, dtype="<u8").tobytes()
+        parts += [_FIELD.pack(nbits, 1), words[:(nbits + 7) // 8]]
     return b"".join(parts)
 
 
 def _read_wavelet(payload, corpus):
-    """The stored tree, each node sized by the corpus's document lengths."""
+    """The stored tree, each level and node sized by the corpus's document
+    lengths."""
     r = _Reader(payload)
     if r.u64() != corpus.d:
         raise ContainerFormatError("wavelet alphabet disagrees with the header")
-    if r.u64() != corpus.d - 1:
-        raise ContainerFormatError("wavelet section has the wrong node count")
-    bitmaps = [r.bitvector() for _ in range(corpus.d - 1)]
+    levels = [r.bits() for _ in range((corpus.d - 1).bit_length())]
     r.done()
     try:
-        return WaveletTree.from_bitmaps(bitmaps, corpus.lengths)
+        return WaveletTree.from_levels(levels, corpus.lengths)
     except InconsistentIntervalsError as exc:
         raise ContainerFormatError(f"wavelet bitmaps disagree with the tree: {exc}") from exc
 

@@ -23,7 +23,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .corpus import Corpus, ingest
-from .errors import OutOfRangeError, UnknownStrategyError
+from .errors import InvalidParameterError, OutOfRangeError, UnknownStrategyError
 from .sgst import SGST, build_sgst, candidates_of, find_locus
 from .suffixes import SuffixIndex, build_suffix_array, pattern_interval
 from .wavelet import WaveletTree
@@ -37,7 +37,7 @@ STRATEGIES = (GREEDY, DFS, SELECT)
 def kstar(k):
     """Smallest power of two >= k; the candidate level serving k."""
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise InvalidParameterError(f"k = {k}; it must be at least 1")
     return 1 if k == 1 else 1 << (k - 1).bit_length()
 
 
@@ -54,7 +54,7 @@ class CandidateHeap:
 
     def __init__(self, capacity):
         if capacity < 1:
-            raise ValueError("capacity must be at least 1")
+            raise InvalidParameterError(f"capacity {capacity}; it must be at least 1")
         self.capacity = capacity
         self._entries = []  # (freq, -doc)
 
@@ -182,7 +182,7 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
     if strategy not in STRATEGIES:
         raise UnknownStrategyError(f"strategy must be one of {STRATEGIES}")
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise InvalidParameterError(f"k = {k}; it must be at least 1")
     w = index.wavelet
     x = index.sgst
     k_star = kstar(k)

@@ -64,3 +64,8 @@ class ContainerFormatError(Error, ValueError):
 
 class VersionMismatchError(ContainerFormatError):
     """An index file was written by an incompatible format version."""
+
+
+class InvalidParameterError(Error, ValueError):
+    """A count or build parameter outside what the call accepts: k below 1,
+    g_prime below 1, k_max not a power of two, or an unknown variant."""

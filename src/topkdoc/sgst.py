@@ -27,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .wavelet import WaveletTree
-from .errors import KStarNotPrecomputedError
+from .errors import InvalidParameterError, KStarNotPrecomputedError
 
 VARIANTS = ("light", "xlight")
 
@@ -90,11 +90,11 @@ def build_sgst(corpus, s, g_prime=400, k_max=16, variant="light") -> SGST:
     the same top_documents.
     """
     if g_prime < 1:
-        raise ValueError("g_prime must be at least 1")
+        raise InvalidParameterError(f"g_prime = {g_prime}; it must be at least 1")
     if k_max < 1 or k_max & (k_max - 1):
-        raise ValueError("k_max must be a power of two")
+        raise InvalidParameterError(f"k_max = {k_max}; it must be a power of two")
     if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
+        raise InvalidParameterError(f"variant {variant!r}; it must be one of {VARIANTS}")
 
     text = corpus.text
     sa = memoryview(s.sa)               # plain ints, not numpy scalars

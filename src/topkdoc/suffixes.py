@@ -25,7 +25,7 @@ next h.
 Loading a container without a stored suffix array reruns the sort, given
 the wavelet tree it read, and takes one of two paths after the first
 round.  The tree's node sizes were checked against the document lengths
-when it was read (WaveletTree.from_bitmaps), so each document holds as
+when it was read (WaveletTree.from_levels), so each document holds as
 many of its slots as it owns positions.  Where at most DOCUMENT_PATH_TIES
 of the suffixes are still tied, the sort path goes on as a build does and
 trusts the order of the bits inside each node.  Where more are, the ties
@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import SENTINEL, Corpus
-from .errors import (EmptyPatternError, InconsistentIntervalsError, OutOfRangeError,
-                     SentinelInPatternError)
+from .errors import (EmptyPatternError, InconsistentIntervalsError, InvalidParameterError,
+                     OutOfRangeError, SentinelInPatternError)
 
 # A sort given the document array (build_suffix_array's wavelet) takes the
 # document path when more than this share of the suffixes is still tied
@@ -126,13 +126,16 @@ class SuffixIndex:
     def top_documents(self, sp, ep, k):
         """The k documents owning the most slots of [sp, ep], as (doc, freq)
         pairs by (-freq, doc): WaveletTree.greedy_topk's answer, and like it
-        raising OutOfRangeError unless 1 <= sp <= ep <= n.  Both counts
-        list ids ascending and the stable argsort keeps ties in that order.
+        raising OutOfRangeError unless 1 <= sp <= ep <= n and
+        InvalidParameterError unless k >= 1.  Both counts list ids
+        ascending and the stable argsort keeps ties in that order.
         bincount's array runs to the slice's largest id, so past 16 times
         the slice's length L one sort counts instead: O(L log L) at most,
         whatever the number of documents."""
         if not 1 <= sp <= ep <= len(self.sa):
             raise OutOfRangeError(f"interval [{sp}, {ep}] outside 1..{len(self.sa)}")
+        if k < 1:
+            raise InvalidParameterError(f"k = {k}; it must be at least 1")
         ids = self.doc_ids[sp - 1:ep]
         if ids.max() < 16 * len(ids):
             freq = np.bincount(ids)
@@ -147,7 +150,7 @@ class SuffixIndex:
 def build_suffix_array(corpus: Corpus, wavelet=None) -> SuffixIndex:
     """SuffixIndex of corpus, by the sort of _suffix_order.
 
-    A load passes the wavelet tree it read, which WaveletTree.from_bitmaps
+    A load passes the wavelet tree it read, which WaveletTree.from_levels
     checked to route each document's length to its leaf.  When the text is
     repetitive (see DOCUMENT_PATH_TIES), its document array orders the
     sort: the later rounds sort each document's suffixes apart, and the

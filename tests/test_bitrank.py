@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from topkdoc.bitrank import RankBitVector
+from topkdoc.bitrank import RankBitVector, ranks1
 from topkdoc.errors import NotEnoughOccurrencesError, OutOfRangeError
 
 
@@ -149,3 +149,18 @@ def test_step_below_word_is_word_aligned():
     v = RankBitVector("1" * 70, sample_step=1)
     assert v.sample_step == 64
     assert v.rank1(70) == 70
+
+
+def test_ranks1_matches_rank1_at_every_position():
+    # The vectorised rank the loader checks nodes with, at every prefix
+    # length of vectors ending inside a word and on a word boundary, with
+    # stray bits past the end that it must not count.
+    rng = random.Random(97)
+    for n in (1, 63, 64, 65, 128, 300):
+        bits = "".join(rng.choice("01") for _ in range(n))
+        v = RankBitVector(bits)
+        words = np.array(v.words, dtype="<u8")
+        if n % 64:
+            words[-1] |= np.uint64(1) << np.uint64(63)
+        positions = np.arange(n + 1)
+        assert ranks1(words, positions).tolist() == [brute_rank(bits, 1, i) for i in range(n + 1)]

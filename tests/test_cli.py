@@ -103,7 +103,7 @@ def test_inspect_sections_sum_to_file_size(worked_dir, tmp_path, capsys):
         variant = "xlight" if extra else "light"
         assert lines[0] == f"n=14 d=3 sigma=2 g_prime=1 k_max=4 variant={variant}"
         rows = {}
-        for line in lines[1:]:
+        for line in lines[1:-1]:
             name, size, bits = line.split()
             rows[name] = int(size.removeprefix("bytes="))
             assert float(bits.removeprefix("bits_per_symbol=")) == \
@@ -112,6 +112,26 @@ def test_inspect_sections_sum_to_file_size(worked_dir, tmp_path, capsys):
         assert list(rows) == ["header"] + sections + ["total"]
         assert rows["header"] == 62
         assert rows["total"] == idx.stat().st_size == sum(rows.values()) - rows["total"]
+
+
+def test_inspect_prints_the_wavelet_levels(tmp_path, capsys):
+    # Five documents: height 3.  The top two levels hold every one of the
+    # n = 15 slots; the last, whose nodes are {1, 2}, {3}, {4} and {5},
+    # only those of its one internal node, whose documents own 3 + 3.
+    src = tmp_path / "docs"
+    src.mkdir()
+    for i, doc in enumerate(["ab", "ba", "bb", "aa", "ab"]):
+        (src / f"{i}.txt").write_text(doc)
+    idx = tmp_path / "levels.idx"
+    assert main(["build", str(src), str(idx), "--gprime", "1", "--kmax", "2"]) == 0
+    capsys.readouterr()
+    assert main(["inspect", str(idx)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "wavelet height=3 level_bits=15,15,6"
+    level_bytes = sum(8 + 1 + (bits + 7) // 8 for bits in (15, 15, 6))
+    wavelet_row = 16 + 8 + level_bytes + 4      # frame, d, levels, CRC
+    assert main(["inspect", str(idx)]) == 0
+    assert f"wavelet bytes={wavelet_row} " in capsys.readouterr().out
 
 
 def test_inspect_rejects_a_damaged_index(worked_file, capsys):

@@ -11,9 +11,10 @@ import pytest
 
 from topkdoc import (STRATEGIES, build_index, candidates_of, errors, load_index,
                      pattern_interval, query_topk, save_index)
-from topkdoc.container import (HEADER_BYTES, _pack, _seal, _unpack, deserialize_index,
-                               read_frames, serialize_index)
+from topkdoc.container import (HEADER_BYTES, VERSION, _pack, _seal, _unpack,
+                               deserialize_index, read_frames, serialize_index)
 from topkdoc.errors import ContainerFormatError, VersionMismatchError
+from topkdoc.wavelet import _Node
 
 from conftest import (acgt_corpus, doc_frequency_map, document_path_calls, naive_topk,
                       occurring_patterns, random_docs, revisions_corpus)
@@ -36,18 +37,18 @@ def section_spans(blob):
 
 
 # The fields of each section in stored order: u64 scalars, packed fields
-# and, closing the wavelet section, its bit vectors.  xlight stores no freqs.
+# and, closing the wavelet section, its levels.  xlight stores no freqs.
 LAYOUT = {1: ("table", "codes", "ends"),
-          2: ("d", "internal", "bitmaps"),
+          2: ("d", "levels"),
           3: ("nodes", "cands", "sp", "ep", "cls", "off", "docs", "freqs"),
           4: ("sa",)}
-SCALARS = {"d", "internal", "nodes", "cands"}
+SCALARS = {"d", "nodes", "cands"}
 
 
 def unseal(blob):
     """(header, fields) of a container: the 7 header integers, and each
     field by name, a scalar as an int, a packed field as [values, width],
-    the wavelet's bit vectors as a list of [length in bits, word bytes]."""
+    the wavelet's levels as a list of [length in bits, packed bytes]."""
     header = list(struct.unpack_from("<7Q", blob, 6))
     fields = {}
     for sec_id, start, end in read_frames(blob)[1]:
@@ -58,13 +59,14 @@ def unseal(blob):
             if name in SCALARS:
                 (fields[name],) = struct.unpack_from("<Q", payload, pos)
                 pos += 8
-            elif name == "bitmaps":
+            elif name == "levels":
                 fields[name] = []
                 while pos < len(payload):
-                    (nbits,) = struct.unpack_from("<Q", payload, pos)
-                    words = payload[pos + 8:pos + 8 + 8 * ((nbits + 63) // 64)]
-                    fields[name].append([nbits, words])
-                    pos += 8 + len(words)
+                    nbits, width = struct.unpack_from("<QB", payload, pos)
+                    assert width == 1
+                    data = payload[pos + 9:pos + 9 + (nbits + 7) // 8]
+                    fields[name].append([nbits, data])
+                    pos += 9 + len(data)
             else:
                 count, width = struct.unpack_from("<QB", payload, pos)
                 nbytes = (count * width + 7) // 8
@@ -85,15 +87,27 @@ def reseal(header, fields):
             value = fields[name]
             if name in SCALARS:
                 parts.append(struct.pack("<Q", value))
-            elif name == "bitmaps":
-                parts += [struct.pack("<Q", nbits) + words for nbits, words in value]
+            elif name == "levels":
+                parts += [struct.pack("<QB", nbits, 1) + data for nbits, data in value]
             else:
                 values, width = value
                 assert all(0 <= v < 1 << width for v in values), (name, width)
                 parts.append(struct.pack("<QB", len(values), width) + _pack(values, width))
         if parts:
             sections.append((sec_id, b"".join(parts)))
-    return _seal(struct.pack("<4sH7Q", b"TKDI", 3, *header), sections)
+    return _seal(struct.pack("<4sH7Q", b"TKDI", 4, *header), sections)
+
+
+def level_bits(fields):
+    """The wavelet's levels as arrays of 0/1 bytes, top first."""
+    return [np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=nbits, bitorder="little")
+            for nbits, data in fields["levels"]]
+
+
+def with_levels(fields, levels):
+    """fields with the wavelet's levels replaced by these 0/1 arrays."""
+    return dict(fields, levels=[[len(bits), np.packbits(bits, bitorder="little").tobytes()]
+                                for bits in levels])
 
 
 def edited(blob, edit):
@@ -142,20 +156,20 @@ def test_roundtrip_preserves_everything(variant):
 
 # sha256 of serialize_index for fixed seeded corpora, every level of each
 # holding marked nodes.  A change to the container bytes needs a format
-# version bump, not new digests; these are format version 3's.
+# version bump, not new digests; these are format version 4's.
 FROZEN_CONTAINERS = {
     "acgt-light": (
         acgt_corpus, 211, dict(g_prime=10, k_max=16, variant="light"),
-        "aff2ac782689990539294d857e1333a4802ce420c0dd641a4b74dcea0f65e05f"),
+        "a180f1ad66d62e1c9d43f8eff33fe7cf8a9077f20eaa547b354440a85ac45d9e"),
     # Revisions repeat long stretches: lcp values reach several hundred.
     "revisions-xlight": (
         revisions_corpus, 223, dict(g_prime=8, k_max=16, variant="xlight"),
-        "227d21c66ed93ecf783974e06813084bcaab445dee776d60a86b60ebce6a6048"),
+        "311d7980aa3f5149d9755bb4741a1e5062cc1ba3dd0c6104022c295557a216f4"),
     # g' = 1 samples every slot.
     "dense-light": (
         lambda rng: random_docs(rng, max_docs=6, max_total=150, sigma=2), 227,
         dict(g_prime=1, k_max=8, variant="light"),
-        "006e97a702539cad23db2ec0dea11fa4ddc6a844b42085125f521e1a3eec575e"),
+        "c7b429efb562275232e1f979b05c3885cb455041ab03c788b7dd317edfd1b065"),
 }
 
 
@@ -351,8 +365,8 @@ def test_bad_magic_rejected():
 def test_version_mismatch_rejected():
     idx = build_index(["ab"], g_prime=1, k_max=1)
     blob = serialize_index(idx)
-    assert struct.unpack_from("<H", blob, 4) == (3,)
-    for version in (1, 2, 4):
+    assert struct.unpack_from("<H", blob, 4) == (VERSION,) == (4,)
+    for version in (1, 2, 3, VERSION + 1):
         with pytest.raises(VersionMismatchError):
             deserialize_index(blob[:4] + struct.pack("<H", version) + blob[6:])
 
@@ -614,45 +628,46 @@ def test_reversed_xlight_candidates_answer_ranked():
 
 def test_wavelet_bit_lengths_validated_at_load():
     # Each internal node must hold as many bits as its parent routes to it,
-    # the root n; one bit more or less anywhere is rejected.
+    # the root n; one bit more or less in any node is rejected.
     rng = random.Random(239)
     docs = ["".join(rng.choice("ab") for _ in range(rng.randint(10, 30))) for _ in range(9)]
     idx = build_index(docs, g_prime=2, k_max=4)
     blob = serialize_index(idx)
     header, fields = unseal(blob)
     d = idx.corpus.d
-    assert len(fields["bitmaps"]) == d - 1
+    levels = level_bits(fields)
+    assert len(levels) == (d - 1).bit_length()
     tried = 0
-    for node, (nbits, words) in enumerate(fields["bitmaps"]):
-        for delta in (-1, 1):
-            if (nbits + delta + 63) // 64 != (nbits + 63) // 64:
-                continue                       # would change the word count
-            bitmaps = list(fields["bitmaps"])
-            bitmaps[node] = [nbits + delta, words]
+    for node in idx.wavelet.internal_nodes():
+        end = node.offset + node.size
+        bits = levels[node.level]
+        for bad in (np.delete(bits, end - 1), np.insert(bits, end, 0)):
+            changed = list(levels)
+            changed[node.level] = bad
             with pytest.raises(ContainerFormatError, match="wavelet"):
-                deserialize_index(reseal(header, dict(fields, bitmaps=bitmaps)))
+                deserialize_index(reseal(header, with_levels(fields, changed)))
             tried += 1
     assert tried >= d
 
 
 def swapped_bitmaps(blob):
-    """Containers that swap one 1 and one 0 inside one node's bitmap, which
+    """Containers that swap one 1 and one 0 inside one node's bits, which
     keeps every routing length, resealed: two swaps per node that holds
     both bits."""
     header, fields = unseal(blob)
-    for node, (nbits, words) in enumerate(fields["bitmaps"]):
-        bits = np.unpackbits(np.frombuffer(words, dtype=np.uint8), count=nbits,
-                             bitorder="little")
-        ones, zeros = np.flatnonzero(bits), np.flatnonzero(bits == 0)
+    levels = level_bits(fields)
+    for node in deserialize_index(blob).wavelet.internal_nodes():
+        bits = levels[node.level]
+        ones = node.offset + np.flatnonzero(bits[node.offset:node.offset + node.size])
+        zeros = node.offset + np.flatnonzero(bits[node.offset:node.offset + node.size] == 0)
         if not (len(ones) and len(zeros)):
             continue
         for one, zero in ((ones[0], zeros[-1]), (ones[-1], zeros[0])):
             bad = bits.copy()
             bad[one], bad[zero] = 0, 1
-            bitmaps = list(fields["bitmaps"])
-            bitmaps[node] = [nbits, np.packbits(bad, bitorder="little").tobytes()
-                             .ljust(len(words), b"\0")]
-            yield reseal(header, dict(fields, bitmaps=bitmaps))
+            changed = list(levels)
+            changed[node.level] = bad
+            yield reseal(header, with_levels(fields, changed))
 
 
 @pytest.mark.parametrize("variant", ["light", "xlight"])
@@ -694,7 +709,7 @@ def test_document_counts_checked_against_their_lengths():
     other = build_index([base[0][:-1], base[1] + "a", *base[2:]], g_prime=4, k_max=4)
     assert other.corpus.n == idx.corpus.n
     header, fields = unseal(serialize_index(idx))
-    bad = reseal(header, dict(fields, bitmaps=unseal(serialize_index(other))[1]["bitmaps"]))
+    bad = reseal(header, dict(fields, levels=unseal(serialize_index(other))[1]["levels"]))
     with pytest.raises(ContainerFormatError, match="ids 1..2 holds .* ones"):
         deserialize_index(bad)
 
@@ -711,9 +726,9 @@ def test_document_lengths_checked_on_every_load_path(variant, include_sa, monkey
     deserialize_index(blob)
     assert calls == []
     header, fields = unseal(blob)
-    spliced = unseal(serialize_index(build_index(other, g_prime=4, k_max=4)))[1]["bitmaps"]
+    spliced = unseal(serialize_index(build_index(other, g_prime=4, k_max=4)))[1]["levels"]
     with pytest.raises(ContainerFormatError, match="ids 1..2 holds .* ones"):
-        deserialize_index(reseal(header, dict(fields, bitmaps=spliced)))
+        deserialize_index(reseal(header, dict(fields, levels=spliced)))
 
 
 def abc_corpus(rng):
@@ -894,7 +909,7 @@ def test_stored_suffix_array_sorts_beyond_its_keys():
 
 
 def test_oversized_header_rejected_before_allocating():
-    # A 242-byte container with valid CRCs, sigma = d = 1 and n = 2**40:
+    # A 234-byte container with valid CRCs, sigma = d = 1 and n = 2**40:
     # its n - 1 codes take 0 bits, so unpacking them would allocate n bytes.
     n = 2**40
 
@@ -902,12 +917,12 @@ def test_oversized_header_rejected_before_allocating():
         return struct.pack("<QB", count, width) + data
 
     corpus = field(1, 8, b"a") + field(n - 1, 0) + field(1, 41, n.to_bytes(6, "little"))
-    wavelet = struct.pack("<QQ", 1, 0)
+    wavelet = struct.pack("<Q", 1)
     sgst = (struct.pack("<QQ", 0, 0) + field(0, 41) + field(0, 41) + field(0, 0)
             + field(1, 0) + field(0, 1) + field(0, 41))
-    blob = _seal(struct.pack("<4sH7Q", b"TKDI", 3, n, 1, 1, 1, 1, 0, 64),
+    blob = _seal(struct.pack("<4sH7Q", b"TKDI", 4, n, 1, 1, 1, 1, 0, 64),
                  [(1, corpus), (2, wavelet), (3, sgst)])
-    assert len(blob) == 242
+    assert len(blob) == 234
     tracemalloc.start()
     try:
         with pytest.raises(ContainerFormatError, match="exceeds"):
@@ -948,3 +963,35 @@ def test_load_memory_budget():
         finally:
             tracemalloc.stop()
         assert peak <= 60 * n
+
+
+def test_many_documents_round_trip_in_time(tmp_path, monkeypatch):
+    # 2**16 documents of four acgt symbols (n = 327,680) build, save, load
+    # and answer one query within 2 s, about four times what they take on a
+    # 2-vCPU VM.  A tree of one object per node, each stored with its own
+    # length, took 4.1 s there.
+    # Only the node handles a walk reaches are made: the two roots and the
+    # paths of the documents the query recounts, far fewer than d - 1.
+    made = []
+    init = _Node.__init__
+
+    def counting(node, *args):
+        made.append(args[1:])
+        init(node, *args)
+
+    monkeypatch.setattr(_Node, "__init__", counting)
+    d = 1 << 16
+    codes = np.random.default_rng(263).integers(0, 4, size=(d, 4))
+    docs = [row.tobytes() for row in np.frombuffer(b"acgt", dtype=np.uint8)[codes]]
+    path = tmp_path / "many.idx"
+    began = time.perf_counter()
+    save_index(build_index(docs, g_prime=50, k_max=16, variant="xlight"), path)
+    back = load_index(path)
+    result = query_topk(back, "acg", 5)
+    elapsed = time.perf_counter() - began
+    assert back.corpus.d == d and back.wavelet.height == 16
+    assert result.stats.locus_found
+    assert sorted(f for _, f in result.pairs) == sorted(f for _, f in naive_topk(docs, "acg", 5))
+    assert elapsed < 2, elapsed
+    assert len(made) <= 2 + 5 * back.wavelet.height
+    print(f"{d} documents: {elapsed:.2f} s, {len(made)} node handles made")

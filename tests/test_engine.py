@@ -15,6 +15,7 @@ from topkdoc.bitrank import RankBitVector
 from topkdoc.engine import CandidateHeap, kstar, select_scan
 from topkdoc.errors import (
     EmptyPatternError,
+    InvalidParameterError,
     OutOfRangeError,
     UnknownStrategyError,
 )
@@ -129,9 +130,25 @@ def test_select_scan_covered_must_nest(worked_wavelet):
 
 
 def test_build_index_validation():
-    for kwargs in ({"g_prime": 0}, {"k_max": 3}, {"variant": "heavy"}):
-        with pytest.raises(ValueError):
+    for kwargs, reason in (({"g_prime": 0}, "g_prime"), ({"g_prime": -3}, "g_prime"),
+                           ({"k_max": 3}, "power of two"), ({"k_max": 0}, "power of two"),
+                           ({"variant": "heavy"}, "variant")):
+        with pytest.raises(InvalidParameterError, match=reason):
             build_index(["ab"], **kwargs)
+
+
+def test_k_below_one_rejected(worked_index):
+    # Every call that takes a count k, or a heap capacity, refuses one below
+    # 1 with the same ValueError subclass, rather than answering [] or a
+    # negative slice of the ranking.
+    s, w = worked_index.suffixes, worked_index.wavelet
+    assert s.top_documents(1, 14, 1) == [(1, 5)]
+    for k in (0, -1):
+        for call in (lambda: s.top_documents(1, 14, k), lambda: w.greedy_topk(1, 14, k),
+                     lambda: kstar(k), lambda: query_topk(worked_index, "ab", k),
+                     lambda: CandidateHeap(k)):
+            with pytest.raises(InvalidParameterError, match="at least 1"):
+                call()
 
 
 def test_build_index_accepts_corpus(worked_corpus):

@@ -1,8 +1,10 @@
+import gc
 import heapq
 import random
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from topkdoc.bitrank import RankBitVector
@@ -65,10 +67,9 @@ def test_internal_node_count_by_d():
 
 
 def test_internal_nodes_in_level_order_at_large_d():
-    # Every save and load lists the nodes, so the walk must stay linear in d.
+    # Listing the nodes makes every handle, so the walk must stay linear in d.
     d = 1 << 18
-    w = WaveletTree.__new__(WaveletTree)
-    w._shape(d, 0)
+    w = WaveletTree(np.arange(1, d + 1), d)
     start = time.perf_counter()
     nodes = w.internal_nodes()
     assert time.perf_counter() - start < 5
@@ -78,6 +79,47 @@ def test_internal_nodes_in_level_order_at_large_d():
     assert all(node.hi - node.lo + 1 == d >> (i + 1).bit_length() - 1
                for i, node in enumerate(nodes))
     assert all(a.hi < b.lo for a, b in zip(nodes, nodes[1:]) if a.hi - a.lo == b.hi - b.lo)
+
+
+def test_levels_concatenate_their_nodes_bits():
+    # Level t is the bits of depth t's internal nodes, left to right, each
+    # node's bits routing its own subsequence; every level above the last
+    # holds all n bits, and the last only those of its two-id nodes.
+    rng = random.Random(83)
+    for d in (2, 3, 5, 7, 8, 13, 32, 33):
+        values = [rng.randint(1, d) for _ in range(rng.randint(1, 120))]
+        w = WaveletTree(values, d)
+        assert len(w.levels) == w.height == (d - 1).bit_length()
+        subsequences = {(1, d): values}
+        for t, level in enumerate(w.levels):
+            nodes = [node for node in w.internal_nodes() if node.level == t]
+            want = []
+            for node in nodes:
+                seq = subsequences[node.lo, node.hi]
+                subsequences[node.lo, node.mid] = [v for v in seq if v <= node.mid]
+                subsequences[node.mid + 1, node.hi] = [v for v in seq if v > node.mid]
+                assert node.offset == len(want) and node.size == len(seq)
+                assert node.before == sum(want)
+                want += [int(v > node.mid) for v in seq]
+            assert bits_as_string(level) == "".join(map(str, want))
+            if t < w.height - 1:
+                assert len(level) == len(values)
+            else:
+                assert all(node.hi - node.lo == 1 for node in nodes)
+
+
+def test_dropped_tree_needs_no_cycle_collector():
+    # Node handles refer to the tree's level data, not to the tree, so a
+    # dropped tree and every handle made are freed by reference counting.
+    gc.collect()
+    gc.disable()
+    try:
+        w = WaveletTree([v % 9 + 1 for v in range(200)], 9)
+        assert len(w.internal_nodes()) == 8
+        del w
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_access_worked(worked_wavelet):
@@ -180,7 +222,7 @@ def test_greedy_topk_one_rank_pair_per_internal_node(monkeypatch):
             return real(*args)
         return wrapper
 
-    for name in ("rank1", "rank1_pair", "select", "get"):
+    for name in ("rank1", "rank1_pair", "_rank1_pair", "select", "get"):
         monkeypatch.setattr(RankBitVector, name, counting(name))
     real_pop = heapq.heappop
 
@@ -200,7 +242,7 @@ def test_greedy_topk_one_rank_pair_per_internal_node(monkeypatch):
         out = w.greedy_topk(l, r, rng.randint(1, d + 2))
         # Every pop that emits nothing is an internal node.
         internal = calls.pop("pop") - len(out)
-        assert calls == Counter(rank1_pair=internal)
+        assert calls == Counter(_rank1_pair=internal)
 
 
 def test_restricted_entry_checks():
@@ -279,16 +321,19 @@ def test_restricted_random_vs_oracle():
 
 def test_restricted_at_most_two_rank_pairs_per_internal_node(monkeypatch):
     # The walk projects the outer interval and, when non-empty, the core:
-    # never a third rank1_pair, even where both flanks are non-empty.
+    # never a third rank pair, even where both flanks are non-empty.  A
+    # level's vector is shared by its nodes; the node a pair ranks in is the
+    # one whose bits hold the pair's second position.
     calls = Counter()
-    real = RankBitVector.rank1_pair
+    owner = {}
+    real = RankBitVector._rank1_pair
 
     def counting(self, i, j):
-        calls[id(self)] += 1
+        calls[owner[id(self), j]] += 1
         return real(self, i, j)
 
-    monkeypatch.setattr(RankBitVector, "rank1_pair", counting)
-    for name in ("rank1", "select", "get"):
+    monkeypatch.setattr(RankBitVector, "_rank1_pair", counting)
+    for name in ("rank1", "rank1_pair", "select", "get"):
         monkeypatch.setattr(RankBitVector, name, None)
     rng = random.Random(79)
     cases = [(EIGHT_DOC_SEQ, 8, (4, 14, 7, 11))]
@@ -299,10 +344,14 @@ def test_restricted_at_most_two_rank_pairs_per_internal_node(monkeypatch):
         cases.append((values, d, random_core(rng, n)))
     for values, d, (l, r, cl, cr) in cases:
         w = WaveletTree(values, d)
+        internal = w.internal_nodes()
+        owner.clear()
+        owner.update({(id(node.bits), node.offset + p): node
+                      for node in internal for p in range(1, node.size + 1)})
         uncovered = {values[p - 1] for p in range(l, r + 1) if not cl <= p <= cr}
         # With threshold 0 the walk expands exactly the internal nodes whose
         # id range holds a document of the flanks.
-        expanded = {id(node.bits) for node in w.internal_nodes()
+        expanded = {node for node in internal
                     if any(node.lo <= doc <= node.hi for doc in uncovered)}
         for walk in (w.restricted_greedy, w.restricted_dfs):
             calls.clear()

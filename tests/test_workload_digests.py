@@ -2,7 +2,7 @@
 
 A change that should leave the container format alone must leave these
 digests alone too; a byte change needs a format version bump and new
-digests.  These are format version 3's.  perfbench/workloads.py generates
+digests.  These are format version 4's.  perfbench/workloads.py generates
 the corpora and is only read, never changed.
 """
 
@@ -19,12 +19,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
 DIGESTS = {
-    ("dna-uniform", 201): "8c394de05f29f031d9087abdec405ae4ac1e177ba180f3fbbefa8b05b41733f1",
-    ("dna-uniform", 202): "f41f482bf0b75ba6e0a6b7815ccffcb3a8f82d33b59e2080fa373979874f8603",
-    ("dna-uniform", 203): "b1b30405ee5796e6e758f53fd3a570170c00cf7f393a2a7019bb625669460279",
-    ("versioned-xlight", 201): "a232664621df2a0e04d18953173414deb1173d9bf6a548385c9a6fa39dff7b06",
-    ("versioned-xlight", 202): "c033960be460158ea33b5523a6b2bb92a8ae9f502e553cb7f683413c98799167",
-    ("versioned-xlight", 203): "6f98771a6ee9a5428d6b6e9f0b122cee4bc8bde8d701ac1f8f191cc6f9aaa7f9",
+    ("dna-uniform", 201): "c431116a132b02c76168f30496fa2bd64170a70d537359c50d13639abd6e6a55",
+    ("dna-uniform", 202): "f1fb0fa09fec507e9f69cd8df501debdd5ae999fc751b840b4e0a9b1cf53fc44",
+    ("dna-uniform", 203): "e696028949571ec46e533ada26cb81ed322dfa549cee93777aa2dcf27ce5fce4",
+    ("versioned-xlight", 201): "62e5c9a0ccd75b564b157e8ae07fec1fb1bb9d0764ab2429e04da8bf472950a4",
+    ("versioned-xlight", 202): "f7ceae9c5dd4d7bcb51bd3c81eb16589f453cb3388f23cb77e13da0d43dc2875",
+    ("versioned-xlight", 203): "529d657de25ab37ccc2f60fec934e18d079934622f02f473aabac71b8ef1918f",
 }
 
 
