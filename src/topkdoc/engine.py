@@ -20,10 +20,11 @@ marked node may return any of them; the count lists the lowest ids.
 """
 
 import heapq
+import operator
 from dataclasses import dataclass, field
 
 from .corpus import Corpus, ingest
-from .errors import InvalidParameterError, OutOfRangeError, UnknownStrategyError
+from .errors import InvalidParameterError, OutOfRangeError, UnknownStrategyError, integer
 from .sgst import SGST, build_sgst, candidates_of, find_locus
 from .suffixes import SuffixIndex, build_suffix_array, pattern_interval
 from .wavelet import WaveletTree
@@ -36,6 +37,7 @@ STRATEGIES = (GREEDY, DFS, SELECT)
 
 def kstar(k):
     """Smallest power of two >= k; the candidate level serving k."""
+    k = integer("k", k)
     if k < 1:
         raise InvalidParameterError(f"k = {k}; it must be at least 1")
     return 1 if k == 1 else 1 << (k - 1).bit_length()
@@ -53,6 +55,7 @@ class CandidateHeap:
     __slots__ = ("capacity", "_entries")
 
     def __init__(self, capacity):
+        capacity = integer("capacity", capacity)
         if capacity < 1:
             raise InvalidParameterError(f"capacity {capacity}; it must be at least 1")
         self.capacity = capacity
@@ -181,11 +184,10 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
     """
     if strategy not in STRATEGIES:
         raise UnknownStrategyError(f"strategy must be one of {STRATEGIES}")
-    if k < 1:
-        raise InvalidParameterError(f"k = {k}; it must be at least 1")
+    k_star = kstar(k)               # checks that k is an integer >= 1
+    k = operator.index(k)           # as an int: offset + np.uint8 overflows past 255
     w = index.wavelet
     x = index.sgst
-    k_star = kstar(k)
     stats = QueryStats(kstar=k_star, g=k_star * x.g_prime)
 
     interval = pattern_interval(index.suffixes, index.corpus, pattern)

@@ -1,4 +1,7 @@
-"""Exception types raised across the index."""
+"""Exception types raised across the index, and the check of integer
+parameters that raises InvalidParameterError."""
+
+import operator
 
 
 class Error(Exception):
@@ -67,5 +70,15 @@ class VersionMismatchError(ContainerFormatError):
 
 
 class InvalidParameterError(Error, ValueError):
-    """A count or build parameter outside what the call accepts: k below 1,
-    g_prime below 1, k_max not a power of two, or an unknown variant."""
+    """A count or build parameter outside what the call accepts: k or
+    g_prime not an integer or below 1, k_max not a power of two, or an
+    unknown variant."""
+
+
+def integer(name, value):
+    """value as an int, by operator.index: numpy ints and bools pass, and
+    anything else, a float or a string, raises InvalidParameterError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} = {value!r}; it must be an integer") from None

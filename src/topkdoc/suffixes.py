@@ -15,12 +15,14 @@ each suffix's first m bytes: O(m log occ) byte comparisons.
 prefix_interval runs the same byte search over the whole suffix array.
 
 Suffixes are sorted by prefix doubling in numpy.  The first round sorts
-every suffix once by its first symbols, as many as pack into one int64
-key (21 on DNA, 12 on 27 symbols); the keys above are its top q symbols.
-Each later round doubles the sorted prefix length but re-sorts only the
-suffixes still tied with another, one argsort of a packed int64 key: the
-rank of a suffix's first h symbols times a radix, plus the rank of the
-next h.
+every suffix once by its first h symbols, as many as fit one int64 key
+next to the bits of the suffix's index (at half a million symbols, 14 on
+DNA and 8 on 27 symbols); the keys above are its top q symbols.  Each
+later round doubles the sorted prefix length but re-sorts only the
+suffixes still tied with another, by a packed int64 key: the rank of a
+suffix's first h symbols times a radix, plus the rank of the next h.
+Every sort is one _sort: numpy's value sort of each key packed with its
+index, which is faster than an argsort of the keys.
 
 Loading a container without a stored suffix array reruns the sort, given
 the wavelet tree it read, and takes one of two paths after the first
@@ -46,15 +48,15 @@ import numpy as np
 
 from .corpus import SENTINEL, Corpus
 from .errors import (EmptyPatternError, InconsistentIntervalsError, InvalidParameterError,
-                     OutOfRangeError, SentinelInPatternError)
+                     OutOfRangeError, SentinelInPatternError, integer)
 
 # A sort given the document array (build_suffix_array's wavelet) takes the
 # document path when more than this share of the suffixes is still tied
 # after the first round.  Measured on the benchmark's workloads at seed
-# 201: 0.000% on uniform DNA, where the sort ends after that round and the
-# document path, forced, took 2.1 times as long (114 against 53 ms); 99.3%
-# on revised documents, where the ties run across revisions for about
-# eight rounds and the document path took 106 against 231 ms.
+# 201: 0.22% on uniform DNA, where one later round of those few ends the
+# sort and the document path, forced, took 2.8 times as long (104 against
+# 37 ms); 99.67% on revised documents, where the ties run across revisions
+# for eight more rounds and the document path took 101 against 173 ms.
 DOCUMENT_PATH_TIES = 0.5
 
 
@@ -127,13 +129,14 @@ class SuffixIndex:
         """The k documents owning the most slots of [sp, ep], as (doc, freq)
         pairs by (-freq, doc): WaveletTree.greedy_topk's answer, and like it
         raising OutOfRangeError unless 1 <= sp <= ep <= n and
-        InvalidParameterError unless k >= 1.  Both counts list ids
-        ascending and the stable argsort keeps ties in that order.
+        InvalidParameterError unless k is an integer >= 1.  Both counts list
+        ids ascending and the stable argsort keeps ties in that order.
         bincount's array runs to the slice's largest id, so past 16 times
         the slice's length L one sort counts instead: O(L log L) at most,
         whatever the number of documents."""
         if not 1 <= sp <= ep <= len(self.sa):
             raise OutOfRangeError(f"interval [{sp}, {ep}] outside 1..{len(self.sa)}")
+        k = integer("k", k)
         if k < 1:
             raise InvalidParameterError(f"k = {k}; it must be at least 1")
         ids = self.doc_ids[sp - 1:ep]
@@ -226,10 +229,12 @@ def _suffix_order(codes, width, lengths=None):
     suffixes of a text coded by _symbol_codes, in sorted order, and the
     keys SuffixIndex searches.
 
-    The first round packs h = 63 // width codes per position into one
-    int64 (0 past the end) and sorts all positions once.  In slot order the
-    sorted keys' top q = 31 // width codes are the int32 keys.  A suffix's
-    rank is the first slot of its group, the run of equal keys holding it.
+    The first round packs h = _first_round_length(n, width) codes per
+    position into one int64 (0 past the end), which leaves _sort the low
+    bits for the position, and sorts all positions once.  h >= q for every
+    n up to corpus.MAX_SYMBOLS, so in slot order the sorted keys' top
+    q = 31 // width codes are the int32 keys.  A suffix's rank is the first
+    slot of its group, the run of equal keys holding it.
 
     The suffixes of groups of two or more stay active, carried with their
     slots in slot order.  Each later round, with ranks sorted on h
@@ -237,7 +242,9 @@ def _suffix_order(codes, width, lengths=None):
     past the end): the first term keeps every group in its own slots, the
     rest orders it on 2h symbols.  Ranks are below n, so keys stay below
     n * (n + 1), within int64, and positions plus h below 2n, within int32
-    up to corpus.MAX_SYMBOLS.  Groups left with one member drop out, their
+    up to corpus.MAX_SYMBOLS.  _sort packs them with their index while the
+    largest key fits 63 bits next to it, below about 2**21 symbols, and
+    argsorts them past that.  Groups left with one member drop out, their
     rank final (Larsson and Sadakane, "Faster suffix sorting", 2007).
     Suffixes differ in length, hence are distinct: the rounds end once no
     group is left, and the final ranks are the inverse of the suffix array.
@@ -253,13 +260,12 @@ def _suffix_order(codes, width, lengths=None):
     compare across documents.
     """
     # Each array is dropped as soon as it is spent, which keeps the peak
-    # near 40 bytes per symbol, 4 of them the int32 keys.
+    # near 36 bytes per symbol, 4 of them the int32 keys.
     n = len(codes)
-    h = 63 // width
+    h = _first_round_length(n, width)
     key = _packed(codes, width, h, np.int64)
     del codes                               # freed unless the caller kept a reference
-    order = np.argsort(key)
-    key = key[order]
+    key, order = _sort(key)
     keys = (key >> width * (h - 31 // width)).astype(np.int32)
     pos = order.astype(np.int32)            # the active suffixes, in slot order
     del order
@@ -289,8 +295,7 @@ def _suffix_order(codes, width, lengths=None):
         key += rank[nxt]
         del nxt
         key += 1
-        order = np.argsort(key)
-        key = key[order]
+        key, order = _sort(key)
         pos = pos[order]
         del order
         start = _group_starts(key)
@@ -299,6 +304,42 @@ def _suffix_order(codes, width, lengths=None):
     sa = np.empty(n, dtype=np.int32)
     sa[rank[:n]] = np.arange(n, dtype=np.int32)
     return sa, keys, by_document
+
+
+def _index_bits(n):
+    """Bits that hold every index of n elements: b = bit length of n - 1."""
+    return max(n - 1, 0).bit_length()
+
+
+def _first_round_length(n, width):
+    """h: the codes of width bits one first-round key packs for a text of
+    n symbols, leaving _index_bits(n) of 63 bits to _sort."""
+    return (63 - _index_bits(n)) // width
+
+
+def _sort(key):
+    """(key sorted, order): order sorts key, an int64 array of values >= 0,
+    which the call consumes.
+
+    With b = _index_bits(len(key)), each key is shifted left by b bits and
+    its index ORed into them, and one in-place sort sorts the packed values:
+    numpy sorts plain int64 values with its SIMD sort, which np.argsort
+    does not use.  Packed values are distinct, so ties keep index order:
+    order is the stable argsort of key.  A key past 63 - b bits cannot
+    pack, and np.argsort sorts instead, whose order among ties is its own.
+    """
+    n = len(key)
+    b = _index_bits(n)
+    if int(key.max(initial=0)) >> (63 - b):
+        order = np.argsort(key)
+        return key[order], order
+    order = np.arange(n)                    # the indexes, then the order
+    key <<= b
+    key |= order
+    key.sort()
+    np.bitwise_and(key, (1 << b) - 1, out=order)
+    key >>= b
+    return key, order
 
 
 def _group_starts(key):
@@ -317,15 +358,16 @@ def _tied_share(start):
 
 
 def _by_document(pos, start, lengths):
-    """The first round's (pos, start), stably sorted by document (a radix
-    sort below 2**16 documents).  Groups need no break between documents:
-    a document's smallest suffix, its terminator's, never ties the previous
-    document's largest, which starts with a symbol."""
+    """The first round's (pos, start), stably sorted by document: _sort
+    packs each position's owner with its index, whatever the number of
+    documents.  Groups need no break between documents: a document's
+    smallest suffix, its terminator's, never ties the previous document's
+    largest, which starts with a symbol."""
     owner = np.repeat(np.arange(len(lengths), dtype=np.min_scalar_type(len(lengths))),
-                      lengths)[pos]
+                      lengths)[pos].astype(np.int64)
     group = np.cumsum(start, dtype=np.int32)
     del start
-    shuffle = np.argsort(owner, kind="stable")
+    shuffle = _sort(owner)[1]
     del owner
     return pos[shuffle], _group_starts(group[shuffle])
 

@@ -63,7 +63,7 @@ import numpy as np
 
 from .bitrank import RankBitVector, ranks1
 from .errors import (InconsistentIntervalsError, InvalidParameterError, OutOfRangeError,
-                     ValueOutOfRangeError)
+                     ValueOutOfRangeError, integer)
 
 
 class _Node:
@@ -335,6 +335,7 @@ class WaveletTree:
         """
         if r < l or l < 1 or r > self.n:
             raise OutOfRangeError(f"interval [{l}, {r}] outside 1..{self.n}")
+        k = integer("k", k)
         if k < 1:
             raise InvalidParameterError(f"k = {k}; it must be at least 1")
         # Keys (-length, lo): among equal lengths the smaller id range pops

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import topkdoc.engine as engine_module
@@ -149,6 +150,30 @@ def test_k_below_one_rejected(worked_index):
                      lambda: CandidateHeap(k)):
             with pytest.raises(InvalidParameterError, match="at least 1"):
                 call()
+
+
+def test_parameters_that_are_not_integers_rejected(worked_index):
+    # A float or a string given as a count or build parameter raises the
+    # package's own InvalidParameterError on entry; numpy ints and bools,
+    # which operator.index takes, answer as the ints they equal.
+    s, w = worked_index.suffixes, worked_index.wavelet
+    for k in (2.0, "3", None):
+        for call in (lambda: s.top_documents(1, 14, k), lambda: w.greedy_topk(1, 14, k),
+                     lambda: kstar(k), lambda: query_topk(worked_index, "ab", k),
+                     lambda: CandidateHeap(k), lambda: build_index(["ab"], g_prime=k),
+                     lambda: build_index(["ab"], k_max=k)):
+            with pytest.raises(InvalidParameterError, match="integer"):
+                call()
+    for k in (np.int64(2), np.uint8(2), True):
+        assert kstar(k) == kstar(int(k))
+        assert query_topk(worked_index, "ab", k) == query_topk(worked_index, "ab", int(k))
+        assert s.top_documents(1, 14, k) == w.greedy_topk(1, 14, k) == w.greedy_topk(1, 14, int(k))
+    # Past 255 candidate offsets, a uint8 k added to an offset would overflow.
+    idx = build_index(["ab" * 300, "ba" * 200, "abab"], g_prime=np.int64(2), k_max=np.int32(4))
+    assert (type(idx.sgst.g_prime), type(idx.sgst.k_max)) == (int, int)
+    assert idx.sgst.cand_off[-1] > 255
+    for pattern in ("ab", "b", "ba"):
+        assert query_topk(idx, pattern, np.uint8(2)) == query_topk(idx, pattern, 2)
 
 
 def test_build_index_accepts_corpus(worked_corpus):
@@ -620,8 +645,8 @@ def test_whole_build_memory_budget():
     # repeat whole documents; 21 identical copies of one 10 k-symbol
     # document repeat far longer stretches, so any build step whose memory
     # grows with the longest repeat (doubling ranks kept per round, say)
-    # exceeds the budget there first.  Both peak at about 41, in the
-    # suffix sort.
+    # exceeds the budget there first.  They peak at about 38 and 36, in
+    # the suffix sort.
     rng = random.Random(5)
     revisions = revisions_corpus(rng, bases=10, revisions=20, length=220)
     copies = ["".join(rng.choice("abcdefghij") for _ in range(10_000))] * 21

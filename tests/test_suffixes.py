@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from topkdoc import build_suffix_array, ingest, pattern_interval, suffixes
+from topkdoc.corpus import MAX_SYMBOLS
 from topkdoc.errors import EmptyPatternError, OutOfRangeError, SentinelInPatternError
-from topkdoc.suffixes import (PatternInterval, _suffix_order, _symbol_codes,
-                              prefix_interval, stored_suffix_index)
+from topkdoc.suffixes import (PatternInterval, _first_round_length, _index_bits, _sort,
+                              _suffix_order, _symbol_codes, prefix_interval,
+                              stored_suffix_index)
 from topkdoc.wavelet import WaveletTree
 
 from conftest import (
@@ -200,12 +202,17 @@ def test_keyed_interval_equals_byte_search_at_every_width():
 
 
 def test_suffix_order_shorter_than_one_packed_key():
+    # Texts shorter than one first-round key, exactly one key long and one
+    # symbol longer; the key's length shrinks as the text's index bits grow.
     rng = random.Random(67)
     for sigma in PACKING_SIGMAS:
         # The codes count the terminator apart: only sigma = 256 has 0x00.
-        q = 63 // (min(sigma, 255) + 1).bit_length()
+        width = (min(sigma, 255) + 1).bit_length()
+        beyond = {n: n - _first_round_length(n, width) for n in range(1, 64)}
+        lengths = [n for n, over in beyond.items() if over <= 1]
+        assert {0, 1} <= {beyond[n] for n in lengths}
         alphabet = bytes(range(256 - sigma, 256))
-        for n in range(1, q):
+        for n in lengths:
             text = bytes(rng.choice(alphabet) for _ in range(n))
             assert (sort_raw(text) + 1).tolist() == brute_suffix_array(text)
 
@@ -217,22 +224,68 @@ def test_suffix_order_long_repeats_vs_full_doubling():
         assert np.array_equal(sort_raw(text), doubling_suffix_order(text))
 
 
+def test_sort_orders_ties_by_index():
+    # Packed keys are distinct, so equal keys keep their index order: the
+    # stable argsort, at lengths whose index bits run from 0 to 9.
+    rng = np.random.default_rng(103)
+    for n in (1, 2, 3, 5, 17, 64, 65, 1000):
+        for top in (1, 4, n, 1 << 40):
+            key = rng.integers(0, top, n)
+            want = np.argsort(key, kind="stable")
+            got_key, order = _sort(key.copy())
+            assert np.array_equal(order, want)
+            assert np.array_equal(got_key, key[want])
+
+
+def test_sort_falls_back_to_argsort_past_63_bits(monkeypatch):
+    # Keys near 2**62 leave no room for 10 index bits: np.argsort sorts them.
+    calls = []
+    argsort = np.argsort
+
+    def recording_argsort(a, *args, **kwargs):
+        calls.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recording_argsort)
+    key = (1 << 62) - np.random.default_rng(107).integers(0, 100, 1000)
+    got_key, order = _sort(key.copy())
+    monkeypatch.undo()
+    assert calls == [1000]
+    assert np.array_equal(got_key, np.sort(key))
+    assert np.array_equal(key[order], got_key)
+
+
+def test_first_round_keys_fit_with_the_index():
+    # For every code width and text length up to MAX_SYMBOLS, a first-round
+    # key holds at least the q codes of the int32 keys, and fits 63 bits
+    # next to its index.  Both depend on n only through its index bits, so
+    # one length of each bit count, 0 to 30, covers them all.
+    lengths = [1, *(2**j + 1 for j in range(30)), MAX_SYMBOLS]
+    assert max(lengths) == MAX_SYMBOLS and _index_bits(MAX_SYMBOLS) == 30
+    for width in range(1, 10):
+        for n in lengths:
+            h = _first_round_length(n, width)
+            assert h >= 31 // width
+            assert h * width + _index_bits(n) <= 63
+
+
 def test_later_rounds_sort_only_unfinished_groups(monkeypatch):
     # Finished groups drop out: each round after the first sorts fewer
     # keys than the text has suffixes, and the last one few of them.  How
     # few depends on how far the longest repeats reach past the last
-    # doubling step; on these revisions (documents under 1 k symbols) it
-    # was 1-4% of n over 16 seeds.
+    # doubling step; on these revisions (documents under 1 k symbols),
+    # whose first round sorts on 8 symbols, it was 0-12% of n over seeds
+    # 0-15, and 9.0% at this seed.
     c = ingest(revisions_corpus(random.Random(73), bases=26, revisions=10, length=160))
     assert c.n >= 200_000
     sizes = []
-    argsort = np.argsort
+    sort = suffixes._sort
 
-    def recording_argsort(a, *args, **kwargs):
-        sizes.append(len(a))
-        return argsort(a, *args, **kwargs)
+    def recording_sort(key):
+        sizes.append(len(key))
+        return sort(key)
 
-    monkeypatch.setattr(np, "argsort", recording_argsort)
+    monkeypatch.setattr(suffixes, "_sort", recording_sort)
     order = sort_raw(c.text)
     monkeypatch.undo()
     assert np.array_equal(order, doubling_suffix_order(c.text))
