@@ -5,8 +5,9 @@ popcount every `sample_step` bits, so rank costs one directory lookup plus
 at most `sample_step / 64` word popcounts; at the default of one sample
 per word that is one lookup and one popcount.  select is one bisect over
 the directory, keyed by the ones or zeros before each block, then a scan
-within that block.  Words and directory are built in numpy, then kept as
-lists of Python ints for the queries.
+within that block.  Words (u64) and directory (int64) are numpy arrays,
+kept once and read-only; the queries read them through memoryviews, whose
+items are plain Python ints.
 
 The wavelet tree projects an interval through a node with rank1 at its two
 ends, so rank1_pair answers both positions with one range check; the tree's
@@ -47,7 +48,7 @@ class RankBitVector:
     def from_words(cls, words, n):
         """Rebuild from packed 64-bit words, with a rank sample per word."""
         self = cls.__new__(cls)
-        words = np.array(words, dtype=np.uint64)
+        words = np.array(words, dtype="<u8")
         need = (n + _WORD - 1) // _WORD
         if len(words) != need:
             raise OutOfRangeError(f"expected {need} words for {n} bits, got {len(words)}")
@@ -67,8 +68,9 @@ class RankBitVector:
         self._step_words = step_words
         # Ones before each word; a sample at every block start, then the total.
         acc = _ones_before(words)
-        self._samples = np.append(acc[:-1:step_words], acc[-1]).tolist()
-        self._words = words.tolist()
+        samples = np.append(acc[:-1:step_words], acc[-1])
+        words.flags.writeable = samples.flags.writeable = False
+        self._words, self._samples = memoryview(words), memoryview(samples)
         self._ones = self._samples[-1]
 
     def __len__(self):
@@ -84,8 +86,8 @@ class RankBitVector:
 
     @property
     def words(self):
-        """Packed little-endian words, for serialization."""
-        return self._words
+        """Packed little-endian u64 words, as a read-only numpy array."""
+        return self._words.obj
 
     def get(self, pos):
         """Bit value at 1-based position pos."""

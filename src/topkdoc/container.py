@@ -377,8 +377,7 @@ def _wavelet_payload(w: WaveletTree) -> bytes:
     parts = [_U64.pack(w.d)]
     for level in w.levels:
         nbits = len(level)
-        words = np.asarray(level.words, dtype="<u8").tobytes()
-        parts += [_FIELD.pack(nbits, 1), words[:(nbits + 7) // 8]]
+        parts += [_FIELD.pack(nbits, 1), level.words.tobytes()[:(nbits + 7) // 8]]
     return b"".join(parts)
 
 

@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .corpus import Corpus, ingest
-from .errors import InvalidParameterError, OutOfRangeError, UnknownStrategyError, integer
+from .errors import OutOfRangeError, UnknownStrategyError, positive
 from .sgst import SGST, build_sgst, candidates_of, find_locus
 from .suffixes import SuffixIndex, build_suffix_array, pattern_interval
 from .wavelet import WaveletTree
@@ -37,9 +37,7 @@ STRATEGIES = (GREEDY, DFS, SELECT)
 
 def kstar(k):
     """Smallest power of two >= k; the candidate level serving k."""
-    k = integer("k", k)
-    if k < 1:
-        raise InvalidParameterError(f"k = {k}; it must be at least 1")
+    k = positive("k", k)
     return 1 if k == 1 else 1 << (k - 1).bit_length()
 
 
@@ -55,10 +53,7 @@ class CandidateHeap:
     __slots__ = ("capacity", "_entries")
 
     def __init__(self, capacity):
-        capacity = integer("capacity", capacity)
-        if capacity < 1:
-            raise InvalidParameterError(f"capacity {capacity}; it must be at least 1")
-        self.capacity = capacity
+        self.capacity = positive("capacity", capacity)
         self._entries = []  # (freq, -doc)
 
     def __len__(self):

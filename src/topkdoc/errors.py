@@ -1,5 +1,5 @@
-"""Exception types raised across the index, and the check of integer
-parameters that raises InvalidParameterError."""
+"""Exception types raised across the index, and the checks of integer
+parameters that raise InvalidParameterError."""
 
 import operator
 
@@ -82,3 +82,11 @@ def integer(name, value):
         return operator.index(value)
     except TypeError:
         raise InvalidParameterError(f"{name} = {value!r}; it must be an integer") from None
+
+
+def positive(name, value):
+    """integer(name, value), which must also be at least 1."""
+    value = integer(name, value)
+    if value < 1:
+        raise InvalidParameterError(f"{name} = {value}; it must be at least 1")
+    return value

@@ -27,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .wavelet import WaveletTree
-from .errors import InvalidParameterError, KStarNotPrecomputedError, integer
+from .errors import InvalidParameterError, KStarNotPrecomputedError, integer, positive
 
 VARIANTS = ("light", "xlight")
 
@@ -89,9 +89,7 @@ def build_sgst(corpus, s, g_prime=400, k_max=16, variant="light") -> SGST:
     empty.  A query that no marked node serves counts its interval with
     the same top_documents.
     """
-    g_prime, k_max = integer("g_prime", g_prime), integer("k_max", k_max)
-    if g_prime < 1:
-        raise InvalidParameterError(f"g_prime = {g_prime}; it must be at least 1")
+    g_prime, k_max = positive("g_prime", g_prime), integer("k_max", k_max)
     if k_max < 1 or k_max & (k_max - 1):
         raise InvalidParameterError(f"k_max = {k_max}; it must be a power of two")
     if variant not in VARIANTS:

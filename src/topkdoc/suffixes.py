@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import SENTINEL, Corpus
-from .errors import (EmptyPatternError, InconsistentIntervalsError, InvalidParameterError,
-                     OutOfRangeError, SentinelInPatternError, integer)
+from .errors import (EmptyPatternError, InconsistentIntervalsError, OutOfRangeError,
+                     SentinelInPatternError, positive)
 
 # A sort given the document array (build_suffix_array's wavelet) takes the
 # document path when more than this share of the suffixes is still tied
@@ -136,9 +136,7 @@ class SuffixIndex:
         whatever the number of documents."""
         if not 1 <= sp <= ep <= len(self.sa):
             raise OutOfRangeError(f"interval [{sp}, {ep}] outside 1..{len(self.sa)}")
-        k = integer("k", k)
-        if k < 1:
-            raise InvalidParameterError(f"k = {k}; it must be at least 1")
+        k = positive("k", k)
         ids = self.doc_ids[sp - 1:ep]
         if ids.max() < 16 * len(ids):
             freq = np.bincount(ids)
@@ -165,7 +163,7 @@ def build_suffix_array(corpus: Corpus, wavelet=None) -> SuffixIndex:
     code, width = _symbol_codes(corpus.alphabet)
     order, keys, by_document = _suffix_order(
         code[np.frombuffer(corpus.text, dtype=np.uint8)], width,
-        None if wavelet is None else corpus.lengths)
+        None if wavelet is None else corpus.doc_ids)
     code = tuple(code.tolist())
     if not by_document:
         order += 1                              # 1-based start positions
@@ -224,7 +222,7 @@ def _packed(codes, width, count, dtype):
     return key
 
 
-def _suffix_order(codes, width, lengths=None):
+def _suffix_order(codes, width, doc_ids=None):
     """(order, keys, by_document): the 0-based start positions of the
     suffixes of a text coded by _symbol_codes, in sorted order, and the
     keys SuffixIndex searches.
@@ -249,7 +247,7 @@ def _suffix_order(codes, width, lengths=None):
     Suffixes differ in length, hence are distinct: the rounds end once no
     group is left, and the final ranks are the inverse of the suffix array.
 
-    Given lengths, the positions each document owns (Corpus.lengths), and a
+    Given doc_ids, the owner of each 1-based position (Corpus.doc_ids), and a
     first round that leaves more than DOCUMENT_PATH_TIES of the suffixes
     tied, by_document is True and the later rounds sort by (document,
     suffix) instead: order lists each document's suffixes in their order,
@@ -271,9 +269,9 @@ def _suffix_order(codes, width, lengths=None):
     del order
     start = _group_starts(key)
     del key
-    by_document = lengths is not None and _tied_share(start) > DOCUMENT_PATH_TIES
+    by_document = doc_ids is not None and _tied_share(start) > DOCUMENT_PATH_TIES
     if by_document:
-        pos, start = _by_document(pos, start, lengths)
+        pos, start = _by_document(pos, start, doc_ids)
     slots = np.arange(n, dtype=np.int32)    # and their slots
     rank = np.empty(n + 1, dtype=np.int32)
     rank[n] = -1                            # past the end
@@ -357,14 +355,13 @@ def _tied_share(start):
     return 1 - np.count_nonzero(alone) / len(start)
 
 
-def _by_document(pos, start, lengths):
+def _by_document(pos, start, doc_ids):
     """The first round's (pos, start), stably sorted by document: _sort
     packs each position's owner with its index, whatever the number of
     documents.  Groups need no break between documents: a document's
     smallest suffix, its terminator's, never ties the previous document's
     largest, which starts with a symbol."""
-    owner = np.repeat(np.arange(len(lengths), dtype=np.min_scalar_type(len(lengths))),
-                      lengths)[pos].astype(np.int64)
+    owner = doc_ids(pos + 1).astype(np.int64)
     group = np.cumsum(start, dtype=np.int32)
     del start
     shuffle = _sort(owner)[1]

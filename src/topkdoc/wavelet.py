@@ -62,8 +62,8 @@ from itertools import islice
 import numpy as np
 
 from .bitrank import RankBitVector, ranks1
-from .errors import (InconsistentIntervalsError, InvalidParameterError, OutOfRangeError,
-                     ValueOutOfRangeError, integer)
+from .errors import (InconsistentIntervalsError, OutOfRangeError, ValueOutOfRangeError,
+                     positive)
 
 
 class _Node:
@@ -270,7 +270,7 @@ class WaveletTree:
             return slots
 
         def stored_bits(t, lo, hi, seq):
-            words = np.array(self.levels[t].words, dtype="<u8").view(np.uint8)
+            words = self.levels[t].words.view(np.uint8)
             return np.unpackbits(words, count=len(seq), bitorder="little").view(bool)
 
         self._descend(slots.copy(), stored_bits, slots)
@@ -335,9 +335,7 @@ class WaveletTree:
         """
         if r < l or l < 1 or r > self.n:
             raise OutOfRangeError(f"interval [{l}, {r}] outside 1..{self.n}")
-        k = integer("k", k)
-        if k < 1:
-            raise InvalidParameterError(f"k = {k}; it must be at least 1")
+        k = positive("k", k)
         # Keys (-length, lo): among equal lengths the smaller id range pops
         # first, which is what makes ties land on lower document ids.
         walk = self._restricted(l, r, 1, 0, lambda: 0, heapq.heappush, heapq.heappop)

@@ -11,8 +11,9 @@ import pytest
 
 from topkdoc import (STRATEGIES, build_index, candidates_of, errors, load_index,
                      pattern_interval, query_topk, save_index)
-from topkdoc.container import (HEADER_BYTES, VERSION, _pack, _seal, _unpack,
-                               deserialize_index, read_frames, serialize_index)
+from topkdoc.container import (HEADER_BYTES, VERSION, _pack, _read_wavelet, _seal, _unpack,
+                               _wavelet_payload, deserialize_index, read_frames,
+                               serialize_index)
 from topkdoc.errors import ContainerFormatError, VersionMismatchError
 from topkdoc.wavelet import _Node
 
@@ -963,6 +964,26 @@ def test_load_memory_budget():
         finally:
             tracemalloc.stop()
         assert peak <= 60 * n
+
+
+def test_loaded_wavelet_tree_memory():
+    # A loaded tree keeps each level once: its u64 words and an int64 rank
+    # sample per word, 2 bits per stored bit, about 2 bytes per symbol over
+    # 8 levels.
+    rng = random.Random(5)
+    idx = build_index(revisions_corpus(rng, bases=10, revisions=20, length=220),
+                      g_prime=50, k_max=16)
+    corpus, payload = idx.corpus, _wavelet_payload(idx.wavelet)
+    assert (corpus.n, corpus.d, idx.wavelet.height) == (215_259, 200, 8)
+    del idx
+    tracemalloc.start()
+    try:
+        wavelet = _read_wavelet(payload, corpus)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert wavelet.n == corpus.n
+    assert retained <= 3 * corpus.n, retained / corpus.n
 
 
 def test_many_documents_round_trip_in_time(tmp_path, monkeypatch):

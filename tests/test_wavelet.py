@@ -182,6 +182,21 @@ def test_greedy_topk_single_doc():
     assert w.access(3) == 1
 
 
+def test_answers_are_python_ints():
+    # The bit vectors read numpy words and rank directories through
+    # memoryviews; every answer stays a plain int, not a numpy scalar, on a
+    # built tree and on one rebuilt from its words.
+    built = WaveletTree(EIGHT_DOC_SEQ, 8)
+    loaded = WaveletTree.from_levels([(level.words, len(level)) for level in built.levels],
+                                     np.bincount(EIGHT_DOC_SEQ, minlength=9)[1:])
+    for w in (built, loaded):
+        v = w.levels[0]
+        answers = [v.ones, v.rank1(5), *v.rank1_pair(3, 9), v.select(1, 2), v.select(0, 2),
+                   v.get(4), w.access(5), w.doc_freq(7, 1, 14)]
+        answers += [x for pair in w.greedy_topk(1, 14, 3) for x in pair]
+        assert [type(x) for x in answers] == [int] * len(answers)
+
+
 def test_random_access_and_freq_vs_oracle():
     rng = random.Random(61)
     for _ in range(20):
