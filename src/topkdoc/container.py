@@ -353,8 +353,7 @@ def _read_corpus(payload, n, d, sigma):
     keep = np.ones(n, dtype=bool)
     keep[ends - 1] = False
     symbols[keep] = table[codes]
-    return Corpus(text=symbols.tobytes(), n=n, d=d, alphabet=table.tobytes(),
-                  ends=tuple(ends.tolist()))
+    return Corpus(text=symbols.tobytes(), n=n, d=d, alphabet=table.tobytes(), ends=ends)
 
 
 def _read_suffix_array(payload, corpus):
@@ -420,9 +419,8 @@ def _read_sgst(payload, h: Header):
     r.done()
     _check_nodes(sp_arr, ep_arr, cls_arr, n, h.k_max)
     _check_candidates(sp_arr, ep_arr, cls_arr, cand_off, cand_docs, cand_freqs, h.d)
-    return SGST(h.g_prime, h.k_max, h.variant, sp_arr.tolist(), ep_arr.tolist(),
-                cls_arr.tolist(), cand_off.tolist(), cand_docs.tolist(),
-                None if cand_freqs is None else cand_freqs.tolist())
+    return SGST(h.g_prime, h.k_max, h.variant, sp_arr, ep_arr, cls_arr, cand_off,
+                cand_docs, cand_freqs)
 
 
 def _check_nodes(sp, ep, cls, n, k_max):
@@ -440,7 +438,7 @@ def _check_nodes(sp, ep, cls, n, k_max):
         raise ContainerFormatError("marked nodes are not in preorder by (sp, -ep)")
     # Each node must nest in every earlier node still open at its start.
     open_ends = []
-    for start, end in zip(sp.tolist(), ep.tolist()):
+    for start, end in zip(memoryview(sp), memoryview(ep)):
         while open_ends and open_ends[-1] < start:
             open_ends.pop()
         if open_ends and open_ends[-1] < end:

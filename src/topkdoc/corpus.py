@@ -7,7 +7,7 @@ The text is the collection's only copy: document bounds and ids, and the
 symbol table `alphabet` that the index codes symbols by, are read off it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,13 @@ class Corpus:
     n: int          # len(text)
     d: int          # number of documents, ids 1..d in text order
     alphabet: bytes # distinct symbols of text, terminator excluded, ascending
-    ends: tuple     # 1-based position of each document's terminator, ascending
+    # 1-based position of each document's terminator, ascending, as an
+    # int64 array, made read-only here; it follows from text, so it takes
+    # no part in equality or hashing.
+    ends: np.ndarray = field(compare=False)
+
+    def __post_init__(self):
+        self.ends.flags.writeable = False
 
     @classmethod
     def from_text(cls, text):
@@ -42,7 +48,7 @@ class Corpus:
                                      "one symbol and ended by a terminator")
         alphabet = np.flatnonzero(np.bincount(symbols, minlength=256)[1:]) + 1
         return cls(text=bytes(text), n=len(text), d=len(ends),
-                   alphabet=alphabet.astype(np.uint8).tobytes(), ends=tuple(ends.tolist()))
+                   alphabet=alphabet.astype(np.uint8).tobytes(), ends=ends)
 
     @property
     def sigma(self):

@@ -14,7 +14,10 @@ the document array.
 The stored arrays are the whole sampled tree.  Nodes are kept in preorder,
 sorted by (sp ascending, ep descending); intervals nest or are disjoint,
 so this order fixes the tree's shape, and level k is exactly the nodes of
-class >= k.  find_locus is one binary search over a level's (sp, -ep) keys.
+class >= k.  Each level also keeps one int64 key per node that orders as
+(sp, -ep) does, so find_locus is one binary search over a level's keys.
+Every array is kept once, as a read-only int64 numpy array, and read
+through a memoryview, whose items are plain ints.
 
 The node spanning two sample slots is the locus of their suffixes' common
 prefix, measured by galloping slice comparisons on the text; its interval
@@ -25,6 +28,8 @@ with the level-1 windows' common-prefix lengths times log n.
 
 from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .wavelet import WaveletTree
 from .errors import InvalidParameterError, KStarNotPrecomputedError, integer, positive
@@ -43,25 +48,26 @@ class MarkedNode:
 
 
 class SGST:
-    """Built candidate structure; see build_sgst."""
+    """Built candidate structure; see build_sgst.
+
+    sp_arr, ep_arr and cls_arr hold each node's interval and class,
+    indexed by preorder rank - 1; cand_off (node_count + 1 offsets) cuts
+    cand_docs and, in the light layout, cand_freqs (xlight: None) into the
+    nodes' candidate lists.  Each is kept once (see _frozen): a write to
+    it raises, and its items are plain ints.
+    """
 
     def __init__(self, g_prime, k_max, variant, sp_arr, ep_arr, cls_arr,
                  cand_off, cand_docs, cand_freqs):
-        self.g_prime = g_prime
-        self.k_max = k_max
-        self.variant = variant
-        self.sp_arr = sp_arr            # indexed by preorder rank - 1
-        self.ep_arr = ep_arr
-        self.cls_arr = cls_arr
-        self.cand_off = cand_off        # len node_count + 1, offsets into cand_docs
-        self.cand_docs = cand_docs
-        self.cand_freqs = cand_freqs    # None for the xlight layout
-        # Level k -> (sorted (sp, -ep) keys, preorder ranks) of its nodes,
-        # those of class >= k; preorder keeps them sorted.
-        self.by_level = {}
-        for k in self.levels():
-            ranks = [r for r, c in enumerate(cls_arr, 1) if c >= k]
-            self.by_level[k] = ([(sp_arr[r - 1], -ep_arr[r - 1]) for r in ranks], ranks)
+        self.g_prime, self.k_max, self.variant = g_prime, k_max, variant
+        self.sp_arr, self.ep_arr, self.cls_arr, self.cand_off, self.cand_docs = map(
+            _frozen, (sp_arr, ep_arr, cls_arr, cand_off, cand_docs))
+        self.cand_freqs = None if cand_freqs is None else _frozen(cand_freqs)
+        # Level k -> (the _key of each of its nodes, their preorder ranks),
+        # those of class >= k; preorder keeps the keys ascending.
+        keys, cls = _key(self.sp_arr.obj, self.ep_arr.obj), self.cls_arr.obj
+        self.by_level = {k: (_frozen(keys[cls >= k]), _frozen(np.flatnonzero(cls >= k) + 1))
+                         for k in self.levels()}
 
     @property
     def node_count(self):
@@ -78,6 +84,20 @@ class SGST:
     def level_nodes(self, k):
         """Marked nodes of level k, in preorder."""
         return [self.node_at(r) for r in self.by_level.get(k, ((), ()))[1]]
+
+
+def _frozen(values):
+    """values as a read-only int64 array (the view's .obj), read through a
+    memoryview, whose items are plain ints."""
+    arr = np.array(values, dtype=np.int64)
+    arr.flags.writeable = False
+    return memoryview(arr)
+
+
+def _key(sp, ep):
+    """One int (or int64 array) per interval that orders intervals as
+    (sp, -ep) does, since ep <= corpus.MAX_SYMBOLS < 2**31."""
+    return sp << 31 | ((1 << 31) - 1 - ep)
 
 
 def build_sgst(corpus, s, g_prime=400, k_max=16, variant="light") -> SGST:
@@ -115,35 +135,31 @@ def build_sgst(corpus, s, g_prime=400, k_max=16, variant="light") -> SGST:
         for _, iv in windows:
             classes[iv] = 1 << i  # levels ascend, so the last write is the max
 
-    order = sorted(classes, key=lambda iv: (iv[0], -iv[1]))     # preorder
-    cand_off, cand_docs = [0], []
-    cand_freqs = [] if variant == "light" else None
-    for iv in order:
-        top = s.top_documents(iv[0], iv[1], classes[iv])
-        cand_docs.extend(doc for doc, _ in top)
-        if cand_freqs is not None:
-            cand_freqs.extend(freq for _, freq in top)
-        cand_off.append(len(cand_docs))
+    order = sorted(classes, key=lambda iv: _key(*iv))     # preorder
+    tops = [s.top_documents(iv[0], iv[1], classes[iv]) for iv in order]
+    pairs = [pair for top in tops for pair in top]
     return SGST(g_prime, k_max, variant, [iv[0] for iv in order], [iv[1] for iv in order],
-                [classes[iv] for iv in order], cand_off, cand_docs, cand_freqs)
+                [classes[iv] for iv in order], np.cumsum([0, *map(len, tops)]),
+                [doc for doc, _ in pairs], [f for _, f in pairs] if variant == "light" else None)
 
 
 def find_locus(x: SGST, k_star, sp, ep):
     """Largest level-k_star marked node inside [sp, ep], or None.
 
-    The first level node at or after (sp, -ep) in preorder starts at sp or
-    later and, of the nodes starting at sp, is the widest ending by ep; it
-    lies inside [sp, ep] exactly when it ends by ep.  A pattern's interval
-    and the marked nodes nest or are disjoint, and each level holds the
-    lowest common ancestor of any two of its nodes, so at most one maximal
-    level node lies inside a pattern's interval, and this is it.  For any
-    other interval it returns None or some level node inside.
+    The first level node at or after (sp, -ep) in preorder (found by its
+    _key) starts at sp or later and, of the nodes starting at sp, is the
+    widest ending by ep; it lies inside [sp, ep] exactly when it ends by
+    ep.  A pattern's interval and the marked nodes nest or are disjoint,
+    and each level holds the lowest common ancestor of any two of its
+    nodes, so at most one maximal level node lies inside a pattern's
+    interval, and this is it.  For any other interval it returns None or
+    some level node inside.
     """
     if k_star < 1 or k_star & (k_star - 1) or k_star > x.k_max:
         raise KStarNotPrecomputedError(
             f"level {k_star} not precomputed (levels are powers of two up to {x.k_max})")
     keys, ranks = x.by_level[k_star]
-    i = bisect_left(keys, (sp, -ep))
+    i = bisect_left(keys, _key(sp, ep))
     if i == len(keys) or x.ep_arr[ranks[i] - 1] > ep:
         return None
     return x.node_at(ranks[i])

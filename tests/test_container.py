@@ -9,10 +9,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from topkdoc import (STRATEGIES, build_index, candidates_of, errors, load_index,
-                     pattern_interval, query_topk, save_index)
-from topkdoc.container import (HEADER_BYTES, VERSION, _pack, _read_wavelet, _seal, _unpack,
-                               _wavelet_payload, deserialize_index, read_frames,
+from topkdoc import (STRATEGIES, build_index, candidates_of, errors, find_locus, ingest,
+                     load_index, pattern_interval, query_topk, save_index)
+from topkdoc.container import (HEADER_BYTES, VERSION, Header, _corpus_payload, _pack,
+                               _read_corpus, _read_sgst, _read_wavelet, _seal, _sgst_payload,
+                               _unpack, _wavelet_payload, deserialize_index, read_frames,
                                serialize_index)
 from topkdoc.errors import ContainerFormatError, VersionMismatchError
 from topkdoc.wavelet import _Node
@@ -293,7 +294,8 @@ def test_edge_shapes_round_trip(shape, variant, include_sa):
     back = deserialize_index(blob)
     assert serialize_index(back, include_sa) == blob
     assert back.store_suffix_array == include_sa
-    assert (back.corpus.text, back.corpus.ends) == (idx.corpus.text, idx.corpus.ends)
+    assert back.corpus.text == idx.corpus.text
+    assert np.array_equal(back.corpus.ends, idx.corpus.ends)
     assert (back.corpus.n, back.corpus.d, back.corpus.sigma) == \
         (idx.corpus.n, idx.corpus.d, idx.corpus.sigma)
     assert back.corpus.alphabet == idx.corpus.alphabet == bytes(sorted(set(idx.corpus.text) - {0}))
@@ -485,7 +487,7 @@ def test_sgst_arrays_validated_at_load(variant):
     idx = build_index(["abab", "abba", "bab"], g_prime=1, k_max=4, variant=variant)
     blob = serialize_index(idx)
     x, n = idx.sgst, idx.corpus.n
-    assert unseal(blob)[1]["sp"] == [x.sp_arr, 4]
+    assert unseal(blob)[1]["sp"] == [x.sp_arr.tolist(), 4]
     # A node holding at least two candidates, and the slot of its first one.
     r = next(r for r in range(x.node_count) if x.cand_off[r + 1] - x.cand_off[r] >= 2)
     c = x.cand_off[r]
@@ -524,7 +526,8 @@ def test_candidate_store_bit_flips():
     blob = serialize_index(idx)
     header, fields = unseal(blob)
     x, d = idx.sgst, idx.corpus.d
-    assert fields["docs"][0] == x.cand_docs and fields["freqs"][0] == x.cand_freqs
+    assert fields["docs"][0] == x.cand_docs.tolist()
+    assert fields["freqs"][0] == x.cand_freqs.tolist()
     owner = [r for r in range(x.node_count)
              for _ in range(x.cand_off[r], x.cand_off[r + 1])]
     patterns = occurring_patterns(docs, 3)
@@ -984,6 +987,92 @@ def test_loaded_wavelet_tree_memory():
         tracemalloc.stop()
     assert wavelet.n == corpus.n
     assert retained <= 3 * corpus.n, retained / corpus.n
+
+
+def retained_bytes(read):
+    """(result of read(), bytes of traced allocation it still holds)."""
+    tracemalloc.start()
+    try:
+        result = read()
+        return result, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("variant", ["light", "xlight"])
+def test_loaded_sampled_tree_memory(variant):
+    # A loaded sampled tree keeps its six arrays and each level's keys and
+    # ranks once, as int64 arrays: about 1 byte per symbol here.  Lists of
+    # ints and (sp, -ep) tuples took 3.81 (light) and 3.58 (xlight).
+    rng = random.Random(5)
+    idx = build_index(revisions_corpus(rng, bases=10, revisions=20, length=220),
+                      g_prime=50, k_max=16, variant=variant)
+    corpus, x = idx.corpus, idx.sgst
+    assert (corpus.n, x.node_count) == (215_259, 2_322)
+    h = Header(corpus.n, corpus.d, corpus.sigma, x.g_prime, x.k_max, variant)
+    payload = _sgst_payload(x, corpus.n, corpus.d)
+    del idx, x
+    sgst, retained = retained_bytes(lambda: _read_sgst(payload, h))
+    assert sgst.node_count == 2_322
+    assert retained <= 1.5 * corpus.n, retained / corpus.n
+
+
+def test_loaded_corpus_memory():
+    # A loaded corpus keeps its text and an int64 end per document: 2.6
+    # bytes per symbol on 2**16 documents of four symbols.  A tuple of ends
+    # took 9.00.
+    codes = np.random.default_rng(263).integers(0, 4, size=(1 << 16, 4))
+    corpus = ingest(row.tobytes() for row in np.frombuffer(b"acgt", dtype=np.uint8)[codes])
+    payload = _corpus_payload(corpus)
+    back, retained = retained_bytes(
+        lambda: _read_corpus(payload, corpus.n, corpus.d, corpus.sigma))
+    assert back == corpus and hash(back) == hash(corpus)
+    assert retained <= 3 * corpus.n, retained / corpus.n
+
+
+@pytest.mark.parametrize("variant", ["light", "xlight"])
+def test_sampled_tree_reads_plain_ints_from_read_only_arrays(variant):
+    # The sampled tree and the document ends are read-only int64 arrays:
+    # what a query reads from them is a plain int, never a numpy scalar,
+    # and a write to them raises, on a built index and on a loaded one.
+    docs = revisions_corpus(random.Random(241))
+    built = build_index(docs, g_prime=4, k_max=16, variant=variant)
+    loaded = deserialize_index(serialize_index(built))
+    patterns = occurring_patterns(docs, 3)
+    for idx in (built, loaded):
+        x, ints = idx.sgst, []
+        for k in x.levels():
+            for node in x.level_nodes(k):
+                ints += [node.rank, node.sp, node.ep, node.cls]
+                ints += [v for pair in candidates_of(x, node, idx.wavelet) for v in pair]
+                found = find_locus(x, k, node.sp, node.ep)
+                ints += [found.rank, found.sp, found.ep, found.cls]
+        node = x.node_at(x.node_count)
+        ints += [node.rank, node.sp, node.ep, node.cls]
+        located = [r for r in (query_topk(idx, p, 3, strategy=s) for p in patterns
+                               for s in STRATEGIES) if r.stats.locus_found]
+        equal = set()
+        for r in located:
+            iv = pattern_interval(idx.suffixes, idx.corpus, r.pattern)
+            equal.add((r.stats.locus_sp, r.stats.locus_ep) == (iv.sp, iv.ep))
+            ints += [r.stats.locus_sp, r.stats.locus_ep] + [v for pair in r.pairs for v in pair]
+        assert equal == {True, False}           # the equal and the flank regime
+        assert len(ints) > 1000
+        assert {type(v) for v in ints} == {int}
+
+        stored = [x.sp_arr, x.ep_arr, x.cls_arr, x.cand_off, x.cand_docs]
+        stored += [] if x.cand_freqs is None else [x.cand_freqs]
+        stored += [a for k in x.levels() for a in x.by_level[k]]
+        for arr in stored:
+            assert arr.obj.dtype == np.int64 and not arr.obj.flags.writeable
+            with pytest.raises(TypeError):
+                arr[0] = 0
+            with pytest.raises(ValueError):
+                np.asarray(arr)[0] = 0
+        assert idx.corpus.ends.dtype == np.int64
+        with pytest.raises(ValueError):
+            idx.corpus.ends[0] = 0
+    assert loaded.corpus == built.corpus and hash(loaded.corpus) == hash(built.corpus)
 
 
 def test_many_documents_round_trip_in_time(tmp_path, monkeypatch):

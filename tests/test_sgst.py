@@ -6,8 +6,9 @@ import pytest
 
 from topkdoc import build_suffix_array, candidates_of, find_locus, ingest, pattern_interval
 from topkdoc.bitrank import RankBitVector
+from topkdoc.corpus import MAX_SYMBOLS
 from topkdoc.errors import KStarNotPrecomputedError
-from topkdoc.sgst import VARIANTS, build_sgst
+from topkdoc.sgst import SGST, VARIANTS, build_sgst
 from topkdoc.wavelet import WaveletTree
 
 from conftest import occurring_patterns, random_docs, revisions_corpus
@@ -111,9 +112,9 @@ def test_counted_candidates_match_greedy_topk(variant, g_prime):
             nd = x.node_at(rank)
             want = w.greedy_topk(nd.sp, nd.ep, nd.cls)
             lo, hi = x.cand_off[rank - 1], x.cand_off[rank]
-            assert x.cand_docs[lo:hi] == [doc for doc, _ in want]
+            assert x.cand_docs[lo:hi].tolist() == [doc for doc, _ in want]
             if variant == "light":
-                assert x.cand_freqs[lo:hi] == [freq for _, freq in want]
+                assert x.cand_freqs[lo:hi].tolist() == [freq for _, freq in want]
             nodes += 1
             ties += len({freq for _, freq in want}) < len(want)
     assert nodes > 100 and ties > 10
@@ -318,6 +319,35 @@ def test_find_locus_agrees_with_exhaustive_search():
                     assert (got.sp, got.ep) in nodes
                     assert sp <= got.sp and got.ep <= ep
     assert found > 1000 and missing > 1000
+
+
+def test_find_locus_at_the_largest_positions():
+    # Each level keeps one packed int key per node, sp << 31 | (2**31 - 1 -
+    # ep).  With sp and ep up to MAX_SYMBOLS, the search must still find
+    # what an exhaustive search in (sp, -ep) preorder finds: the first
+    # level node at or after (sp, -ep), when it ends by ep.
+    m, half = MAX_SYMBOLS, 1 << 29
+    nodes = {(1, m): 4, (1, m - 1): 1, (1, 5): 2, (1, 3): 1, (2, 3): 4, (4, 5): 1,
+             (half, half + 7): 2, (half, half): 1, (half + 8, m - 20): 4,
+             (m - 10, m): 2, (m - 10, m - 1): 4, (m - 5, m): 1, (m, m): 2}
+    order = sorted(nodes, key=lambda iv: (iv[0], -iv[1]))
+    x = SGST(1, 4, "xlight", [iv[0] for iv in order], [iv[1] for iv in order],
+             [nodes[iv] for iv in order], [0] * (len(order) + 1), [], None)
+    queries = {(sp + a, ep + b) for sp, ep in nodes for a in (-1, 0, 1) for b in (-1, 0, 1)}
+    queries |= {(6, half - 1), (m - 9, m - 6), (m - 4, m - 1), (2, 2), (m - 19, m - 19)}
+    queries = {(sp, ep) for sp, ep in queries if 1 <= sp <= ep <= m}
+    exact = empty = 0
+    for k in x.levels():
+        level = [iv for iv in order if nodes[iv] >= k]
+        assert [(nd.sp, nd.ep) for nd in x.level_nodes(k)] == level
+        for sp, ep in sorted(queries):
+            after = [iv for iv in level if (iv[0], -iv[1]) >= (sp, -ep)]
+            want = after[0] if after and after[0][1] <= ep else None
+            got = find_locus(x, k, sp, ep)
+            assert (None if got is None else (got.sp, got.ep)) == want, (k, sp, ep)
+            exact += want is not None and want[1] == ep
+            empty += not any(sp <= a and b <= ep for a, b in level)
+    assert exact > 20 and empty > 20
 
 
 def test_find_locus_makes_no_bit_vector_call(monkeypatch):
