@@ -66,9 +66,10 @@ The marked nodes are stored in preorder, sorted by (sp, -ep); they are the
 whole sampled tree (see sgst).  Unknown section ids are skipped, their CRC
 unchecked, so the format can grow.  A version mismatch is an error, as is
 a rank step other than 64, a g_prime or k_max no build accepts, an n above
-corpus.MAX_SYMBOLS, a CRC mismatch, any declared length that does not
-match its payload, a symbol table that is not strictly ascending above
-0x00 or lists a symbol the text lacks, a symbol code outside the table,
+corpus.MAX_SYMBOLS, a CRC mismatch, a known section that appears twice,
+any declared length that does not match its payload, a symbol table that
+is not strictly ascending above 0x00 or lists a symbol the text lacks, a
+symbol code outside the table,
 document ends that do not rise by at least 2 each up to n, a stored suffix
 array that does not sort the suffixes (see suffixes.sorts_suffixes), wavelet
 levels whose bit counts, or nodes whose ones counts, are not the ones the
@@ -89,8 +90,7 @@ from .corpus import MAX_SYMBOLS, SENTINEL, Corpus
 from .engine import Index
 from .errors import ContainerFormatError, InconsistentIntervalsError, VersionMismatchError
 from .sgst import SGST
-from .suffixes import (_symbol_codes, build_suffix_array, sorts_suffixes,
-                       stored_suffix_index)
+from .suffixes import SuffixIndex, _symbol_codes, build_suffix_array, sorts_suffixes
 from .wavelet import WaveletTree
 
 MAGIC = b"TKDI"
@@ -169,8 +169,9 @@ def _seal(header, sections):
 
 def read_frames(data):
     """(Header, frames) of a container, each frame a section's (id, start,
-    end), its payload data[start:end] with the CRC.  Checks the header
-    and every known section's CRC, not the payloads."""
+    end), its payload data[start:end] with the CRC.  Checks the header,
+    that no known section appears twice, and every known section's CRC,
+    not the payloads."""
     if len(data) < HEADER_BYTES:
         raise ContainerFormatError("file shorter than the fixed header")
     magic, version, n, d, sigma, g_prime, k_max, variant_tag, step = \
@@ -202,6 +203,8 @@ def read_frames(data):
             raise ContainerFormatError(f"section {sec_id} declares {length} bytes "
                                        f"but only {len(data) - start} remain")
         if sec_id in SECTION_NAMES:
+            if any(sec_id == seen for seen, _, _ in frames):
+                raise ContainerFormatError(f"section {sec_id} appears twice")
             if length < _CRC.size:
                 raise ContainerFormatError(f"section {sec_id} is shorter than its CRC")
             crc = zlib.crc32(view[start:end - _CRC.size],
@@ -365,7 +368,7 @@ def _read_suffix_array(payload, corpus):
     r.done()
     if not ((1 <= sa) & (sa <= n)).all() or np.bincount(sa).max() > 1:
         raise ContainerFormatError("stored suffix array is not a permutation of 1..n")
-    s = stored_suffix_index(corpus, sa.astype(np.int32))
+    s = SuffixIndex(corpus, sa)
     del sa
     if not sorts_suffixes(corpus.text, s.sa):
         raise ContainerFormatError("stored suffix array is not sorted by its suffixes")

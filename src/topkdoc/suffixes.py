@@ -11,8 +11,8 @@ sorted, so the keys never decrease, and a pattern of m symbols has its
 interval found by two binary searches over them, on the codes of its
 first min(m, q) symbols.  Only a pattern longer than q is then searched
 byte by byte, by two bisects over the occ slots of that range keyed by
-each suffix's first m bytes: O(m log occ) byte comparisons.
-prefix_interval runs the same byte search over the whole suffix array.
+each suffix's first m bytes (_byte_search): O(m log occ) byte
+comparisons.
 
 Suffixes are sorted by prefix doubling in numpy.  The first round sorts
 every suffix once by its first h symbols, as many as fit one int64 key
@@ -37,8 +37,12 @@ order, and deals each document's order out to its slots of the tree's
 document array.  It then checks the result with sorts_suffixes
 (Burkhardt and Kärkkäinen, CPM 2003), which only the true suffix array
 passes; that proves the tree's bitmaps too.  A container with a stored
-suffix array derives the keys from the text, and the same check proves
-the stored order.
+suffix array skips the sort: the keys are derived from the text, and the
+same check proves the stored order.
+
+Every path ends in the one constructor, SuffixIndex(corpus, sa, keys),
+which derives the document array and, given no keys, the keys, and makes
+the three arrays read-only.
 """
 
 from bisect import bisect_left, bisect_right
@@ -80,18 +84,40 @@ class PatternInterval:
         return 0 if self.is_empty else self.ep - self.sp + 1
 
 
-@dataclass(frozen=True)
 class SuffixIndex:
-    sa: np.ndarray       # 1-based text positions, suffix-sorted, int32
-    doc_ids: np.ndarray  # doc_ids[i] = document owning position sa[i], int32
-    keys: np.ndarray     # int32, never decreasing: suffix sa[i]'s first q codes, packed
-    code: tuple          # symbol -> code, 1..sigma + 1 (1 for the terminator); 0 if absent
-    width: int           # bits per code; q = 31 // width
-    _views: tuple = field(init=False, repr=False, compare=False)
+    """The suffix array of a corpus, with its document array and keys.
 
-    def __post_init__(self):
+    sa holds the 1-based text positions, suffix-sorted; doc_ids[i] is the
+    document owning position sa[i]; keys[i], never decreasing, packs the
+    codes of suffix sa[i]'s first q = 31 // width symbols.  All three are
+    int32 arrays and read-only.  code maps each byte to its code,
+    1..sigma + 1 (1 for the terminator) or 0 if absent; codes take width
+    bits.
+
+    SuffixIndex(corpus, sa, keys=None) is the one place an index is
+    assembled.  sa is a permutation of 1..n that sorts the suffixes of
+    corpus.text; an int32 array is taken over, as keys are, not copied,
+    and any other is converted to one.  Without keys it derives them from
+    the text: every position's first q codes are packed in text order,
+    then gathered through sa - 1.  A sa that does not sort the suffixes
+    would make searches wrong; the caller checks that it does
+    (sorts_suffixes).
+    """
+
+    __slots__ = ("sa", "doc_ids", "keys", "code", "width", "_views")
+
+    def __init__(self, corpus: Corpus, sa, keys=None):
+        code, width = _symbol_codes(corpus.alphabet)
+        sa = np.asarray(sa, dtype=np.int32)
+        if keys is None:
+            codes = code[np.frombuffer(corpus.text, dtype=np.uint8)]
+            keys = _packed(codes, width, 31 // width, np.int32)[sa - 1]
+        self.sa, self.doc_ids, self.keys = sa, corpus.doc_ids(sa), keys
+        for arr in (self.sa, self.doc_ids, self.keys):
+            arr.flags.writeable = False
+        self.code, self.width = tuple(code.tolist()), width
         # memoryviews yield plain ints, which bisect and slicing want.
-        object.__setattr__(self, "_views", (memoryview(self.keys), memoryview(self.sa)))
+        self._views = (memoryview(keys), memoryview(sa))
 
     def __len__(self):
         return len(self.sa)
@@ -105,7 +131,7 @@ class SuffixIndex:
         keys of the suffixes that start with them: [key, key + 1) shifted
         past the q - t symbols left.  A symbol absent from the text has no
         code, and no suffix starts with pat.  A longer pat is then searched
-        byte by byte within that range, as prefix_interval searches.
+        byte by byte within that range, by _byte_search.
         """
         code, width = self.code, self.width
         q = 31 // width
@@ -158,39 +184,27 @@ def build_suffix_array(corpus: Corpus, wavelet=None) -> SuffixIndex:
     tree's document order deals each document's order out to its slots.
     That path checks the result with sorts_suffixes, which only the true
     suffix array passes, so it also proves the tree's bitmaps; it raises
-    InconsistentIntervalsError when the check fails.
+    InconsistentIntervalsError when the check fails.  The two paths differ
+    only in how sa is laid out; both pass the first round's keys to the
+    constructor, which would otherwise derive them in one more pass over
+    the text.
     """
     code, width = _symbol_codes(corpus.alphabet)
     order, keys, by_document = _suffix_order(
         code[np.frombuffer(corpus.text, dtype=np.uint8)], width,
         None if wavelet is None else corpus.doc_ids)
-    code = tuple(code.tolist())
-    if not by_document:
-        order += 1                              # 1-based start positions
-        return SuffixIndex(order, corpus.doc_ids(order), keys, code, width)
-    slots = wavelet.document_order()
-    sa = np.empty(corpus.n, dtype=np.int32)
-    sa[slots] = order + 1
-    del order, slots
-    if not sorts_suffixes(corpus.text, sa):
-        raise InconsistentIntervalsError("the document array does not order the "
-                                         "text's suffixes")
-    return SuffixIndex(sa, corpus.doc_ids(sa), keys, code, width)
-
-
-def stored_suffix_index(corpus: Corpus, sa) -> SuffixIndex:
-    """SuffixIndex over a suffix array that was stored, not sorted here.
-
-    sa must be a permutation of 1..n.  Its keys are derived from the text:
-    every position's first q codes are packed in text order, then gathered
-    through sa - 1.  A sa that does not sort the suffixes would make
-    searches wrong; the caller checks that it does.
-    """
-    sa = np.asarray(sa, dtype=np.int32)
-    code, width = _symbol_codes(corpus.alphabet)
-    codes = code[np.frombuffer(corpus.text, dtype=np.uint8)]
-    keys = _packed(codes, width, 31 // width, np.int32)[sa - 1]
-    return SuffixIndex(sa, corpus.doc_ids(sa), keys, tuple(code.tolist()), width)
+    order += 1                                  # 1-based start positions
+    if by_document:
+        slots = wavelet.document_order()        # decoded before sa is allocated
+        sa = np.empty(corpus.n, dtype=np.int32)
+        sa[slots] = order
+        del order, slots
+        if not sorts_suffixes(corpus.text, sa):
+            raise InconsistentIntervalsError("the document array does not order the "
+                                             "text's suffixes")
+    else:
+        sa = order
+    return SuffixIndex(corpus, sa, keys)
 
 
 def _symbol_codes(alphabet: bytes):
@@ -383,17 +397,6 @@ def pattern_interval(s: SuffixIndex, corpus: Corpus, pattern) -> PatternInterval
     """Suffix-array interval of all suffixes starting with pattern, which is
     normalised by as_pattern_bytes; the interval carries the bytes."""
     return s.interval(corpus.text, as_pattern_bytes(pattern))
-
-
-def prefix_interval(sa, text: bytes, pat: bytes) -> PatternInterval:
-    """Suffix-array interval of the suffixes of text starting with pat, by
-    binary search comparing byte slices.
-
-    `sa` is the suffix array as a sequence of Python ints.  pat is not
-    checked: it may be empty, giving (1, len(sa)), or hold terminators.
-    """
-    sp, ep = _byte_search(sa, text, pat, 0, len(sa))
-    return PatternInterval(sp + 1, ep, pat) if sp < ep else PatternInterval(1, 0, pat)
 
 
 def _byte_search(sa, text, pat, lo, hi):

@@ -199,7 +199,8 @@ class WaveletTree:
     def _layout(self, d, lengths):
         """Shape and node sizes from the d document lengths: per level, each
         node's offset among the level's bits and the ones before it, with a
-        closing total; a leaf of the last level holds none."""
+        closing total; a leaf of the last level holds none.  All of them are
+        read-only."""
         self.d = d
         self.height = (d - 1).bit_length()
         self._cum = cum = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
@@ -210,6 +211,8 @@ class WaveletTree:
             ones = cum[hi] - cum[(lo + hi) // 2]
             self._offsets.append(np.concatenate(([0], np.cumsum(size))))
             self._before.append(np.concatenate(([0], np.cumsum(ones))))
+        for arr in (cum, *self._offsets, *self._before):
+            arr.flags.writeable = False
 
     def _finish(self, levels):
         self.levels = levels

@@ -356,6 +356,23 @@ def test_unknown_sections_are_skipped():
     assert query_topk(back, "b", 2).pairs == [(1, 2), (2, 2)]
 
 
+def test_repeated_sections_rejected():
+    # A second, CRC-valid copy of a known section is rejected, not read in
+    # place of the first: here another corpus of the same shape, which
+    # would answer "ab" with [(1, 1), (2, 1), (3, 1)].
+    idx = build_index([b"abab", b"abba", b"bab"], g_prime=1)
+    for include_sa in (False, True):
+        blob = serialize_index(idx, include_sa)
+        head = blob[:HEADER_LEN]
+        sections = [(sec_id, blob[start:end - 4]) for sec_id, start, end in read_frames(blob)[1]]
+        assert query_topk(deserialize_index(_seal(head, sections)), b"ab", 3).pairs \
+            == [(1, 2), (2, 1), (3, 1)]
+        other = _corpus_payload(ingest([b"baba", b"abba", b"bab"]))
+        for repeat in [(1, other), *sections]:
+            with pytest.raises(ContainerFormatError, match=f"section {repeat[0]} appears twice"):
+                deserialize_index(_seal(head, sections + [repeat]))
+
+
 def test_bad_magic_rejected():
     idx = build_index(["ab"], g_prime=1, k_max=1)
     blob = serialize_index(idx)
@@ -1073,6 +1090,64 @@ def test_sampled_tree_reads_plain_ints_from_read_only_arrays(variant):
         with pytest.raises(ValueError):
             idx.corpus.ends[0] = 0
     assert loaded.corpus == built.corpus and hash(loaded.corpus) == hash(built.corpus)
+
+
+def reachable_buffers(root):
+    """Every numpy array and memoryview reachable from root through the
+    attributes and slots of topkdoc objects, lists, tuples and dicts, and
+    the arrays under the memoryviews, by id."""
+    found, seen, stack = {}, set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (np.ndarray, memoryview)):
+            found[id(obj)] = obj
+            if isinstance(obj, memoryview):
+                stack.append(obj.obj)
+        elif isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple)):
+            stack += obj
+        elif type(obj).__module__.startswith("topkdoc"):
+            stack += vars(obj).values() if hasattr(obj, "__dict__") else []
+            stack += [getattr(obj, name) for cls in type(obj).__mro__
+                      for name in getattr(cls, "__slots__", ()) if hasattr(obj, name)]
+    return found
+
+
+@pytest.mark.parametrize("variant", ["light", "xlight"])
+def test_every_reachable_array_is_read_only(variant, monkeypatch):
+    # No numpy array or memoryview that an index holds can be written: not
+    # the corpus's, the suffix index's, the wavelet tree's levels and
+    # layout, nor the sampled tree's and its levels', on a built index and
+    # on loads by the sort path, the document path and a stored suffix array.
+    calls = document_path_calls(monkeypatch)
+    for docs, document_path in ((acgt_corpus(random.Random(263)), False),
+                                (revisions_corpus(random.Random(263)), True)):
+        built = build_index(docs, g_prime=4, k_max=8, variant=variant)
+        rebuilt = deserialize_index(serialize_index(built))
+        assert len(calls) == document_path
+        del calls[:]
+        stored = deserialize_index(serialize_index(built, include_suffix_array=True))
+        assert calls == []
+        for idx in (built, rebuilt, stored):
+            s, w, x = idx.suffixes, idx.wavelet, idx.sgst
+            found = reachable_buffers(idx)
+            held = [idx.corpus.ends, s.sa, s.doc_ids, s.keys, *s._views, w._cum,
+                    *w._offsets, *w._before, *(level.words for level in w.levels),
+                    x.sp_arr, x.cand_docs, *(a for k in x.levels() for a in x.by_level[k])]
+            assert {id(arr) for arr in held} <= found.keys()
+            for buf in found.values():
+                assert (buf.readonly if isinstance(buf, memoryview)
+                        else not buf.flags.writeable), buf
+            for arr in (s.sa, s.doc_ids, s.keys):
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+            assert query_topk(idx, docs[0][:3], 3).pairs == naive_topk(docs, docs[0][:3], 3)
+        assert built == built and isinstance(built == rebuilt, bool)
+        assert hash(built.suffixes) != hash(rebuilt.suffixes)
 
 
 def test_many_documents_round_trip_in_time(tmp_path, monkeypatch):

@@ -7,9 +7,8 @@ import pytest
 from topkdoc import build_suffix_array, ingest, pattern_interval, suffixes
 from topkdoc.corpus import MAX_SYMBOLS
 from topkdoc.errors import EmptyPatternError, OutOfRangeError, SentinelInPatternError
-from topkdoc.suffixes import (PatternInterval, _first_round_length, _index_bits, _sort,
-                              _suffix_order, _symbol_codes, prefix_interval,
-                              stored_suffix_index)
+from topkdoc.suffixes import (PatternInterval, SuffixIndex, _first_round_length, _index_bits,
+                              _sort, _suffix_order, _symbol_codes)
 from topkdoc.wavelet import WaveletTree
 
 from conftest import (
@@ -147,14 +146,14 @@ def test_suffix_order_across_packing_widths_vs_oracle():
 
 
 def test_keyed_interval_equals_byte_search_at_every_width():
-    # SuffixIndex.interval must give exactly prefix_interval over the whole
-    # suffix array, on an index built here and on one over a stored suffix
-    # array, at every packing width; both bisect, so prefix_interval is
-    # checked in turn against a scan of every slot.  Each sigma of
-    # PACKING_SIGMAS counts the terminator (sigma 1 gets one letter too), so
-    # q = 31 // width runs from 15 down to 3.  Patterns are shorter than q, q long and longer; some
-    # hold a symbol absent from the text; the windows marking searches may
-    # be empty or run across terminators.
+    # SuffixIndex.interval must give exactly the slots that a byte-by-byte
+    # scan of the whole suffix array finds, which must form one run, on an
+    # index built here and on one over a stored suffix array, at every
+    # packing width.  Each sigma of PACKING_SIGMAS counts the terminator
+    # (sigma 1 gets one letter too), so q = 31 // width runs from 15 down
+    # to 3.  Patterns are shorter than q, q long and longer; some hold a
+    # symbol absent from the text; the windows marking searches may be
+    # empty or run across terminators.
     rng = random.Random(293)
     cases = Counter()
     for sigma in PACKING_SIGMAS:
@@ -169,7 +168,7 @@ def test_keyed_interval_equals_byte_search_at_every_width():
             docs += docs[:rng.randint(1, len(docs))]     # repeats longer than q
             c = ingest(docs)
             built = build_suffix_array(c)
-            stored = stored_suffix_index(c, built.sa)
+            stored = SuffixIndex(c, built.sa)
             assert np.array_equal(stored.keys, built.keys)
             text, q = c.text, 31 // built.width
             pats = [b""]
@@ -186,8 +185,8 @@ def test_keyed_interval_equals_byte_search_at_every_width():
                         pats.append(window[:i] + bytes([rng.choice(letters)]) + window[i + 1:])
             sa = built.sa.tolist()
             for pat in pats:
-                want = prefix_interval(memoryview(built.sa), text, pat)
                 hits = [i for i, p in enumerate(sa, 1) if text[p - 1:p - 1 + len(pat)] == pat]
+                want = PatternInterval(hits[0], hits[-1]) if hits else PatternInterval(1, 0)
                 assert hits == list(range(want.sp, want.ep + 1))
                 for s in (built, stored):
                     got = s.interval(text, pat)
@@ -304,7 +303,7 @@ def test_build_codes_from_the_corpus_alphabet(monkeypatch):
         raise AssertionError("np.bincount called")
 
     monkeypatch.setattr(np, "bincount", refuse)
-    for s in (build_suffix_array(c), stored_suffix_index(c, want.sa)):
+    for s in (build_suffix_array(c), SuffixIndex(c, want.sa)):
         assert np.array_equal(s.sa, want.sa) and np.array_equal(s.keys, want.keys)
         assert s.code == want.code and s.width == (c.sigma + 1).bit_length()
     assert list(s.sa) == brute_suffix_array(c.text)
