@@ -9,11 +9,13 @@ node's interval (the covered core).  All three take the same
 (sp, ep, core_sp, core_ep): a length-ordered greedy traversal, a pruned
 DFS, or a per-position select scan.  The heap's members are then recounted
 exactly over the full interval.  A query no marked node serves counts its
-slice of the document array instead (SuffixIndex.top_documents).  With k
-within the precomputed ceiling and the sampled tree in use, that interval
-holds no two consecutive level-k* sampled slots (it would hold their
-marked node) and the last slot lies within g - 1 of the end, so wherever
-the level is non-empty it is shorter than 2g; otherwise it can reach n.
+slice of the document array instead (SuffixIndex.top_documents), by a
+Python sort when the slice holds at most suffixes.SHORT_SLICE slots and in
+numpy when it is longer.  With k within the precomputed ceiling and the
+sampled tree in use, that interval holds no two consecutive level-k*
+sampled slots (it would hold their marked node) and the last slot lies
+within g - 1 of the end, so wherever the level is non-empty it is shorter
+than 2g; otherwise it can reach n.
 Either way the frequencies are the exact top-k, listed by (-freq, doc).
 Among documents tied at the k-th frequency, a query answered through a
 marked node may return any of them; the count lists the lowest ids.
@@ -143,9 +145,11 @@ class TopKResult:
     stats: QueryStats = field(compare=False, repr=False, default=None)
 
 
-@dataclass
+@dataclass(eq=False)
 class Index:
-    """Everything needed to answer queries over one ingested collection."""
+    """Everything needed to answer queries over one ingested collection.
+
+    Indexes compare and hash by identity."""
 
     corpus: Corpus
     suffixes: SuffixIndex

@@ -47,6 +47,7 @@ the three arrays read-only.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -62,6 +63,15 @@ from .errors import (EmptyPatternError, InconsistentIntervalsError, OutOfRangeEr
 # 37 ms); 99.67% on revised documents, where the ties run across revisions
 # for eight more rounds and the document path took 101 against 173 ms.
 DOCUMENT_PATH_TIES = 0.5
+
+# top_documents counts a slice of at most this many slots in Python, past
+# it in numpy; the bound rests on the slice's length alone.  It was fixed
+# before the benchmark was measured, where a probe over random slices of
+# versioned-xlight's document array found numpy ahead at 48 slots (8.5
+# against 9.2 µs).  tools/slice_count_crossover.py times both counts: at
+# seed 201, on a 2-vCPU VM, the Python sort took 2.0 / 3.2 / 5.5 µs at 8 /
+# 16 / 32 slots against numpy's 14.1 / 14.5 / 9.7, and the two met near 64.
+SHORT_SLICE = 32
 
 
 @dataclass(frozen=True)
@@ -116,8 +126,8 @@ class SuffixIndex:
         for arr in (self.sa, self.doc_ids, self.keys):
             arr.flags.writeable = False
         self.code, self.width = tuple(code.tolist()), width
-        # memoryviews yield plain ints, which bisect and slicing want.
-        self._views = (memoryview(keys), memoryview(sa))
+        # memoryviews yield plain ints, which bisect, slicing and sorted want.
+        self._views = (memoryview(keys), memoryview(sa), memoryview(self.doc_ids))
 
     def __len__(self):
         return len(self.sa)
@@ -142,7 +152,7 @@ class SuffixIndex:
                 return PatternInterval(1, 0, pat)
             key = key << width | c
         shift = width * (q - min(len(pat), q))
-        keys, sa = self._views
+        keys, sa, _ = self._views
         lo = bisect_left(keys, key << shift)
         hi = bisect_left(keys, (key + 1) << shift, lo)
         if len(pat) > q and lo < hi:
@@ -155,14 +165,31 @@ class SuffixIndex:
         """The k documents owning the most slots of [sp, ep], as (doc, freq)
         pairs by (-freq, doc): WaveletTree.greedy_topk's answer, and like it
         raising OutOfRangeError unless 1 <= sp <= ep <= n and
-        InvalidParameterError unless k is an integer >= 1.  Both counts list
-        ids ascending and the stable argsort keeps ties in that order.
-        bincount's array runs to the slice's largest id, so past 16 times
-        the slice's length L one sort counts instead: O(L log L) at most,
-        whatever the number of documents."""
+        InvalidParameterError unless k is an integer >= 1.
+
+        Every count lists the ids ascending, and one stable sort by -freq
+        keeps ties in that order.  A slice of L <= SHORT_SLICE slots is
+        sorted in Python, read as plain ints, and counted in one pass over
+        its runs: on slices that short numpy's fixed cost per call is most
+        of its time (SHORT_SLICE = 32 keeps the bound below where the two
+        counts meet).  A longer one takes bincount, whose array runs to the
+        slice's largest id, or past 16 L one np.unique sort, so every count
+        is O(L log L) at most, whatever the number of documents."""
         if not 1 <= sp <= ep <= len(self.sa):
             raise OutOfRangeError(f"interval [{sp}, {ep}] outside 1..{len(self.sa)}")
         k = positive("k", k)
+        if ep - sp < SHORT_SLICE:
+            ids = sorted(self._views[2][sp - 1:ep])
+            pairs = []
+            doc, freq = ids[0], 0
+            for d in ids:
+                if d != doc:
+                    pairs.append((doc, freq))
+                    doc, freq = d, 0
+                freq += 1
+            pairs.append((doc, freq))
+            pairs.sort(key=itemgetter(1), reverse=True)    # keeps tied docs ascending
+            return pairs[:k]
         ids = self.doc_ids[sp - 1:ep]
         if ids.max() < 16 * len(ids):
             freq = np.bincount(ids)

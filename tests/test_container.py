@@ -965,10 +965,12 @@ def test_resident_suffix_arrays_take_twelve_bytes_per_symbol():
 
 
 def test_load_memory_budget():
-    # At most 60 bytes per symbol of traced allocation for a load that
-    # rebuilds the suffix array, or checks a stored one, on the inputs of
-    # test_engine.py::test_whole_build_memory_budget.  The suffix sort is
-    # most of the peak.
+    # Traced allocation per symbol for a load that rebuilds the suffix
+    # array, at most 35 bytes, or checks a stored one, at most 34, on the
+    # inputs of test_engine.py::test_whole_build_memory_budget.  They peak
+    # at 33.07 and 32.19 bytes when rebuilding and 31.35 when checking.  A
+    # document path that allocated sa before decoding the document order
+    # peaked at 35.74 on the revisions.  The suffix sort is most of the peak.
     rng = random.Random(5)
     revisions = revisions_corpus(rng, bases=10, revisions=20, length=220)
     copies = ["".join(rng.choice("abcdefghij") for _ in range(10_000))] * 21
@@ -983,7 +985,7 @@ def test_load_memory_budget():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 60 * n
+        assert peak <= (34 if include_sa else 35) * n, peak / n
 
 
 def test_loaded_wavelet_tree_memory():
@@ -1147,6 +1149,7 @@ def test_every_reachable_array_is_read_only(variant, monkeypatch):
                     arr[0] = 0
             assert query_topk(idx, docs[0][:3], 3).pairs == naive_topk(docs, docs[0][:3], 3)
         assert built == built and isinstance(built == rebuilt, bool)
+        assert built != rebuilt and len({built, rebuilt, built}) == 2
         assert hash(built.suffixes) != hash(rebuilt.suffixes)
 
 

@@ -424,6 +424,50 @@ def test_top_documents_equals_greedy_topk_with_ties():
     assert compared > 6000 and cut_in_a_tie > 1000 and sorted_slices > 30
 
 
+def test_top_documents_counts_every_branch_as_greedy_topk(monkeypatch):
+    # top_documents counts a slice of at most SHORT_SLICE slots by a Python
+    # sort, a longer one by bincount, or by np.unique where its largest id
+    # is at least 16 times its length.  Every branch must list greedy_topk's
+    # pairs as plain ints, at and just past SHORT_SLICE, ties cut at the
+    # k-th frequency included.  Twelve documents over two symbols give the
+    # ties and bincount; 600 documents, more than 16 * (SHORT_SLICE + 1),
+    # give slices just past SHORT_SLICE that np.unique counts.
+    rng = random.Random(283)
+    few = ["".join(rng.choice("ab") for _ in range(rng.randint(20, 60))) for _ in range(6)] * 2
+    many = ["".join(rng.choice("abc") for _ in range(rng.randint(1, 4))) for _ in range(600)]
+    indexes = []
+    for docs in (few, many):
+        c = ingest(docs)
+        s = build_suffix_array(c)
+        indexes.append((c.d, s, WaveletTree(s.doc_ids, c.d)))
+    counted = Counter()
+    for name in ("bincount", "unique"):
+        def count(*args, _name=name, _real=getattr(np, name), **kwargs):
+            counted[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np, name, count)
+    short = suffixes.SHORT_SLICE
+    branches, cut_in_a_tie = Counter(), Counter()
+    for d, s, w in indexes:
+        n = len(s)
+        for length in (1, 2, short - 1, short, short + 1, short + 2, 4 * short):
+            for sp in rng.sample(range(1, n - length + 2), 40):
+                ep = sp + length - 1
+                before = counted.copy()
+                freqs = [f for _, f in s.top_documents(sp, ep, d)]
+                (branch,) = counted - before or ["python"]
+                branches[branch, length <= short] += 1
+                for k in range(1, len(freqs) + 3):
+                    got = s.top_documents(sp, ep, k)
+                    assert got == w.greedy_topk(sp, ep, k)
+                    assert all(type(v) is int for pair in got for v in pair)
+                    cut_in_a_tie[length] += k < len(freqs) and freqs[k - 1] == freqs[k]
+    assert branches.keys() == {("python", True), ("bincount", False), ("unique", False)}
+    assert branches["python", True] > 300 and branches["bincount", False] > 120
+    assert branches["unique", False] > 50
+    assert cut_in_a_tie[short] > 1000 and cut_in_a_tie[short + 1] > 1000
+
+
 def test_top_documents_rejects_intervals_outside_the_array(worked_suffixes, worked_wavelet):
     # Like greedy_topk, whose answer it lists: a slice from slot 0 would
     # wrap, one past n would be cut short and a reversed one is no slice.
