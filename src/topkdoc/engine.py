@@ -22,8 +22,8 @@ marked node may return any of them; the count lists the lowest ids.
 """
 
 import heapq
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import Corpus, ingest
 from .errors import OutOfRangeError, UnknownStrategyError, positive
@@ -38,9 +38,12 @@ STRATEGIES = (GREEDY, DFS, SELECT)
 
 
 def kstar(k):
-    """Smallest power of two >= k; the candidate level serving k."""
-    k = positive("k", k)
-    return 1 if k == 1 else 1 << (k - 1).bit_length()
+    """Smallest power of two >= k; the candidate level serving k, an
+    integer >= 1 (InvalidParameterError otherwise).  A plain int >= 1, as
+    query_topk passes after checking k itself, is not checked again."""
+    if k.__class__ is not int or k < 1:
+        k = positive("k", k)
+    return 1 << (k - 1).bit_length()
 
 
 class CandidateHeap:
@@ -129,20 +132,37 @@ class QueryStats:
     heap_offers: int = 0
 
 
-@dataclass(frozen=True)
-class TopKResult:
+class TopKResult(NamedTuple):
     """Ranked (doc, freq) pairs, listed by (-freq, doc).
 
     The frequencies are the exact top-k.  Which documents tied at the k-th
     frequency are listed is up to the strategy unless no marked node served
     the query: the count over the document array lists the lowest ids.
+
+    A named tuple, so immutable; it unpacks and indexes as (pairs,
+    pattern, k, variant, stats).  `stats` takes no part in equality or the
+    repr, so two strategies' equal answers compare equal, and a result
+    equals only another TopKResult.  Its pairs are a list: it is not
+    hashable.
     """
 
     pairs: list
     pattern: bytes
     k: int
     variant: str
-    stats: QueryStats = field(compare=False, repr=False, default=None)
+    stats: QueryStats = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:4] == other[:4]
+
+    __ne__ = object.__ne__          # not tuple's: the negation of __eq__
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"TopKResult(pairs={self.pairs!r}, pattern={self.pattern!r}, k={self.k!r}, "
+                f"variant={self.variant!r})")
 
 
 @dataclass(eq=False)
@@ -183,55 +203,45 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
     """
     if strategy not in STRATEGIES:
         raise UnknownStrategyError(f"strategy must be one of {STRATEGIES}")
-    k_star = kstar(k)               # checks that k is an integer >= 1
-    k = operator.index(k)           # as an int: offset + np.uint8 overflows past 255
-    w = index.wavelet
+    k = positive("k", k)            # as an int: offset + np.uint8 overflows past 255
+    k_star = kstar(k)
     x = index.sgst
-    stats = QueryStats(kstar=k_star, g=k_star * x.g_prime)
+    g = k_star * x.g_prime
+    variant = x.variant
+    sp, ep, pat = pattern_interval(index.suffixes, index.corpus, pattern)
+    if ep < sp:
+        return TopKResult([], pat, k, variant, QueryStats(k_star, g))
 
-    interval = pattern_interval(index.suffixes, index.corpus, pattern)
-    pat = interval.pattern
-    if interval.is_empty:
-        return TopKResult([], pat, k, x.variant, stats)
-    sp, ep = interval.sp, interval.ep
-
-    locus = None
-    if use_sgst and k_star <= x.k_max:
-        stats.used_sgst = True
-        # A level-k* node spans at least g + 1 slots: none fits a shorter
-        # interval.
-        if ep - sp >= stats.g:
-            locus = find_locus(x, k_star, sp, ep)
-
+    used_sgst = k_star <= x.k_max if use_sgst else False
+    # A level-k* node spans at least g + 1 slots: none fits a shorter interval.
+    locus = find_locus(x, k_star, sp, ep) if used_sgst and ep - sp >= g else None
     if locus is None:
         pairs = index.suffixes.top_documents(sp, ep, k)
-        return TopKResult(pairs, pat, k, x.variant, stats)
+        return TopKResult(pairs, pat, k, variant, QueryStats(k_star, g, used_sgst))
 
-    stats.locus_found = True
-    stats.locus_sp, stats.locus_ep = locus.sp, locus.ep
+    w = index.wavelet
     seeds = candidates_of(x, locus, w, k)
-
-    if (locus.sp, locus.ep) == (sp, ep):
+    _, core_sp, core_ep, _ = locus
+    if core_sp == sp and core_ep == ep:
         # The node's candidates are counted over [sp, ep] itself and ranked.
-        stats.heap_offers = len(seeds)
-        return TopKResult(seeds, pat, k, x.variant, stats)
+        return TopKResult(seeds, pat, k, variant,
+                          QueryStats(k_star, g, True, True, sp, ep, 0, 0, len(seeds)))
 
     heap = CandidateHeap(k)
     for doc, freq in seeds:
         heap.offer(doc, freq)
-        stats.heap_offers += 1
-
+    scanned = emitted = 0
     if strategy == SELECT:
-        scanned, offered = select_scan(w, sp, ep, locus.sp, locus.ep, heap)
-        stats.positions_scanned = scanned
-        stats.heap_offers += offered
+        scanned, offered = select_scan(w, sp, ep, core_sp, core_ep, heap)
     else:
         walk = w.restricted_greedy if strategy == GREEDY else w.restricted_dfs
-        for doc, freq in walk(sp, ep, locus.sp, locus.ep, heap.kth_frequency):
+        for doc, freq in walk(sp, ep, core_sp, core_ep, heap.kth_frequency):
             heap.offer(doc, freq)
-            stats.docs_emitted += 1
-            stats.heap_offers += 1
+            emitted += 1
+        offered = emitted
 
     pairs = [(doc, w.doc_freq(doc, sp, ep)) for doc, _ in heap.members()]
     pairs.sort(key=lambda p: (-p[1], p[0]))
-    return TopKResult(pairs[:k], pat, k, x.variant, stats)
+    return TopKResult(pairs[:k], pat, k, variant,
+                      QueryStats(k_star, g, True, True, core_sp, core_ep, scanned, emitted,
+                                 len(seeds) + offered))

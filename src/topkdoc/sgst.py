@@ -15,7 +15,8 @@ The stored arrays are the whole sampled tree.  Nodes are kept in preorder,
 sorted by (sp ascending, ep descending); intervals nest or are disjoint,
 so this order fixes the tree's shape, and level k is exactly the nodes of
 class >= k.  Each level also keeps one int64 key per node that orders as
-(sp, -ep) does, so find_locus is one binary search over a level's keys.
+(sp, -ep) does, so find_locus is one binary search over a level's keys,
+and the key it finds gives back the node's sp and ep.
 Every array is kept once, as a read-only int64 numpy array, and read
 through a memoryview, whose items are plain ints.
 
@@ -27,7 +28,7 @@ with the level-1 windows' common-prefix lengths times log n.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,9 +38,10 @@ from .errors import InvalidParameterError, KStarNotPrecomputedError, integer, po
 VARIANTS = ("light", "xlight")
 
 
-@dataclass(frozen=True)
-class MarkedNode:
-    """A marked suffix-tree node: its 1-based preorder rank plus its interval."""
+class MarkedNode(NamedTuple):
+    """A marked suffix-tree node: its 1-based preorder rank, its interval
+    [sp, ep] and its class.  A named tuple: immutable, equal to and hashed
+    as the tuple (rank, sp, ep, cls)."""
 
     rank: int
     sp: int
@@ -94,10 +96,14 @@ def _frozen(values):
     return memoryview(arr)
 
 
+_EP_MASK = (1 << 31) - 1
+
+
 def _key(sp, ep):
     """One int (or int64 array) per interval that orders intervals as
-    (sp, -ep) does, since ep <= corpus.MAX_SYMBOLS < 2**31."""
-    return sp << 31 | ((1 << 31) - 1 - ep)
+    (sp, -ep) does, since ep <= corpus.MAX_SYMBOLS < 2**31: sp is key >> 31
+    and ep is _EP_MASK - (key & _EP_MASK)."""
+    return sp << 31 | (_EP_MASK - ep)
 
 
 def build_sgst(corpus, s, g_prime=400, k_max=16, variant="light") -> SGST:
@@ -153,16 +159,24 @@ def find_locus(x: SGST, k_star, sp, ep):
     and each level holds the lowest common ancestor of any two of its
     nodes, so at most one maximal level node lies inside a pattern's
     interval, and this is it.  For any other interval it returns None or
-    some level node inside.
+    some level node inside.  The node's sp and ep are decoded from the key
+    the search found; only its rank and class are read from the arrays.
     """
-    if k_star < 1 or k_star & (k_star - 1) or k_star > x.k_max:
+    try:
+        keys, ranks = x.by_level[k_star]
+    except KeyError:
         raise KStarNotPrecomputedError(
-            f"level {k_star} not precomputed (levels are powers of two up to {x.k_max})")
-    keys, ranks = x.by_level[k_star]
+            f"level {k_star} not precomputed (levels are powers of two up to {x.k_max})"
+        ) from None
     i = bisect_left(keys, _key(sp, ep))
-    if i == len(keys) or x.ep_arr[ranks[i] - 1] > ep:
+    if i == len(keys):
         return None
-    return x.node_at(ranks[i])
+    key = keys[i]
+    node_ep = _EP_MASK - (key & _EP_MASK)
+    if node_ep > ep:
+        return None
+    rank = ranks[i]
+    return MarkedNode(rank, key >> 31, node_ep, x.cls_arr[rank - 1])
 
 
 def candidates_of(x: SGST, node: MarkedNode, w: WaveletTree, k=None):

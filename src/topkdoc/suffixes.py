@@ -46,8 +46,8 @@ the three arrays read-only.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,16 +74,17 @@ DOCUMENT_PATH_TIES = 0.5
 SHORT_SLICE = 32
 
 
-@dataclass(frozen=True)
-class PatternInterval:
+class PatternInterval(NamedTuple):
     """Suffix-array index range [sp, ep] of a pattern; empty when ep < sp.
 
     `pattern` is the searched bytes, as pattern_interval normalised them;
-    it takes no part in comparisons."""
+    it takes no part in equality, hashing or the repr.  An interval equals
+    only another PatternInterval, never a plain tuple.  It is a named
+    tuple, so immutable, and it unpacks and indexes as (sp, ep, pattern)."""
 
     sp: int
     ep: int
-    pattern: bytes = field(default=b"", compare=False, repr=False)
+    pattern: bytes = b""
 
     @property
     def is_empty(self):
@@ -92,6 +93,19 @@ class PatternInterval:
     @property
     def occurrences(self):
         return 0 if self.is_empty else self.ep - self.sp + 1
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:2] == other[:2]
+
+    __ne__ = object.__ne__          # not tuple's: the negation of __eq__
+
+    def __hash__(self):
+        return hash(self[:2])
+
+    def __repr__(self):
+        return f"PatternInterval(sp={self.sp!r}, ep={self.ep!r})"
 
 
 class SuffixIndex:

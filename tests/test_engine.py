@@ -191,6 +191,37 @@ def test_query_worked_answers(worked_index):
     assert r.pattern == b"b" and r.k == 2 and r.variant == "light"
 
 
+def test_result_fields_cannot_be_assigned(dense_index):
+    r = query_topk(dense_index, "a", 2)
+    for name in ("pairs", "pattern", "k", "variant", "stats"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, None)
+    assert r.pairs == [(1, 2), (2, 2)] and r.stats.locus_found
+
+
+def test_result_equality_ignores_stats(dense_index):
+    # "a" at k = 2 is a flank query on the dense index: greedy emits a
+    # document where select scans a position, so the counters differ, yet
+    # the results are equal.
+    greedy = query_topk(dense_index, "a", 2, strategy=GREEDY)
+    select = query_topk(dense_index, "a", 2, strategy=SELECT)
+    assert greedy.stats != select.stats
+    assert greedy == select and not greedy != select
+    base = engine_module.TopKResult([(1, 2)], b"ab", 2, "light")
+    assert base == engine_module.TopKResult([(1, 2)], b"ab", 2, "light", greedy.stats)
+    for other in ([(1, 1)], b"ab", 2, "light"), ([(1, 2)], b"ba", 2, "light"), \
+                 ([(1, 2)], b"ab", 3, "light"), ([(1, 2)], b"ab", 2, "xlight"):
+        assert base != engine_module.TopKResult(*other)
+        assert not base == engine_module.TopKResult(*other)
+    with pytest.raises(TypeError):
+        hash(greedy)
+
+
+def test_result_repr(dense_index):
+    assert repr(query_topk(dense_index, "ab", 2)) == \
+        "TopKResult(pairs=[(1, 2), (2, 1)], pattern=b'ab', k=2, variant='light')"
+
+
 def test_query_validation(worked_index):
     with pytest.raises(UnknownStrategyError):
         query_topk(worked_index, "ab", 1, strategy="fastest")

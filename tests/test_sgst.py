@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from topkdoc import build_suffix_array, candidates_of, find_locus, ingest, pattern_interval
+from topkdoc import (build_index, build_suffix_array, candidates_of, find_locus, ingest,
+                     load_index, pattern_interval, save_index)
 from topkdoc.bitrank import RankBitVector
 from topkdoc.corpus import MAX_SYMBOLS
 from topkdoc.errors import KStarNotPrecomputedError
@@ -348,6 +349,60 @@ def test_find_locus_at_the_largest_positions():
             exact += want is not None and want[1] == ep
             empty += not any(sp <= a and b <= ep for a, b in level)
     assert exact > 20 and empty > 20
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_find_locus_matches_a_scan_of_the_level_built_and_loaded(variant, tmp_path):
+    # The node find_locus returns is the first level node at or after (sp,
+    # -ep) in preorder when it ends by ep, else None: a level node inside
+    # [sp, ep] that no other level node inside contains.  On a pattern's
+    # interval that is the largest level node inside, or None when none is.
+    # Whatever it returns equals the node its rank names.
+    rng = random.Random(263)
+    corpora = [(random_docs(rng, max_docs=8, max_total=300), 1),
+               (revisions_corpus(rng), 2), (["ab" * 60, "ab" * 30 + "b", "ba" * 20], 1)]
+    found = missing = 0
+    for i, (docs, g_prime) in enumerate(corpora):
+        built = build_index(docs, g_prime=g_prime, k_max=8, variant=variant)
+        save_index(built, tmp_path / f"{i}.tkdi")
+        for index in (built, load_index(tmp_path / f"{i}.tkdi")):
+            x, n = index.sgst, index.corpus.n
+            pattern_ivs = {(iv.sp, iv.ep) for iv in
+                           (pattern_interval(index.suffixes, index.corpus, p)
+                            for p in occurring_patterns(docs, 3))}
+            for k in x.levels():
+                level = x.level_nodes(k)
+                assert level
+                random_ivs = {tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(200)}
+                for sp, ep in pattern_ivs | random_ivs:
+                    inside = [nd for nd in level if sp <= nd.sp and nd.ep <= ep]
+                    after = [nd for nd in level if (nd.sp, -nd.ep) >= (sp, -ep)]
+                    want = after[0] if after and after[0].ep <= ep else None
+                    if (sp, ep) in pattern_ivs:
+                        largest = max(inside, key=lambda nd: nd.ep - nd.sp, default=None)
+                        assert want == largest
+                    got = find_locus(x, k, sp, ep)
+                    assert got == want, (k, sp, ep)
+                    if got is None:
+                        missing += 1
+                        continue
+                    found += 1
+                    assert got == x.node_at(got.rank)
+                    assert not any(nd != got and nd.sp <= got.sp and got.ep <= nd.ep
+                                   for nd in inside)
+    assert found > 500 and missing > 500
+
+
+def test_marked_node_fields_cannot_be_assigned(dense_index):
+    node = find_locus(dense_index.sgst, 1, 5, 8)
+    for name in ("rank", "sp", "ep", "cls"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, 1)
+    assert (node.rank, node.sp, node.ep, node.cls) == (4, 5, 8, 2)
+
+
+def test_marked_node_repr(dense_index):
+    assert repr(find_locus(dense_index.sgst, 1, 5, 8)) == "MarkedNode(rank=4, sp=5, ep=8, cls=2)"
 
 
 def test_find_locus_makes_no_bit_vector_call(monkeypatch):

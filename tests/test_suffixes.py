@@ -82,6 +82,28 @@ def test_empty_interval_constant():
     assert iv.occurrences == 0
 
 
+def test_pattern_interval_fields_cannot_be_assigned(worked_suffixes, worked_corpus):
+    iv = pattern_interval(worked_suffixes, worked_corpus, "ab")
+    for name in ("sp", "ep", "pattern"):
+        with pytest.raises(AttributeError):
+            setattr(iv, name, 1)
+    assert (iv.sp, iv.ep, iv.pattern) == (5, 8, b"ab")
+
+
+def test_pattern_interval_equality_and_hash_ignore_the_pattern():
+    a, b = PatternInterval(5, 8, b"ab"), PatternInterval(5, 8, b"xyz")
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a == PatternInterval(5, 8) and hash(a) == hash(PatternInterval(5, 8))
+    assert a != PatternInterval(5, 9, b"ab") and a != PatternInterval(4, 8, b"ab")
+    assert PatternInterval(5, 8) != (5, 8) and not PatternInterval(5, 8) == (5, 8)
+    assert len({a, b, PatternInterval(1, 0)}) == 2
+
+
+def test_pattern_interval_repr(worked_suffixes, worked_corpus):
+    assert repr(pattern_interval(worked_suffixes, worked_corpus, "ab")) == \
+        "PatternInterval(sp=5, ep=8)"
+
+
 def test_suffix_array_random_vs_oracle():
     rng = random.Random(41)
     for _ in range(25):
