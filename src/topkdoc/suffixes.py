@@ -7,12 +7,18 @@ suffix.  Pattern occurrences form one contiguous run of suffix-array slots.
 Next to them the index keeps each slot's key: the codes (see _symbol_codes)
 of its suffix's first q symbols packed into an int32, q = 31 // width for
 codes of width bits (10 on DNA, 6 on 27 symbols).  The suffixes are
-sorted, so the keys never decrease, and a pattern of m symbols has its
-interval found by two binary searches over them, on the codes of its
-first min(m, q) symbols.  Only a pattern longer than q is then searched
-byte by byte, by two bisects over the occ slots of that range keyed by
-each suffix's first m bytes (_byte_search): O(m log occ) byte
-comparisons.
+sorted, so the keys never decrease, and a pattern's first min(m, q)
+symbols, coded, bound the keys of the suffixes that start with them.  A
+table of first slots narrows that search, as Manber and Myers' buckets do
+(SIAM J. Comput. 1993): first[p] is the first slot whose key's top t codes
+are at least p, t the most codes whose 2**(t * width) entries stay within
+n // 8 (at most half a byte per symbol; 5 on DNA and 3 on 27 symbols at
+half a million symbols, 0 below 16).  A pattern of m <= t symbols reads
+its interval from two entries; a longer one runs two binary searches over
+the keys between the entries of its first t symbols.  Only a pattern
+longer than q is then searched byte by byte, by two bisects over the occ
+slots of that range keyed by each suffix's first m bytes (_byte_search):
+O(m log occ) byte comparisons.
 
 Suffixes are sorted by prefix doubling in numpy.  The first round sorts
 every suffix once by its first h symbols, as many as fit one int64 key
@@ -41,8 +47,8 @@ suffix array skips the sort: the keys are derived from the text, and the
 same check proves the stored order.
 
 Every path ends in the one constructor, SuffixIndex(corpus, sa, keys),
-which derives the document array and, given no keys, the keys, and makes
-the three arrays read-only.
+which derives the document array, the table of first slots and, given no
+keys, the keys, and makes the four arrays read-only.
 """
 
 from bisect import bisect_left, bisect_right
@@ -109,39 +115,50 @@ class PatternInterval(NamedTuple):
 
 
 class SuffixIndex:
-    """The suffix array of a corpus, with its document array and keys.
+    """The suffix array of a corpus, with its document array, keys and
+    table of first slots.
 
     sa holds the 1-based text positions, suffix-sorted; doc_ids[i] is the
     document owning position sa[i]; keys[i], never decreasing, packs the
-    codes of suffix sa[i]'s first q = 31 // width symbols.  All three are
-    int32 arrays and read-only.  code maps each byte to its code,
-    1..sigma + 1 (1 for the terminator) or 0 if absent; codes take width
-    bits.
+    codes of suffix sa[i]'s first q = 31 // width symbols; first[p], for p
+    in 0..2**(t * width), is the first slot whose key's top t codes are at
+    least p (t = _table_codes(n, width)), so it starts at 0, ends at n and
+    never decreases.  All four are int32 arrays and read-only.  code maps
+    each byte to its code, 1..sigma + 1 (1 for the terminator) or 0 if
+    absent; codes take width bits.
 
     SuffixIndex(corpus, sa, keys=None) is the one place an index is
     assembled.  sa is a permutation of 1..n that sorts the suffixes of
     corpus.text; an int32 array is taken over, as keys are, not copied,
     and any other is converted to one.  Without keys it derives them from
     the text: every position's first q codes are packed in text order,
-    then gathered through sa - 1.  A sa that does not sort the suffixes
-    would make searches wrong; the caller checks that it does
-    (sorts_suffixes).
+    then gathered through sa - 1.  The table is one binary search of the
+    keys per entry.  A sa that does not sort the suffixes would make
+    searches wrong; the caller checks that it does (sorts_suffixes).
     """
 
-    __slots__ = ("sa", "doc_ids", "keys", "code", "width", "_views")
+    __slots__ = ("sa", "doc_ids", "keys", "first", "code", "width", "t", "_views")
 
     def __init__(self, corpus: Corpus, sa, keys=None):
         code, width = _symbol_codes(corpus.alphabet)
+        q = 31 // width
         sa = np.asarray(sa, dtype=np.int32)
         if keys is None:
             codes = code[np.frombuffer(corpus.text, dtype=np.uint8)]
-            keys = _packed(codes, width, 31 // width, np.int32)[sa - 1]
-        self.sa, self.doc_ids, self.keys = sa, corpus.doc_ids(sa), keys
-        for arr in (self.sa, self.doc_ids, self.keys):
+            keys = _packed(codes, width, q, np.int32)[sa - 1]
+            del codes
+        t = _table_codes(len(sa), width)
+        # Bounds below 2**(q * width) <= 2**30 stay int32, as the keys are:
+        # searchsorted then copies neither.
+        bounds = np.arange((1 << t * width) + 1, dtype=np.int32) << width * (q - t)
+        first = np.searchsorted(keys, bounds).astype(np.int32)
+        self.sa, self.doc_ids, self.keys, self.first = sa, corpus.doc_ids(sa), keys, first
+        for arr in (self.sa, self.doc_ids, self.keys, self.first):
             arr.flags.writeable = False
-        self.code, self.width = tuple(code.tolist()), width
+        self.code, self.width, self.t = tuple(code.tolist()), width, t
         # memoryviews yield plain ints, which bisect, slicing and sorted want.
-        self._views = (memoryview(keys), memoryview(sa), memoryview(self.doc_ids))
+        self._views = (memoryview(keys), memoryview(sa), memoryview(self.doc_ids),
+                       memoryview(first))
 
     def __len__(self):
         return len(self.sa)
@@ -151,13 +168,16 @@ class SuffixIndex:
 
         pat is not checked: it may be empty, giving (1, n), or hold
         terminators, as a common prefix of two suffixes may.  Its first
-        t = min(m, q) symbols, coded and packed like the keys, bound the
+        r = min(m, q) symbols, coded and packed like the keys, bound the
         keys of the suffixes that start with them: [key, key + 1) shifted
-        past the q - t symbols left.  A symbol absent from the text has no
-        code, and no suffix starts with pat.  A longer pat is then searched
-        byte by byte within that range, by _byte_search.
+        past the q - r symbols left.  A symbol absent from the text has no
+        code, and no suffix starts with pat.  When m <= t those bounds are
+        two entries of first, [key, key + 1) shifted past t - m symbols.
+        Otherwise two bisects find them among the keys from first[top] to
+        first[top + 1], top being pat's first t codes.  A pat longer than q
+        is then searched byte by byte within that range, by _byte_search.
         """
-        code, width = self.code, self.width
+        code, width, t = self.code, self.width, self.t
         q = 31 // width
         key = 0
         for symbol in pat[:q]:
@@ -165,12 +185,20 @@ class SuffixIndex:
             if not c:
                 return PatternInterval(1, 0, pat)
             key = key << width | c
-        shift = width * (q - min(len(pat), q))
-        keys, sa, _ = self._views
-        lo = bisect_left(keys, key << shift)
-        hi = bisect_left(keys, (key + 1) << shift, lo)
-        if len(pat) > q and lo < hi:
-            lo, hi = _byte_search(sa, text, pat, lo, hi)
+        keys, sa, _, first = self._views
+        m = len(pat)
+        if m <= t:
+            shift = width * (t - m)
+            lo, hi = first[key << shift], first[(key + 1) << shift]
+        else:
+            r = min(m, q)
+            top = key >> width * (r - t)
+            shift = width * (q - r)
+            end = first[top + 1]
+            lo = bisect_left(keys, key << shift, first[top], end)
+            hi = bisect_left(keys, (key + 1) << shift, lo, end)
+            if m > q and lo < hi:
+                lo, hi = _byte_search(sa, text, pat, lo, hi)
         if lo >= hi:
             return PatternInterval(1, 0, pat)
         return PatternInterval(lo + 1, hi, pat)
@@ -254,6 +282,13 @@ def _symbol_codes(alphabet: bytes):
     code = np.zeros(256, dtype=np.uint16)
     code[[SENTINEL, *alphabet]] = np.arange(1, len(alphabet) + 2)
     return code, (len(alphabet) + 1).bit_length()
+
+
+def _table_codes(n, width):
+    """t: the codes of width bits SuffixIndex.first is indexed by for n
+    suffixes, the most whose 2**(t * width) entries stay within n // 8, at
+    most q = 31 // width; 0 below 16 symbols."""
+    return max(0, min(31 // width, ((n // 8).bit_length() - 1) // width))
 
 
 def sorts_suffixes(text: bytes, sa) -> bool:

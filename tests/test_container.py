@@ -988,6 +988,21 @@ def test_load_memory_budget():
         assert peak <= (34 if include_sa else 35) * n, peak / n
 
 
+def test_prefix_table_takes_half_a_byte_per_symbol():
+    # The suffix index's table of first slots holds at most n // 8 + 1 int32
+    # entries, on the corpora of test_load_memory_budget, built and loaded
+    # with the suffix array rebuilt or stored.
+    rng = random.Random(5)
+    revisions = revisions_corpus(rng, bases=10, revisions=20, length=220)
+    copies = ["".join(rng.choice("abcdefghij") for _ in range(10_000))] * 21
+    for docs in (revisions, copies):
+        idx = build_index(docs, g_prime=50, k_max=16)
+        for include in (None, False, True):
+            back = idx if include is None else deserialize_index(serialize_index(idx, include))
+            n = back.corpus.n
+            assert back.suffixes.first.nbytes <= n // 2 + 8, back.suffixes.first.nbytes / n
+
+
 def test_loaded_wavelet_tree_memory():
     # A loaded tree keeps each level once: its u64 words and an int64 rank
     # sample per word, 2 bits per stored bit, about 2 bytes per symbol over
@@ -1137,14 +1152,15 @@ def test_every_reachable_array_is_read_only(variant, monkeypatch):
         for idx in (built, rebuilt, stored):
             s, w, x = idx.suffixes, idx.wavelet, idx.sgst
             found = reachable_buffers(idx)
-            held = [idx.corpus.ends, s.sa, s.doc_ids, s.keys, *s._views, w._cum,
+            held = [idx.corpus.ends, s.sa, s.doc_ids, s.keys, s.first, *s._views, w._cum,
                     *w._offsets, *w._before, *(level.words for level in w.levels),
                     x.sp_arr, x.cand_docs, *(a for k in x.levels() for a in x.by_level[k])]
             assert {id(arr) for arr in held} <= found.keys()
             for buf in found.values():
                 assert (buf.readonly if isinstance(buf, memoryview)
                         else not buf.flags.writeable), buf
-            for arr in (s.sa, s.doc_ids, s.keys):
+            assert any(isinstance(v, memoryview) and v.obj is s.first for v in s._views)
+            for arr in (s.sa, s.doc_ids, s.keys, s.first):
                 with pytest.raises(ValueError):
                     arr[0] = 0
             assert query_topk(idx, docs[0][:3], 3).pairs == naive_topk(docs, docs[0][:3], 3)

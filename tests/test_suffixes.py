@@ -4,7 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from topkdoc import build_suffix_array, ingest, pattern_interval, suffixes
+from topkdoc import build_index, build_suffix_array, ingest, pattern_interval, suffixes
+from topkdoc.container import deserialize_index, serialize_index
 from topkdoc.corpus import MAX_SYMBOLS
 from topkdoc.errors import EmptyPatternError, OutOfRangeError, SentinelInPatternError
 from topkdoc.suffixes import (PatternInterval, SuffixIndex, _first_round_length, _index_bits,
@@ -14,6 +15,7 @@ from topkdoc.wavelet import WaveletTree
 from conftest import (
     WORKED_D,
     WORKED_SA,
+    acgt_corpus,
     brute_doc_array,
     brute_suffix_array,
     count_occurrences,
@@ -220,6 +222,107 @@ def test_keyed_interval_equals_byte_search_at_every_width():
                       else "short" if m < q else "q" if m == q else "long"] += 1
     assert cases.pop("empty") == 3 * len(PACKING_SIGMAS)
     assert len(cases) == 5 and min(cases.values()) > 250, cases
+
+
+def table_codes(n, width):
+    """The rule SuffixIndex.first is sized by, as a loop: the most codes t
+    <= q whose 2**(t * width) entries stay within n // 8."""
+    t = 0
+    while t < 31 // width and 1 << (t + 1) * width <= n // 8:
+        t += 1
+    return t
+
+
+def check_prefix_table(s, n):
+    """s.first has 2**(t * width) + 1 entries, starts at 0, ends at n, never
+    decreases, and counts the slots whose key's top t codes lie below each
+    entry's index; t follows the n // 8 rule."""
+    t, width = s.t, s.width
+    assert t == table_codes(n, width)
+    assert s.first.dtype == np.int32 and len(s.first) == (1 << t * width) + 1
+    assert s.first[0] == 0 and s.first[-1] == n and (np.diff(s.first) >= 0).all()
+    top = s.keys.astype(np.int64) >> width * (31 // width - t)
+    below = np.cumsum(np.bincount(top, minlength=1 << t * width))
+    assert np.array_equal(s.first[1:], below)
+
+
+def test_interval_from_the_prefix_table_equals_a_byte_scan():
+    # Every branch of SuffixIndex.interval against a scan of the whole
+    # suffix array: patterns of m <= t symbols, which the table of first
+    # slots answers alone, t < m <= q, m > q, a symbol absent from the
+    # text, windows holding terminators, and the empty pattern.  Corpora of
+    # 4,096 symbols and more give t >= 3 on DNA (width 3), t = 2 at width 5
+    # and t = 1 at width 8 (254 letters and the terminator); one of 12
+    # symbols has t = 0 and one of a single letter has width 2.
+    rng = random.Random(311)
+    corpora = {
+        "dna": [bytes(rng.choice(b"acgt") for _ in range(rng.randint(200, 300)))
+                for _ in range(20)],
+        "width 5": [bytes(rng.choice(b"abcdefghijklmnopqrst") for _ in range(300))
+                    for _ in range(30)],
+        "width 8": [bytes(rng.randrange(1, 255) for _ in range(500)) for _ in range(9)],
+        "unary": [b"a" * rng.randint(400, 600) for _ in range(10)],
+    }
+    for docs in corpora.values():
+        docs += docs[:3]                        # repeats longer than q
+    corpora["tiny"] = [b"acga", b"tac", b"acga"]
+    cases = Counter()
+    for name, docs in corpora.items():
+        c = ingest(docs)
+        s = build_suffix_array(c)
+        check_prefix_table(s, c.n)
+        t, q = s.t, 31 // s.width
+        assert (s.width, t) == {"dna": (3, 3), "width 5": (5, 2), "width 8": (8, 1),
+                                "unary": (2, 4), "tiny": (3, 0)}[name]
+        assert c.n < 16 if name == "tiny" else c.n >= 4096
+        text, letters = c.text, c.alphabet
+        absent = bytes(b for b in range(1, 256) if b not in letters)
+        pats = [b""]
+        for m in {*range(1, t + 2), q - 1, q, q + 1, q + 6} - {0}:
+            for _ in range(12):
+                a = rng.randrange(c.n)
+                window = text[a:a + m]
+                pats.append(window)
+                i = rng.randrange(len(window))
+                if absent:
+                    pats.append(window[:i] + bytes([rng.choice(absent)]) + window[i + 1:])
+                pats.append(window[:i] + bytes([rng.choice(letters)]) + window[i + 1:])
+        prefixes = [text[p - 1:p + q + 6] for p in s.sa.tolist()]
+        for pat in pats:
+            hits = [i for i, x in enumerate(prefixes, 1) if x.startswith(pat)]
+            want = (hits[0], hits[-1]) if hits else (1, 0)
+            assert hits == list(range(want[0], want[1] + 1))
+            got = s.interval(text, pat)
+            assert got[:2] == want, (name, pat)
+            assert got.pattern == pat
+            m = len(pat)
+            if any(b in absent for b in pat):
+                cases["absent"] += 1
+            elif 0 in pat:
+                cases["terminator"] += 1
+            branch = "table" if m <= t else "keyed" if m <= q else "bytes"
+            cases[branch, name, bool(hits)] += 1
+    for name in ("dna", "width 5", "width 8", "unary"):
+        for branch in ("table", "keyed", "bytes"):
+            assert cases[branch, name, True] >= 10, (branch, name)
+    assert cases["table", "tiny", True] == 1        # only the empty pattern
+    assert cases["keyed", "tiny", True] >= 10 and cases["bytes", "tiny", True] >= 5
+    assert cases["absent"] >= 200 and cases["terminator"] >= 50, cases
+
+
+def test_prefix_table_is_equal_built_and_loaded():
+    # The table of first slots comes out the same from a build, a load
+    # that reruns the sort (the sort path on DNA, the document path on
+    # revisions) and a load that checks a stored suffix array.
+    for docs in (acgt_corpus(random.Random(313)), revisions_corpus(random.Random(313))):
+        built = build_index(docs, g_prime=8, k_max=4).suffixes
+        check_prefix_table(built, len(built))
+        assert built.t >= 1
+        for include in (False, True):
+            loaded = deserialize_index(serialize_index(build_index(docs, g_prime=8, k_max=4),
+                                                       include)).suffixes
+            check_prefix_table(loaded, len(loaded))
+            assert loaded.t == built.t and np.array_equal(loaded.first, built.first)
 
 
 def test_suffix_order_shorter_than_one_packed_key():

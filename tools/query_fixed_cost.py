@@ -9,7 +9,12 @@ time is the minimum over PASSES passes.  A phase's time per pattern is that
 pass divided by all the patterns, so the phases sum to about the query's
 time less its own code.  The constructors are timed apart, with timeit, on
 the values of the workload's first pattern, each through a lambda that
-reads its arguments, whose cost (about 0.1 µs) the figures include.
+reads its arguments, whose cost (about 0.1 µs) the figures include.  A
+line before the phases gives the suffix index's table of first slots: t,
+its entries and bytes, and how many of the patterns it answers without a
+bisect (those of at most t symbols, all of them in the text).
+
+Output piped to a reader that stops early, such as head, ends it quietly.
 
 Usage: python tools/query_fixed_cost.py WORKLOAD SEED
 
@@ -17,6 +22,7 @@ WORKLOAD is a name in perfbench/workloads.py.  Times are raw, not
 host-scaled.
 """
 
+import os
 import sys
 import time
 import timeit
@@ -72,6 +78,11 @@ def main(argv):
     patterns = len(wl.patterns)
     print(f"{argv[1]}, seed {argv[2]}: n = {c.n}, {patterns} patterns, k = {k}, "
           f"variant {x.variant}, min of {PASSES} passes")
+    by_table = sum(len(iv.pattern) <= s.t and all(s.code[b] for b in iv.pattern)
+                   for iv in intervals)
+    print(f"prefix table: t = {s.t}, {len(s.first)} entries, {s.first.nbytes} bytes "
+          f"({s.first.nbytes / c.n:.2f} per symbol); it answers {by_table} of "
+          f"{patterns} patterns without a bisect")
     print(f"{'phase':<18} {'calls':>6} {'µs per call':>12} {'µs per pattern':>15}")
     for name, calls in phases.items():
         count, per_call, per_pattern = best_us(calls, patterns)
@@ -95,4 +106,10 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    try:
+        main(sys.argv)
+    except BrokenPipeError:
+        # The reader closed the pipe: point stdout at devnull, so that the
+        # flush at exit does not fail again, and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
