@@ -1,17 +1,18 @@
-"""Plain bit vector with sampled rank and binary-searched select.
+"""Plain bit vector with sampled rank, and select by binary search over rank.
 
 Bits are packed into 64-bit words.  A rank directory stores the running
 popcount every `sample_step` bits, so rank costs one directory lookup plus
 at most `sample_step / 64` word popcounts; at the default of one sample
-per word that is one lookup and one popcount.  select is one bisect over
-the directory, keyed by the ones or zeros before each block, then a scan
-within that block.  Words (u64) and directory (int64) are numpy arrays,
-kept once and read-only; the queries read them through memoryviews, whose
-items are plain Python ints.
+per word that is one lookup and one popcount.  select(bit, j) is one
+bisect over the positions 0..n keyed by rank, the smallest p with
+rank(bit, p) == j; no query path calls it.  Words (u64) and directory
+(int64) are numpy arrays, kept once and read-only; the queries read them
+through memoryviews, whose items are plain Python ints.
 
 The wavelet tree projects an interval through a node with rank1 at its two
 ends, so rank1_pair answers both positions with one range check; the tree's
-walks check their range on entry and call the unchecked _rank1_pair.
+walks check their range on entry and call the unchecked _rank1_pair, which
+needs a sample at every word, as every level of the tree has.
 ranks1 answers rank1 at many positions at once, in numpy, over the packed
 words, as the container's loader needs for every node of a level.
 """
@@ -20,10 +21,9 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .errors import NotEnoughOccurrencesError, OutOfRangeError
+from .errors import InvalidParameterError, NotEnoughOccurrencesError, OutOfRangeError, positive
 
 _WORD = 64
-_FULL = (1 << 64) - 1
 _LOW = [(1 << r) - 1 for r in range(_WORD)]     # the r low bits of a word
 
 
@@ -58,10 +58,8 @@ class RankBitVector:
         return self
 
     def _init_from_words(self, words, n, sample_step):
-        if sample_step < 1:
-            raise ValueError("sample_step must be positive")
         # Align the directory to whole words; 64 is the finest granularity.
-        step_words = max(1, int(sample_step) // _WORD)
+        step_words = max(1, positive("sample_step", sample_step) // _WORD)
         step = step_words * _WORD
         self._n = n
         self._step = step
@@ -105,12 +103,13 @@ class RankBitVector:
         """(rank1(i), rank1(j)) for 0 <= i <= j <= n."""
         if not 0 <= i <= j <= self._n:
             raise OutOfRangeError(f"prefix lengths {i}, {j} not ordered within 0..{self._n}")
+        if self._step_words != 1:
+            return self._rank1(i), self._rank1(j)
         return self._rank1_pair(i, j)
 
     def _rank1_pair(self, i, j):
-        """rank1_pair without the range check."""
-        if self._step_words != 1:
-            return self._rank1(i), self._rank1(j)
+        """rank1_pair without the range check, for a vector sampled at every
+        word (sample_step 64), as RankBitVector(bits) and from_words are."""
         words = self._words
         samples = self._samples
         ri = samples[i >> 6]
@@ -144,34 +143,13 @@ class RankBitVector:
         return self.rank1(i) if bit else self.rank0(i)
 
     def select(self, bit, j):
-        """1-based position of the j-th occurrence of bit."""
+        """1-based position of the j-th occurrence of bit: the smallest p
+        with rank(bit, p) == j, by binary search over rank."""
         total = self._ones if bit else self._n - self._ones
         if j < 1 or j > total:
             raise NotEnoughOccurrencesError(f"occurrence {j} of bit {bit} (have {total})")
-        return self._select(bit, j)
-
-    def _select(self, bit, j):
-        """select without the occurrence check."""
-        samples = self._samples
-        step = self._step
-        # Occurrences before each block; the last sample's zero count may
-        # include padding past n, but it is at least the true total.  The
-        # block holding the j-th is the last whose count stays below j.
-        before = samples.__getitem__ if bit else lambda b: b * step - samples[b]
-        blk = bisect_left(range(len(samples)), j, key=before) - 1
-        remaining = j - before(blk)
-        words = self._words
-        t = blk * self._step_words
-        while True:
-            # Zeros past n in the last word come after every real one.
-            word = words[t] if bit else ~words[t] & _FULL
-            cnt = word.bit_count()
-            if remaining <= cnt:
-                for _ in range(remaining - 1):
-                    word &= word - 1
-                return (t << 6) + (word & -word).bit_length()
-            remaining -= cnt
-            t += 1
+        rank = self._rank1 if bit else lambda i: i - self._rank1(i)
+        return bisect_left(range(self._n + 1), j, key=rank)
 
 
 def ranks1(words, positions):
@@ -196,6 +174,6 @@ def _as_bit_array(bits):
     if isinstance(bits, str):
         arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
         if arr.size and arr.max() > 1:
-            raise ValueError("bit string may only contain '0' and '1'")
+            raise InvalidParameterError("bit string may only contain '0' and '1'")
         return arr
     return np.array([1 if b else 0 for b in bits], dtype=np.uint8)

@@ -8,7 +8,7 @@ import time
 
 from . import container, engine
 from .corpus import SENTINEL
-from .errors import Error
+from .errors import Error, InvalidParameterError, UnknownStrategyError
 
 
 def main(argv=None):
@@ -126,7 +126,7 @@ def cmd_inspect(args):
     header, frames = container.read_frames(data)
     print(" ".join(f"{name}={value}" for name, value in header._asdict().items()))
     rows = [("header", container.HEADER_BYTES)]
-    rows += [(container.SECTION_NAMES.get(sec_id, f"section_{sec_id}"), end - start + 16)
+    rows += [(container.SECTION_NAMES[sec_id], end - start + 16)
              for sec_id, start, end in frames]
     rows.append(("total", len(data)))
     for name, size in rows:
@@ -140,7 +140,7 @@ def cmd_bench(args):
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     for s in strategies:
         if s not in engine.STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}")
+            raise UnknownStrategyError(f"unknown strategy {s!r}")
     index = container.load_index(args.index)
     size = os.path.getsize(args.index)
     report = run_bench(index, num_queries=args.num_queries,
@@ -165,15 +165,15 @@ def sample_patterns(index, num, length, rng):
     text = index.corpus.text
     n = len(text)
     if length < 1 or length > n:
-        raise ValueError("pattern length outside the text")
+        raise InvalidParameterError("pattern length outside the text")
     sentinel = bytes([SENTINEL])
     patterns = []
     attempts = 0
     while len(patterns) < num:
         attempts += 1
         if attempts > 1000 * max(num, 1) + 1000:
-            raise ValueError("could not sample patterns; documents shorter "
-                             "than the requested length?")
+            raise InvalidParameterError("could not sample patterns; documents shorter "
+                                        "than the requested length?")
         start = rng.randrange(n - length + 1)
         window = text[start:start + length]
         if sentinel in window:

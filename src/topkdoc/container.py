@@ -6,14 +6,15 @@ Layout, all integers little-endian:
     version u16
     header  7 x u64: n, d, sigma, g_prime, k_max, variant tag, rank step
             (always 64, the bits per rank directory sample)
-    then sections until end of file, each:
+    then sections 1, 2 and 3, optionally 4, in that order, then the end
+    of the file; each:
             section id u64, payload length in bytes u64, payload
 
 Every payload ends with a u32 CRC-32 (zlib.crc32) of the 62-byte fixed
 header, the section's id and length fields, and the payload before it; the
-length counts those 4 bytes.  Each known section's CRC is checked before
-any payload is parsed, so a flipped bit in the header or in any known
-section fails the load.
+length counts those 4 bytes.  Each section's CRC is checked before any
+payload is parsed, so a flipped bit in the header or in any section fails
+the load.
 
 Integer arrays are stored as packed fields: a count u64, a width u8, then
 the count values at width bits each, least significant bit first, in
@@ -63,21 +64,21 @@ A container whose CRCs are valid is trusted, unchecked, with three things:
     childless node's ep shrunk by 1 loads, though no sampling marks it.
 
 The marked nodes are stored in preorder, sorted by (sp, -ep); they are the
-whole sampled tree (see sgst).  Unknown section ids are skipped, their CRC
-unchecked, so the format can grow.  A version mismatch is an error, as is
-a rank step other than 64, a g_prime or k_max no build accepts, an n above
-corpus.MAX_SYMBOLS, a CRC mismatch, a known section that appears twice,
-any declared length that does not match its payload, a symbol table that
-is not strictly ascending above 0x00 or lists a symbol the text lacks, a
-symbol code outside the table,
-document ends that do not rise by at least 2 each up to n, a stored suffix
-array that does not sort the suffixes (see suffixes.sorts_suffixes), wavelet
-levels whose bit counts, or nodes whose ones counts, are not the ones the
-document lengths give or, on the document path, whose document array does
-not order the suffixes, or sampled-tree nodes or candidate lists that no
-build could have written (see _check_nodes and _check_candidates).  A
-single-symbol text packs into a few bytes yet loads into n: a resource
-limit, not a format error.
+whole sampled tree (see sgst).  A version mismatch is an error, as is a
+rank step other than 64, a g_prime or k_max no build accepts, an n above
+corpus.MAX_SYMBOLS, a CRC mismatch, a section id other than the next in
+the order above (an unknown, repeated or reordered section), fewer than
+three sections, any declared length that does not match its payload, a
+symbol table that is not strictly ascending above 0x00 or lists a symbol
+the text lacks, a symbol code outside the table, document ends that do
+not rise by at least 2 each up to n, a stored suffix array that does not
+sort the suffixes (see suffixes.sorts_suffixes), wavelet levels whose bit
+counts, or nodes whose ones counts, are not the ones the document lengths
+give or, on the document path, whose document array does not order the
+suffixes, or sampled-tree nodes or candidate lists that no build could
+have written (see _check_nodes and _check_candidates).  A single-symbol
+text packs into a few bytes yet loads into n: a resource limit, not a
+format error.
 """
 
 import struct
@@ -170,8 +171,8 @@ def _seal(header, sections):
 def read_frames(data):
     """(Header, frames) of a container, each frame a section's (id, start,
     end), its payload data[start:end] with the CRC.  Checks the header,
-    that no known section appears twice, and every known section's CRC,
-    not the payloads."""
+    that the sections are 1, 2, 3 and optionally 4 in that order, and each
+    section's CRC, not the payloads."""
     if len(data) < HEADER_BYTES:
         raise ContainerFormatError("file shorter than the fixed header")
     magic, version, n, d, sigma, g_prime, k_max, variant_tag, step = \
@@ -197,33 +198,30 @@ def read_frames(data):
         if offset + _FRAME.size > len(data):
             raise ContainerFormatError("truncated section header")
         sec_id, length = _FRAME.unpack_from(data, offset)
+        if sec_id not in SECTION_NAMES or sec_id != len(frames) + 1:
+            raise ContainerFormatError(f"section {sec_id} at frame {len(frames) + 1}: the "
+                                       "sections must be 1, 2, 3, then optionally 4")
         start = offset + _FRAME.size
         end = start + length
         if end > len(data):
             raise ContainerFormatError(f"section {sec_id} declares {length} bytes "
                                        f"but only {len(data) - start} remain")
-        if sec_id in SECTION_NAMES:
-            if any(sec_id == seen for seen, _, _ in frames):
-                raise ContainerFormatError(f"section {sec_id} appears twice")
-            if length < _CRC.size:
-                raise ContainerFormatError(f"section {sec_id} is shorter than its CRC")
-            crc = zlib.crc32(view[start:end - _CRC.size],
-                             zlib.crc32(view[offset:start], head_crc))
-            if _CRC.unpack_from(data, end - _CRC.size)[0] != crc:
-                raise ContainerFormatError(f"section {sec_id} fails its CRC")
+        if length < _CRC.size:
+            raise ContainerFormatError(f"section {sec_id} is shorter than its CRC")
+        crc = zlib.crc32(view[start:end - _CRC.size], zlib.crc32(view[offset:start], head_crc))
+        if _CRC.unpack_from(data, end - _CRC.size)[0] != crc:
+            raise ContainerFormatError(f"section {sec_id} fails its CRC")
         frames.append((sec_id, start, end))
         offset = end
+    if len(frames) < 3:
+        raise ContainerFormatError(f"missing required section {len(frames) + 1}")
     return Header(n, d, sigma, g_prime, k_max, _TAG_VARIANTS[variant_tag]), frames
 
 
 def deserialize_index(data: bytes) -> Index:
     h, frames = read_frames(data)
     view = memoryview(data)
-    sections = {sec_id: view[start:end - _CRC.size] for sec_id, start, end in frames
-                if sec_id in SECTION_NAMES}
-    for required in (SECTION_CORPUS, SECTION_WAVELET, SECTION_SGST):
-        if required not in sections:
-            raise ContainerFormatError(f"missing required section {required}")
+    sections = {sec_id: view[start:end - _CRC.size] for sec_id, start, end in frames}
 
     corpus = _read_corpus(sections[SECTION_CORPUS], h.n, h.d, h.sigma)
     # A stored suffix array is checked before the wavelet tree is read, so

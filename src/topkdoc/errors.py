@@ -71,8 +71,10 @@ class VersionMismatchError(ContainerFormatError):
 
 class InvalidParameterError(Error, ValueError):
     """A count or build parameter outside what the call accepts: k or
-    g_prime not an integer or below 1, k_max not a power of two, or an
-    unknown variant."""
+    g_prime not an integer or below 1, k_max not a power of two, an
+    unknown variant, a rank sample step below 1, a bit string holding
+    anything but 0 and 1, or a benchmark pattern length the text cannot
+    supply."""
 
 
 def integer(name, value):

@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
+from topkdoc import errors
 from topkdoc.bitrank import RankBitVector, ranks1
-from topkdoc.errors import NotEnoughOccurrencesError, OutOfRangeError
+from topkdoc.errors import InvalidParameterError, NotEnoughOccurrencesError, OutOfRangeError
 
 
 def brute_rank(bits: str, bit: int, i: int) -> int:
@@ -97,6 +98,33 @@ def test_random_vs_oracle(sample_step):
                     break
                 j = rng.randint(1, total)
                 assert v.select(bit, j) == brute_select(bits, bit, j)
+
+
+@pytest.mark.parametrize("sample_step", [1, 64, 100, 128, 512])
+def test_select_every_occurrence_at_word_edges(sample_step):
+    # Every j of both bits, on lengths around one and two words, on
+    # all-zero and all-one vectors, and past the ends of the occurrences.
+    rng = random.Random(31 + sample_step)
+    cases = ["".join(rng.choice("01") for _ in range(n))
+             for n in (1, 63, 64, 65, 127, 128, 129, 640)]
+    cases += [fill * n for n in (1, 63, 64, 65, 640) for fill in "01"] + [""]
+    for bits in cases:
+        v = RankBitVector(bits, sample_step=sample_step)
+        for bit in (0, 1):
+            total = bits.count(str(bit))
+            assert [v.select(bit, j) for j in range(1, total + 1)] == \
+                [brute_select(bits, bit, j) for j in range(1, total + 1)]
+            for j in (0, total + 1):
+                with pytest.raises(NotEnoughOccurrencesError):
+                    v.select(bit, j)
+
+
+def test_bad_arguments_raise_package_errors():
+    for bad in (lambda: RankBitVector("101", sample_step=0),
+                lambda: RankBitVector("1021")):
+        with pytest.raises(InvalidParameterError) as info:
+            bad()
+        assert isinstance(info.value, errors.Error) and isinstance(info.value, ValueError)
 
 
 def test_select_rank_inverse():

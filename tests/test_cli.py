@@ -1,9 +1,10 @@
+import argparse
 import random
 
 import pytest
 
-from topkdoc import build_index
-from topkdoc.cli import main, run_bench, sample_patterns
+from topkdoc import build_index, errors
+from topkdoc.cli import cmd_bench, main, run_bench, sample_patterns
 
 WORKED = {"a.txt": b"abab", "b.txt": b"abba", "c.txt": b"bab"}
 
@@ -189,6 +190,20 @@ def test_bench_unsatisfiable_pattern_length(tmp_path, capsys):
     rc = main(["bench", str(idx), "--num-queries", "3", "--pattern-len", "4"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_bad_bench_arguments_raise_package_errors():
+    idx = build_index(["ab", "ab"], g_prime=7, k_max=1)
+    cases = [(errors.UnknownStrategyError,
+              lambda: cmd_bench(argparse.Namespace(strategies="greedy,warp"))),
+             (errors.InvalidParameterError, lambda: sample_patterns(idx, 1, 0, random.Random())),
+             (errors.InvalidParameterError, lambda: sample_patterns(idx, 1, 7, random.Random())),
+             # Every window of 3 symbols crosses a terminator.
+             (errors.InvalidParameterError, lambda: sample_patterns(idx, 1, 3, random.Random()))]
+    for cls, bad in cases:
+        with pytest.raises(cls) as info:
+            bad()
+        assert isinstance(info.value, errors.Error) and isinstance(info.value, ValueError)
 
 
 def test_sample_patterns_avoid_terminators():

@@ -305,11 +305,11 @@ def test_edge_shapes_round_trip(shape, variant, include_sa):
 
 @pytest.mark.parametrize("variant", ["light", "xlight"])
 def test_whole_container_fuzz(variant):
-    # Every single-bit flip of a small container, header included, and
-    # every cut of it short is rejected with a topkdoc error or loads and
-    # answers every query exactly as the intact container does.  Only a
-    # flip that makes the optional suffix-array section's id unknown, or a
-    # cut just before that section, loads: the suffix array is rebuilt.
+    # Every single-bit flip of a small container, header included, is
+    # rejected with a topkdoc error, and so is every cut of it short but
+    # one: the cut just before the optional suffix-array section loads,
+    # rebuilds the suffix array and answers every query exactly as the
+    # intact container does.
     rng = random.Random(263)
     docs = ["".join(rng.choice("abc") for _ in range(rng.randint(4, 10))) for _ in range(4)]
     idx = build_index(docs, g_prime=2, k_max=4, variant=variant)
@@ -334,26 +334,57 @@ def test_whole_container_fuzz(variant):
         for bit in range(8):
             bad = bytearray(blob)
             bad[pos] ^= 1 << bit
-            result = outcome(bytes(bad))
-            flips[result] += 1
-            if result == "loaded":
-                assert sa_start <= pos < sa_start + 8, (pos, bit)
+            flips[outcome(bytes(bad))] += 1
     cuts = Counter(outcome(blob[:length]) for length in range(len(blob)))
     elapsed = time.perf_counter() - began
-    assert flips["rejected"] + flips["loaded"] == 8 * len(blob)
-    assert flips["loaded"] and cuts["loaded"] == 1 and outcome(blob) == "loaded"
+    assert flips["rejected"] == 8 * len(blob) and flips["loaded"] == 0
+    assert cuts["loaded"] == 1 and outcome(blob[:sa_start]) == "loaded"
+    assert outcome(blob) == "loaded"
     assert elapsed < 5, elapsed
     print(f"{variant}: {len(blob)} bytes; bit flips {dict(flips)}; cuts {dict(cuts)}; "
           f"{elapsed:.2f} s")
 
 
-def test_unknown_sections_are_skipped():
+def test_unknown_sections_are_rejected():
     idx = build_index(["abab", "abba", "bab"], g_prime=1, k_max=4)
     blob = serialize_index(idx)
     stranger = struct.pack("<QQ", 999, 5) + b"junk!"
-    spliced = blob[:HEADER_LEN] + stranger + blob[HEADER_LEN:] + stranger
-    back = deserialize_index(spliced)
-    assert query_topk(back, "b", 2).pairs == [(1, 2), (2, 2)]
+    for spliced in (blob[:HEADER_LEN] + stranger + blob[HEADER_LEN:], blob + stranger):
+        with pytest.raises(ContainerFormatError, match="section 999 at frame"):
+            deserialize_index(spliced)
+
+
+def _unwritten_layouts():
+    """Section ids of CRC-valid layouts the writer never writes: 1 and 2
+    swapped, an unknown id 5 before, between or after the sections, each
+    section repeated, 4 before 3, and only 1 and 2."""
+    layouts = [(2, 1, 3), (1, 2, 4, 3), (1, 2)]
+    for ids in ((1, 2, 3), (1, 2, 3, 4)):
+        layouts += [ids[:at] + (5,) + ids[at:] for at in range(len(ids) + 1)]
+        layouts += [ids[:at + 1] + ids[at:] for at in range(len(ids))]
+    return layouts
+
+
+@pytest.mark.parametrize("ids", _unwritten_layouts(), ids=lambda ids: "-".join(map(str, ids)))
+def test_layouts_the_writer_never_writes_are_rejected(ids):
+    # Each container is sealed with valid CRCs around the real payloads;
+    # the unknown id carries a copy of the corpus payload.
+    idx = build_index([b"abab", b"abba", b"bab"], g_prime=1)
+    blob = serialize_index(idx, include_suffix_array=True)
+    payloads = {sec_id: blob[start:end - 4] for sec_id, start, end in read_frames(blob)[1]}
+    payloads[5] = payloads[1]
+    with pytest.raises(ContainerFormatError, match="at frame|missing required section 3"):
+        deserialize_index(_seal(blob[:HEADER_LEN], [(i, payloads[i]) for i in ids]))
+
+
+def test_every_wavelet_level_samples_every_word():
+    # The tree's walks call _rank1_pair, which reads one rank sample per
+    # word and does not check the step.
+    idx = build_index(["abab", "abba", "bab", "aab", "bb"], g_prime=1)
+    back = deserialize_index(serialize_index(idx))
+    for tree in (idx.wavelet, back.wavelet):
+        assert len(tree.levels) == 3
+        assert [level.sample_step for level in tree.levels] == [64] * 3
 
 
 def test_repeated_sections_rejected():
@@ -369,7 +400,7 @@ def test_repeated_sections_rejected():
             == [(1, 2), (2, 1), (3, 1)]
         other = _corpus_payload(ingest([b"baba", b"abba", b"bab"]))
         for repeat in [(1, other), *sections]:
-            with pytest.raises(ContainerFormatError, match=f"section {repeat[0]} appears twice"):
+            with pytest.raises(ContainerFormatError, match=f"section {repeat[0]} at frame"):
                 deserialize_index(_seal(head, sections + [repeat]))
 
 

@@ -411,7 +411,7 @@ def test_find_locus_makes_no_bit_vector_call(monkeypatch):
     def refuse(*args):
         raise AssertionError("find_locus read a bit vector")
 
-    for name in ("rank1", "rank1_pair", "_rank1", "select", "_select", "get"):
+    for name in ("rank1", "rank1_pair", "_rank1", "select", "get"):
         monkeypatch.setattr(RankBitVector, name, refuse)
     rng = random.Random(233)
     c, _, _, x = build_all(revisions_corpus(rng), g_prime=4, k_max=8)
