@@ -8,8 +8,8 @@ nest as k doubles, so every node is stored once, with its interval, its
 class c (the deepest level that marked it), and the c most frequent
 documents of its interval; the "light" layout keeps their frequencies next
 to the ids, "xlight" drops them and recounts through the wavelet tree on
-demand.  The build counts them with one bincount over each node's slice of
-the document array.
+demand.  The build counts them in one preorder pass over the marked nodes,
+which reads each slot of the document array once (count_candidates).
 
 The stored arrays are the whole sampled tree.  Nodes are kept in preorder,
 sorted by (sp ascending, ep descending); intervals nest or are disjoint,
@@ -32,10 +32,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .suffixes import SHORT_SLICE, top_of_few
 from .wavelet import WaveletTree
 from .errors import InvalidParameterError, KStarNotPrecomputedError, integer, positive
 
 VARIANTS = ("light", "xlight")
+SPARSE = 8      # see count_candidates
 
 
 class MarkedNode(NamedTuple):
@@ -109,18 +111,26 @@ def _key(sp, ep):
 def build_sgst(corpus, s, g_prime=400, k_max=16, variant="light") -> SGST:
     """Mark, classify and precompute candidates over the suffix array of corpus.
 
-    `s` is the corpus's SuffixIndex; candidates are counted from its
-    document array by SuffixIndex.top_documents.  Degenerate sampling
-    (fewer than two sampled slots at some level) simply leaves that level
-    empty.  A query that no marked node serves counts its interval with
-    the same top_documents.
+    `s` is the corpus's SuffixIndex.  mark_nodes finds the nodes and their
+    classes; count_candidates counts their top documents from s's document
+    array in one preorder pass.  Degenerate sampling (fewer than two
+    sampled slots at some level) simply leaves that level empty.  A query
+    that no marked node serves counts its interval with
+    SuffixIndex.top_documents, which ranks exactly as the pass does.
     """
     g_prime, k_max = positive("g_prime", g_prime), integer("k_max", k_max)
     if k_max < 1 or k_max & (k_max - 1):
         raise InvalidParameterError(f"k_max = {k_max}; it must be a power of two")
     if variant not in VARIANTS:
         raise InvalidParameterError(f"variant {variant!r}; it must be one of {VARIANTS}")
+    sp, ep, cls = mark_nodes(corpus, s, g_prime, k_max)
+    cand_off, docs, freqs = count_candidates(s.doc_ids, corpus.d, sp, ep, cls)
+    return SGST(g_prime, k_max, variant, sp, ep, cls, cand_off, docs,
+                freqs if variant == "light" else None)
 
+
+def mark_nodes(corpus, s, g_prime, k_max):
+    """The marked nodes' sp, ep and class lists, in preorder."""
     text = corpus.text
     sa = memoryview(s.sa)               # plain ints, not numpy scalars
 
@@ -142,11 +152,126 @@ def build_sgst(corpus, s, g_prime=400, k_max=16, variant="light") -> SGST:
             classes[iv] = 1 << i  # levels ascend, so the last write is the max
 
     order = sorted(classes, key=lambda iv: _key(*iv))     # preorder
-    tops = [s.top_documents(iv[0], iv[1], classes[iv]) for iv in order]
+    return [iv[0] for iv in order], [iv[1] for iv in order], [classes[iv] for iv in order]
+
+
+def count_candidates(doc_ids, d, sp, ep, cls):
+    """Each node's top cls documents of doc_ids[sp - 1:ep], ranked by
+    (-freq, doc) as SuffixIndex.top_documents ranks them: the m + 1
+    offsets that cut the lists, then their docs and freqs, in preorder.
+
+    The nodes come in preorder and nest or are disjoint, so one pass left
+    to right keeps a stack of the open ancestors, each with a cursor at
+    its first slot not yet counted and its counts so far.  Opening a node
+    counts the slots its parent left uncovered before it; closing one
+    counts its own last uncovered slots, ranks its top documents and adds
+    its counts into its parent's.  So every slot is read once.
+
+    A node counts into a vector over the d + 1 ids if it has more than
+    d / SPARSE slots and the open vectors stay within n counts.  Otherwise
+    it keeps parts, slices of doc_ids and its closed children's
+    (ids, counts), and sums them when it closes (_summed).  A child's
+    counts hold at most min(slots, d + 1) ids, so no node costs more than
+    about SPARSE times its slots, and the open counts never exceed 2 n,
+    whatever the depth or d.  A vector's parent is a vector: it is larger,
+    and was opened with no more vectors open.  A node of at most
+    SHORT_SLICE slots is counted in Python with all its descendants
+    (top_of_few), from one read of its slice, which its parent then counts
+    as uncovered slots: on slices that short numpy's fixed cost per call
+    is most of the time.
+    """
+    m, n = len(sp), len(doc_ids)
+    tops = [None] * m
+    # Open ancestors, innermost last: [node, first slot not counted, counts],
+    # the counts a vector over the ids or a list of parts: (ids, None) for
+    # slots counted once, (ids, counts) for a closed child.
+    stack = []
+    vectors = 0
+
+    def add(into, ids, counts=None):        # counts None: each of ids once
+        if type(into) is list:
+            into.append((ids, counts))
+        elif counts is None:
+            into += np.bincount(ids, minlength=d + 1)
+        else:
+            into[ids] += counts
+
+    i = 0
+    while True:
+        lo = sp[i] - 1 if i < m else n
+        while stack and ep[stack[-1][0]] <= lo:     # the top ends before node i
+            j, at, counts = stack.pop()
+            if at < ep[j]:
+                add(counts, doc_ids[at:ep[j]])
+            if type(counts) is list:
+                ids, counts = _summed(counts)
+                top = _ranked(counts, cls[j])
+                tops[j] = list(zip(ids[top].tolist(), counts[top].tolist()))
+                if stack:
+                    add(stack[-1][2], ids, counts)
+            else:
+                vectors -= 1
+                top = _ranked(counts, cls[j])
+                tops[j] = list(zip(top.tolist(), counts[top].tolist()))
+                if stack:
+                    stack[-1][2] += counts      # a vector's parent is a vector
+            if stack:
+                stack[-1][1] = ep[j]
+        if i == m:
+            break
+        if stack and stack[-1][1] < lo:
+            add(stack[-1][2], doc_ids[stack[-1][1]:lo])
+        hi = ep[i]
+        if hi - lo > SHORT_SLICE:
+            dense = (hi - lo) * SPARSE > d and (vectors + 1) * (d + 1) <= n
+            vectors += dense
+            stack.append([i, lo, np.zeros(d + 1, np.int64) if dense else []])
+            i += 1
+            continue
+        few = doc_ids[lo:hi]
+        slots = few.tolist()
+        while i < m and sp[i] <= hi:                # node i and its descendants
+            tops[i] = top_of_few(slots[sp[i] - 1 - lo:ep[i] - lo], cls[i])
+            i += 1
+        if stack:
+            add(stack[-1][2], few)
+            stack[-1][1] = hi
     pairs = [pair for top in tops for pair in top]
-    return SGST(g_prime, k_max, variant, [iv[0] for iv in order], [iv[1] for iv in order],
-                [classes[iv] for iv in order], np.cumsum([0, *map(len, tops)]),
-                [doc for doc, _ in pairs], [f for _, f in pairs] if variant == "light" else None)
+    return (np.cumsum([0, *map(len, tops)]), [doc for doc, _ in pairs],
+            [f for _, f in pairs])
+
+
+def _summed(parts):
+    """The distinct ids of parts, ascending, and their summed counts: a
+    part (ids, None) counts each of its ids once, (ids, counts) each id
+    counts times.  Summed by bincount over the ids, unless it would run
+    past 16 times their number, then over their ranks from np.unique, as
+    top_documents counts, so the sum is O(L log L) at most for L ids."""
+    ids = np.concatenate([part for part, _ in parts])
+    weights = None
+    if any(counts is not None for _, counts in parts):
+        weights = np.concatenate([np.ones(len(part)) if counts is None else counts
+                                  for part, counts in parts])
+    if ids.max() < 16 * len(ids):
+        counts = np.bincount(ids, weights)
+        ids = counts.nonzero()[0]
+        counts = counts[ids]
+    else:
+        ids, ranks = np.unique(ids, return_inverse=True)
+        counts = np.bincount(ranks, weights)
+    return ids, counts.astype(np.int64, copy=False)
+
+
+def _ranked(counts, c):
+    """The positions of the c largest counts, ranked by (-count, position).
+
+    Every position counted at least as often as the c-th largest count,
+    taken ascending and stably sorted by -count, ranks ties lowest first."""
+    if c == 1:
+        return counts.argmax(keepdims=True)     # the first of the most
+    floor = np.partition(counts, -c)[-c] if c < len(counts) else 1
+    top = (counts >= max(floor, 1)).nonzero()[0]
+    return top[(-counts[top]).argsort(kind="stable")[:c]]
 
 
 def find_locus(x: SGST, k_star, sp, ep):

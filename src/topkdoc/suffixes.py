@@ -80,6 +80,23 @@ DOCUMENT_PATH_TIES = 0.5
 SHORT_SLICE = 32
 
 
+def top_of_few(ids, k):
+    """The k (doc, freq) pairs of most slots among ids, a non-empty list of
+    plain ints, by (-freq, doc): ids sorted in Python and counted in one
+    pass over their runs, for lists of at most SHORT_SLICE ids."""
+    ids = sorted(ids)
+    pairs = []
+    doc, freq = ids[0], 0
+    for d in ids:
+        if d != doc:
+            pairs.append((doc, freq))
+            doc, freq = d, 0
+        freq += 1
+    pairs.append((doc, freq))
+    pairs.sort(key=itemgetter(1), reverse=True)    # keeps tied docs ascending
+    return pairs[:k]
+
+
 class PatternInterval(NamedTuple):
     """Suffix-array index range [sp, ep] of a pattern; empty when ep < sp.
 
@@ -221,17 +238,7 @@ class SuffixIndex:
             raise OutOfRangeError(f"interval [{sp}, {ep}] outside 1..{len(self.sa)}")
         k = positive("k", k)
         if ep - sp < SHORT_SLICE:
-            ids = sorted(self._views[2][sp - 1:ep])
-            pairs = []
-            doc, freq = ids[0], 0
-            for d in ids:
-                if d != doc:
-                    pairs.append((doc, freq))
-                    doc, freq = d, 0
-                freq += 1
-            pairs.append((doc, freq))
-            pairs.sort(key=itemgetter(1), reverse=True)    # keeps tied docs ascending
-            return pairs[:k]
+            return top_of_few(self._views[2][sp - 1:ep], k)
         ids = self.doc_ids[sp - 1:ep]
         if ids.max() < 16 * len(ids):
             freq = np.bincount(ids)

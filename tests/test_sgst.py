@@ -9,7 +9,9 @@ from topkdoc import (build_index, build_suffix_array, candidates_of, find_locus,
 from topkdoc.bitrank import RankBitVector
 from topkdoc.corpus import MAX_SYMBOLS
 from topkdoc.errors import KStarNotPrecomputedError
+from topkdoc import sgst
 from topkdoc.sgst import SGST, VARIANTS, build_sgst
+from topkdoc.suffixes import SHORT_SLICE
 from topkdoc.wavelet import WaveletTree
 
 from conftest import occurring_patterns, random_docs, revisions_corpus
@@ -128,6 +130,127 @@ def test_build_makes_no_traversal(monkeypatch):
     monkeypatch.setattr(WaveletTree, "greedy_topk", refuse)
     _, _, _, x = build_all(revisions_corpus(random.Random(157)), g_prime=2, k_max=8)
     assert x.node_count > 0
+
+
+def tie_corpus(rng):
+    """Six copies of one document and three of a shorter one: most nodes'
+    counts tie across more documents than their class keeps."""
+    doc = "".join(rng.choice("ab") for _ in range(40))
+    return [doc] * 6 + [doc[:25]] * 3
+
+
+PASS_CORPORA = {
+    "one document": (lambda rng: ["ab" * 2000], 4, 16),
+    "nested over many ids": (lambda rng: ["ab" * 50] * 200, 4, 16),
+    "few slots over many ids": (
+        lambda rng: ["".join(rng.choice("abc") for _ in range(8)) for _ in range(1000)], 16, 16),
+    "revisions": (lambda rng: revisions_corpus(rng), 2, 8),
+    "k_max above d": (lambda rng: random_docs(rng, max_docs=5, max_total=300, sigma=2), 1, 16),
+    "ties at the cut": (tie_corpus, 1, 8),
+    "nothing marked": (lambda rng: ["abab", "abba", "bab"], 400, 16),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_preorder_pass_matches_top_documents(variant, monkeypatch):
+    # Every node stores exactly top_documents' answer over its interval,
+    # on nested, tied, short-listed and empty sampled trees, whether it is
+    # counted in Python or summed by bincount over ids or over ranks.
+    seen = {"python": 0, "numpy": 0, "by id": 0, "by rank": 0, "short": 0, "cut tie": 0}
+    summed = sgst._summed
+
+    def recording(parts):
+        ids = np.concatenate([part for part, _ in parts])
+        seen["by id" if ids.max() < 16 * len(ids) else "by rank"] += 1
+        return summed(parts)
+
+    monkeypatch.setattr(sgst, "_summed", recording)
+    rng = random.Random(163)
+    for name, (make, g_prime, k_max) in PASS_CORPORA.items():
+        for _ in range(3 if name == "k_max above d" else 1):
+            c, s, _, x = build_all(make(rng), g_prime=g_prime, k_max=k_max, variant=variant)
+            assert (x.node_count == 0) == (name == "nothing marked")
+            assert x.cand_off.tolist()[-1] == len(x.cand_docs)
+            for rank in range(1, x.node_count + 1):
+                nd = x.node_at(rank)
+                want = s.top_documents(nd.sp, nd.ep, nd.cls)
+                lo, hi = x.cand_off[rank - 1], x.cand_off[rank]
+                assert x.cand_docs[lo:hi].tolist() == [doc for doc, _ in want], name
+                if variant == "light":
+                    assert x.cand_freqs[lo:hi].tolist() == [f for _, f in want], name
+                every = s.top_documents(nd.sp, nd.ep, c.d)
+                seen["python" if nd.ep - nd.sp < SHORT_SLICE else "numpy"] += 1
+                seen["short"] += len(want) < nd.cls
+                seen["cut tie"] += len(every) > nd.cls and every[nd.cls - 1][1] == every[nd.cls][1]
+    assert min(seen.values()) >= 5, seen
+
+
+def test_preorder_pass_counts_each_slot_once(monkeypatch):
+    # Nested nodes (their slices sum to about 52 n here) are counted from
+    # their children's counts plus the slots the children leave uncovered,
+    # so the slices read from the document array sum to the slots of the
+    # outermost nodes, at most n.  Counting each node's own slice would
+    # read a slot again for every marked node above it.
+    c = ingest(["ab" * 50] * 200)
+    s = build_suffix_array(c)
+    read = []
+
+    class Recording:
+        def __init__(self, arr):
+            self.arr = arr
+
+        def __len__(self):
+            return len(self.arr)
+
+        def __getitem__(self, key):
+            read.append(len(range(*key.indices(len(self.arr)))))
+            return self.arr[key]
+
+    monkeypatch.setattr(s, "doc_ids", Recording(s.doc_ids))
+    x = build_sgst(c, s, g_prime=4, k_max=16)
+    spans = list(zip(x.sp_arr.tolist(), x.ep_arr.tolist()))
+    assert sum(ep - sp + 1 for sp, ep in spans) > 50 * c.n
+    outermost, end = 0, 0
+    for sp, ep in spans:            # preorder: a node past end is outermost
+        if sp > end:
+            outermost, end = outermost + ep - sp + 1, ep
+    assert sum(read) == outermost <= c.n
+
+
+def test_preorder_pass_memory_budget():
+    # 2,000 documents nest 89 marked nodes deep; the pass's open counts
+    # stay within test_build_memory_budget's 100 bytes per symbol of
+    # traced allocation.
+    c = ingest(["ab" * 50] * 2000)
+    s = build_suffix_array(c)
+    assert c.n == 202_000 and c.d == 2000
+    tracemalloc.start()
+    try:
+        x = build_sgst(c, s, g_prime=50, k_max=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.node_count > 1000
+    assert peak <= 100 * c.n
+
+
+def test_long_repeat_over_many_documents_memory_budget():
+    # A unary document and 10^5 copies of a one-symbol one, which read,
+    # terminators and all, as one periodic text: the marked nodes nest 251
+    # deep, and 220 of those open at once hold over d / SPARSE slots each,
+    # with d near n / 2.  A vector over the ids for each of them would
+    # take some 800 bytes per symbol; the whole build stays within
+    # test_whole_build_memory_budget's 90 bytes per symbol.
+    c = ingest(["a" * 20_000] + ["b"] * 100_000)
+    assert c.n == 220_001 and c.d == 100_001
+    tracemalloc.start()
+    try:
+        index = build_index(c, g_prime=400, k_max=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert index.sgst.node_count > 100
+    assert peak <= 90 * c.n
 
 
 def test_build_parameter_validation(worked_corpus, worked_suffixes):
