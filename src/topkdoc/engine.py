@@ -8,14 +8,18 @@ chosen strategy repairs the flanks, the positions of [sp, ep] outside the
 node's interval (the covered core).  All three take the same
 (sp, ep, core_sp, core_ep): a length-ordered greedy traversal, a pruned
 DFS, or a per-position select scan.  The heap's members are then recounted
-exactly over the full interval.  A query no marked node serves counts its
-slice of the document array instead (SuffixIndex.top_documents), by a
-Python sort when the slice holds at most suffixes.SHORT_SLICE slots and in
-numpy when it is longer.  With k within the precomputed ceiling and the
-sampled tree in use, that interval holds no two consecutive level-k*
-sampled slots (it would hold their marked node) and the last slot lies
-within g - 1 of the end, so wherever the level is non-empty it is shorter
-than 2g; otherwise it can reach n.
+exactly over the full interval.  Every exact frequency such a query needs
+(xlight's candidates, the select scan's documents, the final recount) is
+read from one count of the interval's slice of the document array, made
+once per interval, or, when the interval holds more than RECOUNT_SLOTS
+slots per frequency read, counted by WaveletTree.doc_freq (frequencies).
+A query no marked node serves counts its slice of the document array
+instead (SuffixIndex.top_documents), by a Python sort when the slice holds
+at most suffixes.SHORT_SLICE slots and in numpy when it is longer.  With k
+within the precomputed ceiling and the sampled tree in use, that interval
+holds no two consecutive level-k* sampled slots (it would hold their
+marked node) and the last slot lies within g - 1 of the end, so wherever
+the level is non-empty it is shorter than 2g; otherwise it can reach n.
 Either way the frequencies are the exact top-k, listed by (-freq, doc).
 Among documents tied at the k-th frequency, a query answered through a
 marked node may return any of them; the count lists the lowest ids.
@@ -24,6 +28,8 @@ marked node may return any of them; the count lists the lowest ids.
 import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .corpus import Corpus, ingest
 from .errors import OutOfRangeError, UnknownStrategyError, positive
@@ -35,6 +41,18 @@ GREEDY = "greedy"
 DFS = "dfs"
 SELECT = "select"
 STRATEGIES = (GREEDY, DFS, SELECT)
+
+# frequencies counts an interval's slice of the document array when it holds
+# at most this many slots per frequency read, and past that calls
+# WaveletTree.doc_freq per document; the bound rests on the slice's length
+# and the frequencies alone.  It was fixed before the benchmark was
+# measured, from tools/slice_count_crossover.py's recount mode at seed 201
+# on a 2-vCPU VM: a count of L slots and a read of m documents took about
+# 11 µs plus 1.5 ns per slot, a doc_freq call about 7 µs, and the count
+# won up to 2,746-3,065 slots per frequency at m = 4 and 3,587-4,059 at
+# m = 10 and 16 on both workloads (it never wins at m = 1).  2048 stays
+# below every one of those crossovers.
+RECOUNT_SLOTS = 2048
 
 
 def kstar(k):
@@ -87,34 +105,53 @@ class CandidateHeap:
         return [(-negd, f) for f, negd in self._entries]
 
 
-def select_scan(w: WaveletTree, sp, ep, core_sp, core_ep, heap: CandidateHeap):
+def frequencies(index, sp, ep, m):
+    """A function from a list of documents to their frequencies in [sp,
+    ep], plain ints (0 for a document that owns no slot there), for a
+    caller about to read about m of them.
+
+    The one place a locus-served query decides how to count an interval.
+    It counts the slice of the document array once (SuffixIndex.counts)
+    and reads every document from that count, unless the interval holds
+    more than RECOUNT_SLOTS slots per frequency, m * RECOUNT_SLOTS in all;
+    then each document is counted by WaveletTree.doc_freq.  The count costs
+    O(L) for L slots, doc_freq O(log d) per document.
+    """
+    if ep - sp + 1 > RECOUNT_SLOTS * m:
+        doc_freq = index.wavelet.doc_freq
+        return lambda docs: [doc_freq(doc, sp, ep) for doc in docs]
+    ids, counts = index.suffixes.counts(sp, ep)
+    last = len(ids) - 1
+
+    def read(docs):
+        docs = np.array(docs, dtype=ids.dtype)
+        at = ids.searchsorted(docs)
+        np.minimum(at, last, out=at)
+        return np.where(ids[at] == docs, counts[at], 0).tolist()
+    return read
+
+
+def select_scan(doc_ids, freqs, sp, ep, core_sp, core_ep, heap: CandidateHeap):
     """Offer every document of [sp, ep] outside the covered core
     [core_sp, core_ep].
 
     The core may be empty (core_ep < core_sp), in which case the whole of
-    [sp, ep] is scanned.  Each position costs one access; each distinct
-    document costs one exact count over [sp, ep] (repeats would be
-    idempotent offers, so they are skipped).  Returns (positions scanned,
-    offers made).
+    [sp, ep] is scanned.  Each position is one read of doc_ids, the
+    document array (SuffixIndex.doc_ids).  Each distinct document is offered
+    once, in the order of its first position, with its frequency over
+    [sp, ep] read from freqs (see frequencies); repeats would be idempotent
+    offers.  Returns (positions scanned, offers made).
     """
-    if core_ep >= core_sp and not (sp <= core_sp and core_ep <= ep):
-        raise OutOfRangeError("covered core must sit inside the scanned interval")
     if core_ep >= core_sp:
-        ranges = (range(sp, core_sp), range(core_ep + 1, ep + 1))
+        if not (sp <= core_sp and core_ep <= ep):
+            raise OutOfRangeError("covered core must sit inside the scanned interval")
+        flanks = doc_ids[sp - 1:core_sp - 1].tolist() + doc_ids[core_ep:ep].tolist()
     else:
-        ranges = (range(sp, ep + 1),)
-    access = w.access
-    doc_freq = w.doc_freq
-    seen = set()
-    scanned = 0
-    for rng in ranges:
-        for pos in rng:
-            scanned += 1
-            doc = access(pos)
-            if doc not in seen:
-                seen.add(doc)
-                heap.offer(doc, doc_freq(doc, sp, ep))
-    return scanned, len(seen)
+        flanks = doc_ids[sp - 1:ep].tolist()
+    docs = list(dict.fromkeys(flanks))
+    for doc, freq in zip(docs, freqs(docs)):
+        heap.offer(doc, freq)
+    return len(flanks), len(docs)
 
 
 @dataclass
@@ -195,11 +232,13 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
     found spans exactly the pattern's interval, its first k stored
     candidates are the answer, already ranked by candidates_of: no heap,
     flank traversal, final recount or sort runs, and only xlight counts,
-    once per candidate returned.  When flanks remain, the node's first k
-    candidates seed a heap, the flanks are repaired with the chosen
-    strategy, and every heap member is recounted over the whole interval.
-    With no marked node inside, or with k* above k_max or use_sgst=False,
-    the interval's document array is counted.
+    reading the candidates returned from one count of the node's slice
+    (frequencies).  When flanks remain, the node's first k candidates seed
+    a heap, the flanks are repaired with the chosen strategy, and every
+    heap member is recounted over the whole interval, the select scan and
+    the recount both reading one count of it.  With no marked node inside,
+    or with k* above k_max or use_sgst=False, the interval's document array
+    is counted.
     """
     if strategy not in STRATEGIES:
         raise UnknownStrategyError(f"strategy must be one of {STRATEGIES}")
@@ -220,8 +259,9 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
         return TopKResult(pairs, pat, k, variant, QueryStats(k_star, g, used_sgst))
 
     w = index.wavelet
-    seeds = candidates_of(x, locus, w, k)
     _, core_sp, core_ep, _ = locus
+    core = None if x.cand_freqs is not None else frequencies(index, core_sp, core_ep, k)
+    seeds = candidates_of(x, locus, w, k, core)
     if core_sp == sp and core_ep == ep:
         # The node's candidates are counted over [sp, ep] itself and ranked.
         return TopKResult(seeds, pat, k, variant,
@@ -230,9 +270,11 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
     heap = CandidateHeap(k)
     for doc, freq in seeds:
         heap.offer(doc, freq)
+    freqs = frequencies(index, sp, ep, k)
     scanned = emitted = 0
     if strategy == SELECT:
-        scanned, offered = select_scan(w, sp, ep, core_sp, core_ep, heap)
+        scanned, offered = select_scan(index.suffixes.doc_ids, freqs, sp, ep, core_sp,
+                                       core_ep, heap)
     else:
         walk = w.restricted_greedy if strategy == GREEDY else w.restricted_dfs
         for doc, freq in walk(sp, ep, core_sp, core_ep, heap.kth_frequency):
@@ -240,8 +282,8 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
             emitted += 1
         offered = emitted
 
-    pairs = [(doc, w.doc_freq(doc, sp, ep)) for doc, _ in heap.members()]
-    pairs.sort(key=lambda p: (-p[1], p[0]))
+    docs = [doc for doc, _ in heap.members()]
+    pairs = sorted(zip(docs, freqs(docs)), key=lambda p: (-p[1], p[0]))
     return TopKResult(pairs[:k], pat, k, variant,
                       QueryStats(k_star, g, True, True, core_sp, core_ep, scanned, emitted,
                                  len(seeds) + offered))

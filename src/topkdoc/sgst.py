@@ -7,9 +7,11 @@ marked node is identified with its suffix-array interval.  The marked sets
 nest as k doubles, so every node is stored once, with its interval, its
 class c (the deepest level that marked it), and the c most frequent
 documents of its interval; the "light" layout keeps their frequencies next
-to the ids, "xlight" drops them and recounts through the wavelet tree on
-demand.  The build counts them in one preorder pass over the marked nodes,
-which reads each slot of the document array once (count_candidates).
+to the ids, "xlight" drops them and recounts them on demand, from a count
+of the node's slice of the document array or through the wavelet tree
+(candidates_of).  The build counts them in one preorder pass over the
+marked nodes, which reads each slot of the document array once
+(count_candidates).
 
 The stored arrays are the whole sampled tree.  Nodes are kept in preorder,
 sorted by (sp ascending, ep descending); intervals nest or are disjoint,
@@ -304,14 +306,16 @@ def find_locus(x: SGST, k_star, sp, ep):
     return MarkedNode(rank, key >> 31, node_ep, x.cls_arr[rank - 1])
 
 
-def candidates_of(x: SGST, node: MarkedNode, w: WaveletTree, k=None):
+def candidates_of(x: SGST, node: MarkedNode, w: WaveletTree, k=None, freqs=None):
     """Precomputed (doc, freq) list of a marked node, ranked by (-freq, doc).
 
     Only the first k entries when k is given.  The light layout returns
     its stored pairs, which the build ranked and the loader checks are
-    ranked.  xlight stores no frequencies to check: it recounts each doc
-    returned over the node's interval through the wavelet tree, then ranks
-    them.
+    ranked.  xlight stores no frequencies to check: it recounts the docs
+    returned over the node's interval, then ranks them.  freqs, a function
+    from a list of docs to their frequencies there (engine.frequencies),
+    reads them all at once; without it, each is counted through the
+    wavelet tree by w.doc_freq.
     """
     lo, hi = x.cand_off[node.rank - 1], x.cand_off[node.rank]
     if k is not None:
@@ -319,8 +323,9 @@ def candidates_of(x: SGST, node: MarkedNode, w: WaveletTree, k=None):
     docs = x.cand_docs[lo:hi]
     if x.cand_freqs is not None:
         return list(zip(docs, x.cand_freqs[lo:hi]))
-    pairs = [(doc, w.doc_freq(doc, node.sp, node.ep)) for doc in docs]
-    return sorted(pairs, key=lambda p: (-p[1], p[0]))
+    docs = docs.tolist()
+    counted = freqs(docs) if freqs else [w.doc_freq(doc, node.sp, node.ep) for doc in docs]
+    return sorted(zip(docs, counted), key=lambda p: (-p[1], p[0]))
 
 
 def _common_prefix(text, a, b):

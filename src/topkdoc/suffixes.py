@@ -231,23 +231,31 @@ class SuffixIndex:
         sorted in Python, read as plain ints, and counted in one pass over
         its runs: on slices that short numpy's fixed cost per call is most
         of its time (SHORT_SLICE = 32 keeps the bound below where the two
-        counts meet).  A longer one takes bincount, whose array runs to the
-        slice's largest id, or past 16 L one np.unique sort, so every count
-        is O(L log L) at most, whatever the number of documents."""
+        counts meet).  A longer one is counted by counts, so every count is
+        O(L log L) at most, whatever the number of documents."""
         if not 1 <= sp <= ep <= len(self.sa):
             raise OutOfRangeError(f"interval [{sp}, {ep}] outside 1..{len(self.sa)}")
         k = positive("k", k)
         if ep - sp < SHORT_SLICE:
             return top_of_few(self._views[2][sp - 1:ep], k)
+        docs, freq = self.counts(sp, ep)
+        top = np.argsort(-freq, kind="stable")[:k]
+        return list(zip(docs[top].tolist(), freq[top].tolist()))
+
+    def counts(self, sp, ep):
+        """(docs, freqs): the documents owning slots of [sp, ep], 1 <= sp <=
+        ep <= n unchecked, ascending, and the slots each owns, as int
+        arrays.  The one count of a slice of the document array, for
+        top_documents and the query's recount (engine.frequencies): bincount,
+        whose array runs to the slice's largest id, or past 16 L one
+        np.unique sort, so it is O(L log L) at most for L slots, whatever
+        the number of documents."""
         ids = self.doc_ids[sp - 1:ep]
         if ids.max() < 16 * len(ids):
             freq = np.bincount(ids)
             docs = np.flatnonzero(freq)
-            freq = freq[docs]
-        else:
-            docs, freq = np.unique(ids, return_counts=True)
-        top = np.argsort(-freq, kind="stable")[:k]
-        return list(zip(docs[top].tolist(), freq[top].tolist()))
+            return docs, freq[docs]
+        return np.unique(ids, return_counts=True)
 
 
 def build_suffix_array(corpus: Corpus, wavelet=None) -> SuffixIndex:

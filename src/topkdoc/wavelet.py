@@ -280,7 +280,11 @@ class WaveletTree:
         return slots
 
     def access(self, i):
-        """Document id stored at 1-based position i."""
+        """Document id stored at 1-based position i.
+
+        No query or build path calls it: queries read the document array
+        (SuffixIndex.doc_ids).  It stays because the acceptance suite's
+        test_structure_self_consistency checks the tree through it."""
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} outside 1..{self.n}")
         node = self.root

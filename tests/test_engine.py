@@ -13,14 +13,15 @@ from topkdoc import (
     DFS, GREEDY, SELECT, STRATEGIES, build_index, ingest, load_index, query_topk, save_index,
 )
 from topkdoc.bitrank import RankBitVector
-from topkdoc.engine import CandidateHeap, kstar, select_scan
+from topkdoc import errors
+from topkdoc.engine import CandidateHeap, frequencies, kstar, select_scan
 from topkdoc.errors import (
     EmptyPatternError,
     InvalidParameterError,
     OutOfRangeError,
     UnknownStrategyError,
 )
-from topkdoc.sgst import find_locus
+from topkdoc.sgst import SGST, candidates_of, find_locus
 from topkdoc.suffixes import SuffixIndex, pattern_interval
 from topkdoc.wavelet import WaveletTree
 
@@ -95,39 +96,46 @@ def test_heap_update_in_place():
     assert sorted(h.members()) == [(4, 7), (6, 5)]
 
 
-def test_select_scan_worked(worked_wavelet):
+def scan(index, sp, ep, core_sp, core_ep, heap):
+    """select_scan over index's document array, reading its frequencies
+    as query_topk does."""
+    return select_scan(index.suffixes.doc_ids, frequencies(index, sp, ep, heap.capacity),
+                       sp, ep, core_sp, core_ep, heap)
+
+
+def test_select_scan_worked(worked_index):
     # Whole interval [5, 8] uncovered, capacity 1: doc 1 wins with count 2.
     h = CandidateHeap(1)
-    scanned, offered = select_scan(worked_wavelet, 5, 8, 1, 0, h)
+    scanned, offered = scan(worked_index, 5, 8, 1, 0, h)
     assert (scanned, offered) == (4, 3)
     assert h.members() == [(1, 2)]
 
 
-def test_select_scan_covered_core(worked_wavelet):
+def test_select_scan_covered_core(worked_index):
     h = CandidateHeap(3)
-    scanned, offered = select_scan(worked_wavelet, 5, 8, 5, 6, h)
+    scanned, offered = scan(worked_index, 5, 8, 5, 6, h)
     assert scanned == 2               # positions 7 and 8 only
     assert offered == 2
     assert sorted(h.members()) == [(1, 2), (2, 1)]
 
 
-def test_select_scan_fully_covered(worked_wavelet):
+def test_select_scan_fully_covered(worked_index):
     h = CandidateHeap(2)
-    assert select_scan(worked_wavelet, 5, 8, 5, 8, h) == (0, 0)
+    assert scan(worked_index, 5, 8, 5, 8, h) == (0, 0)
     assert h.members() == []
 
 
-def test_select_scan_dedupes_repeats(worked_wavelet):
+def test_select_scan_dedupes_repeats(worked_index):
     h = CandidateHeap(3)
-    scanned, offered = select_scan(worked_wavelet, 1, 14, 1, 0, h)
+    scanned, offered = scan(worked_index, 1, 14, 1, 0, h)
     assert scanned == 14
     assert offered == 3               # three distinct documents
     assert sorted(h.members()) == [(1, 5), (2, 5), (3, 4)]
 
 
-def test_select_scan_covered_must_nest(worked_wavelet):
+def test_select_scan_covered_must_nest(worked_index):
     with pytest.raises(OutOfRangeError):
-        select_scan(worked_wavelet, 5, 8, 4, 6, CandidateHeap(1))
+        scan(worked_index, 5, 8, 4, 6, CandidateHeap(1))
 
 
 def test_build_index_validation():
@@ -603,33 +611,50 @@ def test_threshold_never_decreases(monkeypatch):
 
 
 def test_equal_regime_counts_only_xlight_candidates(monkeypatch):
-    calls = []
-    real_doc_freq = WaveletTree.doc_freq
+    # light answers from its stored pairs and recounts nothing.  xlight
+    # counts the node's slice once, or, with RECOUNT_SLOTS at 0, calls
+    # doc_freq once per candidate returned.
+    calls, slices = [], []
+    real_doc_freq, real_counts = WaveletTree.doc_freq, SuffixIndex.counts
 
     def counting(self, doc, l, r):
         calls.append((doc, l, r))
         return real_doc_freq(self, doc, l, r)
 
+    def slice_counting(self, sp, ep):
+        slices.append((sp, ep))
+        return real_counts(self, sp, ep)
+
     monkeypatch.setattr(WaveletTree, "doc_freq", counting)
+    monkeypatch.setattr(SuffixIndex, "counts", slice_counting)
     docs = acgt_corpus(random.Random(211))
-    for variant in ("light", "xlight"):
-        idx = build_index(docs, g_prime=10, k_max=16, variant=variant)
-        x = idx.sgst
-        equal = 0
-        for pattern in occurring_patterns(docs, 3):
-            for k in (1, 3, 10):
-                for strat in STRATEGIES:
-                    calls.clear()
-                    r = query_topk(idx, pattern, k, strategy=strat)
-                    if regime(idx, r) != EQUAL:
-                        continue
-                    equal += 1
-                    node = find_locus(x, kstar(k), r.stats.locus_sp, r.stats.locus_ep)
-                    stored = x.cand_docs[x.cand_off[node.rank - 1]:x.cand_off[node.rank]]
-                    recounts = [(doc, node.sp, node.ep) for doc in stored[:k]]
-                    assert calls == (recounts if variant == "xlight" else [])
-                    assert r.stats.heap_offers == len(r.pairs) == min(k, len(stored))
-        assert equal >= 300
+    for slots in (engine_module.RECOUNT_SLOTS, 0):
+        monkeypatch.setattr(engine_module, "RECOUNT_SLOTS", slots)
+        for variant in ("light", "xlight"):
+            idx = build_index(docs, g_prime=10, k_max=16, variant=variant)
+            x = idx.sgst
+            equal = 0
+            for pattern in occurring_patterns(docs, 3):
+                for k in (1, 3, 10):
+                    for strat in STRATEGIES:
+                        calls.clear()
+                        slices.clear()
+                        r = query_topk(idx, pattern, k, strategy=strat)
+                        if regime(idx, r) != EQUAL:
+                            continue
+                        equal += 1
+                        node = find_locus(x, kstar(k), r.stats.locus_sp, r.stats.locus_ep)
+                        stored = x.cand_docs[x.cand_off[node.rank - 1]:x.cand_off[node.rank]]
+                        if variant == "light":
+                            assert calls == slices == []
+                        elif slots:
+                            assert node.ep - node.sp + 1 <= slots * k     # below the bound
+                            assert calls == [] and slices == [(node.sp, node.ep)]
+                        else:
+                            assert calls == [(doc, node.sp, node.ep) for doc in stored[:k]]
+                            assert slices == []
+                        assert r.stats.heap_offers == len(r.pairs) == min(k, len(stored))
+            assert equal >= 300
 
 
 def answer_digest(index, docs):
@@ -668,6 +693,114 @@ def test_answers_and_counters_pinned(name, variant):
     docs = make(random.Random(seed))
     idx = build_index(docs, variant=variant, **params)
     assert answer_digest(idx, docs) == (digest, regimes)
+
+
+def short_documents(rng):
+    """Three thousand acgt documents of 4 to 10 symbols.  A pattern of five
+    or six symbols holds a few dozen slots, and ids past 16 times that, so
+    its interval is counted by np.unique."""
+    return ["".join(rng.choice("acgt") for _ in range(rng.randint(4, 10)))
+            for _ in range(3000)]
+
+
+# (corpus, seed, build parameters, patterns): PINNED_ANSWERS' corpora with
+# their digest's patterns, and the short documents with 400 of their
+# substrings of five and six symbols.
+RECOUNT_CORPORA = {
+    **{name: (make, seed, params, lambda docs: occurring_patterns(docs, 3))
+       for name, (make, seed, params, _, _) in PINNED_ANSWERS.items()},
+    "short-documents": (
+        short_documents, 227, dict(g_prime=2, k_max=16),
+        lambda docs: random.Random(229).sample(
+            [p for p in occurring_patterns(docs, 6) if len(p) >= 5], 400)),
+}
+
+
+@pytest.mark.parametrize("variant", ["light", "xlight"])
+@pytest.mark.parametrize("name", sorted(RECOUNT_CORPORA))
+def test_recount_by_slice_count_equals_doc_freq(monkeypatch, name, variant):
+    # Every locus-served query answers alike whether its recounts count the
+    # document array (the default) or call doc_freq (RECOUNT_SLOTS = 0).
+    make, seed, params, patterns_of = RECOUNT_CORPORA[name]
+    docs = make(random.Random(seed))
+    idx = build_index(docs, variant=variant, **params)
+    patterns = patterns_of(docs)
+    uniques = []
+    real_unique = np.unique
+
+    def unique(*args, **kwargs):
+        uniques.append(args[0])
+        return real_unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", unique)
+    default = engine_module.RECOUNT_SLOTS
+    answers, by_unique = {}, 0
+    for slots in (default, 0):
+        monkeypatch.setattr(engine_module, "RECOUNT_SLOTS", slots)
+        rows = answers[slots] = {}
+        for pattern in patterns:
+            for k in (1, 3, 10, 17):
+                for strat in STRATEGIES:
+                    uniques.clear()
+                    r = query_topk(idx, pattern, k, strategy=strat)
+                    if r.stats.locus_found:
+                        rows[pattern, k, strat] = (r.pairs, dataclasses.astuple(r.stats))
+                        by_unique += bool(slots and uniques)
+    assert len(answers[0]) >= 100
+    assert answers[default] == answers[0]
+    if name == "short-documents" and variant == "xlight":
+        assert by_unique >= 100     # light's equal queries count nothing
+    for pairs, _ in answers[default].values():
+        assert all(type(doc) is int and type(freq) is int for doc, freq in pairs)
+
+
+def test_absent_candidate_reads_zero(monkeypatch):
+    # A candidate list that names a document owning no slot of its node
+    # reads 0 for it, as doc_freq does, however the node is counted, and
+    # its queries raise nothing outside topkdoc.errors.
+    docs = revisions_corpus(random.Random(223))
+    idx = build_index(docs, g_prime=4, k_max=8, variant="xlight")
+    x, w, doc_ids, d = idx.sgst, idx.wavelet, idx.suffixes.doc_ids, idx.corpus.d
+    intervals = {p: pattern_interval(idx.suffixes, idx.corpus, p)
+                 for p in occurring_patterns(docs, 3)}
+    default = engine_module.RECOUNT_SLOTS
+
+    def answers(index, patterns, slots):
+        monkeypatch.setattr(engine_module, "RECOUNT_SLOTS", slots)
+        out = []
+        for pattern in patterns:
+            for k in (1, 3, 8):
+                for strat in STRATEGIES:
+                    try:
+                        r = query_topk(index, pattern, k, strat)
+                        out.append((r.pairs, dataclasses.astuple(r.stats)))
+                    except errors.Error as exc:
+                        out.append(type(exc))
+        return out
+
+    tampered = queried = zeros = 0
+    for rank in range(1, x.node_count + 1, 7):
+        node = x.node_at(rank)
+        owners = set(doc_ids[node.sp - 1:node.ep].tolist())
+        absent = [doc for doc in range(1, d + 1) if doc not in owners]
+        for doc in sorted({absent[0], absent[len(absent) // 2], absent[-1]} if absent else ()):
+            cand_docs = np.array(x.cand_docs.obj)
+            cand_docs[x.cand_off[rank] - 1] = doc       # the node's last candidate
+            bad = SGST(x.g_prime, x.k_max, x.variant, x.sp_arr.obj, x.ep_arr.obj,
+                       x.cls_arr.obj, x.cand_off.obj, cand_docs, None)
+            want = candidates_of(bad, node, w)
+            assert (doc, 0) in want
+            counted = frequencies(idx, node.sp, node.ep, len(want))
+            assert candidates_of(bad, node, w, None, counted) == want
+            tampered += 1
+            # Only a pattern whose interval holds the node can reach it.
+            reaching = [p for p, iv in intervals.items() if iv.sp <= node.sp and node.ep <= iv.ep]
+            bad_index = dataclasses.replace(idx, sgst=bad)
+            got = answers(bad_index, reaching, default)
+            assert got == answers(bad_index, reaching, 0)
+            queried += len(reaching)
+            zeros += sum((doc, 0) in a[0] for a in got if type(a) is tuple)
+    assert tampered >= 10 and queried >= 100 and zeros >= 10
 
 
 def test_whole_build_memory_budget():
