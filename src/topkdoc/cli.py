@@ -161,19 +161,23 @@ def cmd_bench(args):
 
 def sample_patterns(index, num, length, rng):
     """Patterns cut from random text positions; windows crossing a document
-    terminator are resampled."""
+    terminator are resampled.  A length no document holds is rejected
+    before any draw; the draws are still bounded, for lengths that few
+    windows hold."""
     text = index.corpus.text
     n = len(text)
-    if length < 1 or length > n:
-        raise InvalidParameterError("pattern length outside the text")
+    longest = int(index.corpus.lengths.max()) - 1
+    if not 1 <= length <= longest:
+        raise InvalidParameterError(f"pattern length {length} outside 1..{longest}, "
+                                    "the longest document's length")
     sentinel = bytes([SENTINEL])
     patterns = []
     attempts = 0
     while len(patterns) < num:
         attempts += 1
         if attempts > 1000 * max(num, 1) + 1000:
-            raise InvalidParameterError("could not sample patterns; documents shorter "
-                                        "than the requested length?")
+            raise InvalidParameterError(f"could not sample {num} patterns: too few "
+                                        f"windows of {length} symbols lie in a document")
         start = rng.randrange(n - length + 1)
         window = text[start:start + length]
         if sentinel in window:

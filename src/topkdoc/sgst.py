@@ -11,7 +11,8 @@ to the ids, "xlight" drops them and recounts them on demand, from a count
 of the node's slice of the document array or through the wavelet tree
 (candidates_of).  The build counts them in one preorder pass over the
 marked nodes, which reads each slot of the document array once
-(count_candidates).
+(count_candidates) and counts and ranks a node's compact counts as a
+query counts and ranks its interval (suffixes.count, suffixes.ranked).
 
 The stored arrays are the whole sampled tree.  Nodes are kept in preorder,
 sorted by (sp ascending, ep descending); intervals nest or are disjoint,
@@ -34,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .suffixes import SHORT_SLICE, top_of_few
+from .suffixes import SHORT_SLICE, count, ranked, top_of_few
 from .wavelet import WaveletTree
 from .errors import InvalidParameterError, KStarNotPrecomputedError, integer, positive
 
@@ -170,9 +171,11 @@ def count_candidates(doc_ids, d, sp, ep, cls):
     its counts into its parent's.  So every slot is read once.
 
     A node counts into a vector over the d + 1 ids if it has more than
-    d / SPARSE slots and the open vectors stay within n counts.  Otherwise
-    it keeps parts, slices of doc_ids and its closed children's
-    (ids, counts), and sums them when it closes (_summed).  A child's
+    d / SPARSE slots and the open vectors stay within n counts, and ranks
+    it by _ranked when it closes.  Otherwise it keeps parts, slices of
+    doc_ids and its closed children's (ids, counts), sums them when it
+    closes (_summed, through suffixes.count) and ranks the sum by
+    suffixes.ranked, as top_documents ranks its count.  A child's
     counts hold at most min(slots, d + 1) ids, so no node costs more than
     about SPARSE times its slots, and the open counts never exceed 2 n,
     whatever the depth or d.  A vector's parent is a vector: it is larger,
@@ -207,8 +210,7 @@ def count_candidates(doc_ids, d, sp, ep, cls):
                 add(counts, doc_ids[at:ep[j]])
             if type(counts) is list:
                 ids, counts = _summed(counts)
-                top = _ranked(counts, cls[j])
-                tops[j] = list(zip(ids[top].tolist(), counts[top].tolist()))
+                tops[j] = ranked(ids, counts, cls[j])
                 if stack:
                     add(stack[-1][2], ids, counts)
             else:
@@ -246,29 +248,25 @@ def count_candidates(doc_ids, d, sp, ep, cls):
 def _summed(parts):
     """The distinct ids of parts, ascending, and their summed counts: a
     part (ids, None) counts each of its ids once, (ids, counts) each id
-    counts times.  Summed by bincount over the ids, unless it would run
-    past 16 times their number, then over their ranks from np.unique, as
-    top_documents counts, so the sum is O(L log L) at most for L ids."""
+    counts times.  The parts are joined and counted by suffixes.count,
+    weighted by the children's counts when there are any."""
     ids = np.concatenate([part for part, _ in parts])
     weights = None
     if any(counts is not None for _, counts in parts):
         weights = np.concatenate([np.ones(len(part)) if counts is None else counts
                                   for part, counts in parts])
-    if ids.max() < 16 * len(ids):
-        counts = np.bincount(ids, weights)
-        ids = counts.nonzero()[0]
-        counts = counts[ids]
-    else:
-        ids, ranks = np.unique(ids, return_inverse=True)
-        counts = np.bincount(ranks, weights)
-    return ids, counts.astype(np.int64, copy=False)
+    return count(ids, weights)
 
 
 def _ranked(counts, c):
-    """The positions of the c largest counts, ranked by (-count, position).
+    """The positions of the c largest counts of a dense vector, one count
+    per id 0..d, most of them zero, ranked by (-count, position).
 
-    Every position counted at least as often as the c-th largest count,
-    taken ascending and stably sorted by -count, ranks ties lowest first."""
+    Only the pass's vectors are ranked here; compact counts, which hold no
+    zeros and are far shorter, are ranked by suffixes.ranked.  Every
+    position counted at least as often as the c-th largest count, and at
+    least once, taken ascending and stably sorted by -count, ranks ties
+    lowest first: the partition skips the sort of the zeros."""
     if c == 1:
         return counts.argmax(keepdims=True)     # the first of the most
     floor = np.partition(counts, -c)[-c] if c < len(counts) else 1

@@ -226,36 +226,54 @@ class SuffixIndex:
         raising OutOfRangeError unless 1 <= sp <= ep <= n and
         InvalidParameterError unless k is an integer >= 1.
 
-        Every count lists the ids ascending, and one stable sort by -freq
-        keeps ties in that order.  A slice of L <= SHORT_SLICE slots is
-        sorted in Python, read as plain ints, and counted in one pass over
-        its runs: on slices that short numpy's fixed cost per call is most
-        of its time (SHORT_SLICE = 32 keeps the bound below where the two
-        counts meet).  A longer one is counted by counts, so every count is
-        O(L log L) at most, whatever the number of documents."""
+        A slice of L <= SHORT_SLICE slots is sorted in Python, read as
+        plain ints, and counted in one pass over its runs: on slices that
+        short numpy's fixed cost per call is most of its time (SHORT_SLICE
+        = 32 keeps the bound below where the two counts meet).  A longer one
+        is counted by counts and ranked by ranked, as the build's preorder
+        pass ranks a node's sparse counts, so every count is O(L log L) at
+        most, whatever the number of documents."""
         if not 1 <= sp <= ep <= len(self.sa):
             raise OutOfRangeError(f"interval [{sp}, {ep}] outside 1..{len(self.sa)}")
         k = positive("k", k)
         if ep - sp < SHORT_SLICE:
             return top_of_few(self._views[2][sp - 1:ep], k)
-        docs, freq = self.counts(sp, ep)
-        top = np.argsort(-freq, kind="stable")[:k]
-        return list(zip(docs[top].tolist(), freq[top].tolist()))
+        return ranked(*self.counts(sp, ep), k)
 
     def counts(self, sp, ep):
-        """(docs, freqs): the documents owning slots of [sp, ep], 1 <= sp <=
-        ep <= n unchecked, ascending, and the slots each owns, as int
-        arrays.  The one count of a slice of the document array, for
-        top_documents and the query's recount (engine.frequencies): bincount,
-        whose array runs to the slice's largest id, or past 16 L one
-        np.unique sort, so it is O(L log L) at most for L slots, whatever
-        the number of documents."""
-        ids = self.doc_ids[sp - 1:ep]
-        if ids.max() < 16 * len(ids):
-            freq = np.bincount(ids)
-            docs = np.flatnonzero(freq)
-            return docs, freq[docs]
+        """(docs, freqs): count of the slice [sp, ep] of the document array,
+        1 <= sp <= ep <= n unchecked, for top_documents and the query's
+        recount (engine.frequencies)."""
+        return count(self.doc_ids[sp - 1:ep])
+
+
+def count(ids, weights=None):
+    """(ids, counts): the distinct values of ids, a non-empty array of ints
+    >= 0, ascending, and how often each occurs or, given weights (floats
+    >= 1 holding whole numbers, one per id), the sum of its weights, as
+    int64.
+
+    The one count of the document array, for a slice of it
+    (SuffixIndex.counts) and for the parts a node of the build's preorder
+    pass sums (sgst._summed): bincount, whose array runs to the largest
+    id, or past 16 L one np.unique sort, so it is O(L log L) at most for L
+    ids, whatever the number of documents."""
+    if ids.max() < 16 * len(ids):
+        counts = np.bincount(ids, weights)
+        ids = np.flatnonzero(counts)
+        return ids, counts[ids].astype(np.int64, copy=False)
+    if weights is None:
         return np.unique(ids, return_counts=True)
+    ids, ranks = np.unique(ids, return_inverse=True)
+    return ids, np.bincount(ranks, weights).astype(np.int64)
+
+
+def ranked(ids, counts, k):
+    """The first k (id, count) pairs of count's output by (-count, id), as
+    plain ints, fewer when fewer ids were counted: the ids ascend, so one
+    stable sort by -count keeps ties in that order."""
+    top = np.argsort(-counts, kind="stable")[:k]
+    return list(zip(ids[top].tolist(), counts[top].tolist()))
 
 
 def build_suffix_array(corpus: Corpus, wavelet=None) -> SuffixIndex:

@@ -53,7 +53,9 @@ beat the caller's current k-th best frequency.
 greedy_topk, the k most frequent documents of one interval, is the same
 walk with an empty core and no threshold: nodes pop from a priority queue
 ordered by interval length, so leaves pop in non-increasing frequency
-order and the first k are the answer.
+order and the first k are the answer.  No build, load or query path calls
+greedy_topk or access; both stay as the references the tests check the
+index against.
 """
 
 import heapq
@@ -339,7 +341,12 @@ class WaveletTree:
 
         Returns (doc, frequency) pairs sorted by descending frequency then
         ascending id; shorter than k when fewer distinct documents occur.
-        """
+
+        No build, load or query path calls it: queries and the build count
+        the document array (SuffixIndex.top_documents, sgst.count_candidates).
+        It stays as the reference both are tested against, itself checked
+        against a brute-force count (test_random_greedy_topk_vs_oracle);
+        perfbench's TARGETS lists it."""
         if r < l or l < 1 or r > self.n:
             raise OutOfRangeError(f"interval [{l}, {r}] outside 1..{self.n}")
         k = positive("k", k)

@@ -1,5 +1,6 @@
 import argparse
 import random
+import time
 
 import pytest
 
@@ -204,6 +205,17 @@ def test_bad_bench_arguments_raise_package_errors():
         with pytest.raises(cls) as info:
             bad()
         assert isinstance(info.value, errors.Error) and isinstance(info.value, ValueError)
+
+
+def test_unsatisfiable_pattern_length_fails_before_sampling():
+    # Thirty documents of three symbols hold no window of five: the length
+    # is rejected before the first draw, not after 1,000 draws per pattern.
+    idx = build_index(["abc"] * 30, g_prime=7, k_max=1)
+    start = time.perf_counter()
+    with pytest.raises(errors.InvalidParameterError, match=r"pattern length 5 outside 1\.\.3"):
+        sample_patterns(idx, 10**6, 5, random.Random(0))
+    assert time.perf_counter() - start < 1.0
+    assert len(sample_patterns(idx, 20, 3, random.Random(0))) == 20
 
 
 def test_sample_patterns_avoid_terminators():

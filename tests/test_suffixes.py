@@ -593,6 +593,43 @@ def test_top_documents_counts_every_branch_as_greedy_topk(monkeypatch):
     assert cut_in_a_tie[short] > 1000 and cut_in_a_tie[short + 1] > 1000
 
 
+# Eight ids whose largest is 16 L - 1, which bincount counts, and the same
+# with it raised to 16 L, which np.unique counts.  Unweighted, 2 and 5 tie
+# at three and 0 and the largest at one; weighted, 0 and 2 tie at four.
+BINCOUNT_IDS = [5, 2, 5, 16 * 8 - 1, 2, 5, 0, 2]
+UNIQUE_IDS = [5, 2, 5, 16 * 8, 2, 5, 0, 2]
+WEIGHTS = [3.0, 1.0, 2.0, 1.0, 2.0, 1.0, 4.0, 1.0]
+
+
+@pytest.mark.parametrize("ids, weights, branch", [
+    (BINCOUNT_IDS, None, "bincount"), (UNIQUE_IDS, None, "unique"),
+    (BINCOUNT_IDS, WEIGHTS, "bincount"), (UNIQUE_IDS, WEIGHTS, "unique")])
+def test_count_and_ranked_match_a_counter(ids, weights, branch, monkeypatch):
+    # count lists each id once, ascending, with how often it occurs or its
+    # summed weights, as int64 even from the float sums of a weighted
+    # bincount; ranked keeps the first k of them by (-count, id), as plain
+    # ints, ties cut at the k-th count and k past the distinct ids included.
+    want = Counter()
+    for i, w in zip(ids, weights or [1] * len(ids)):
+        want[i] += int(w)
+    unique = np.unique
+    calls = []
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+    got_ids, got_counts = suffixes.count(np.array(ids, dtype=np.int32),
+                                         None if weights is None else np.array(weights))
+    assert ("unique" if calls else "bincount") == branch
+    assert got_counts.dtype == np.int64
+    assert list(zip(got_ids.tolist(), got_counts.tolist())) == sorted(want.items())
+    ranking = sorted(want.items(), key=lambda p: (-p[1], p[0]))
+    cut = 0
+    for k in range(1, len(want) + 3):
+        got = suffixes.ranked(got_ids, got_counts, k)
+        assert got == ranking[:k]
+        assert all(type(v) is int for pair in got for v in pair)
+        cut += k < len(want) and ranking[k - 1][1] == ranking[k][1]
+    assert cut >= 1
+
+
 def test_top_documents_rejects_intervals_outside_the_array(worked_suffixes, worked_wavelet):
     # Like greedy_topk, whose answer it lists: a slice from slot 0 would
     # wrap, one past n would be cut short and a reversed one is no slice.
