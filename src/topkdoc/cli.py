@@ -115,7 +115,7 @@ def cmd_query(args):
 
 def cmd_inspect(args):
     """Print the header's fields, then the bytes and bits per symbol of the
-    fixed header and of each section, its 16-byte frame included; the rows
+    fixed header and of each section, its frame included; the rows
     before the total sum to the file size.  A last line gives the wavelet
     tree's height and the bits stored at each of its levels, top first.
     The file is loaded first, so a container that does not load is
@@ -126,8 +126,9 @@ def cmd_inspect(args):
     header, frames = container.read_frames(data)
     print(" ".join(f"{name}={value}" for name, value in header._asdict().items()))
     rows = [("header", container.HEADER_BYTES)]
-    rows += [(container.SECTION_NAMES[sec_id], end - start + 16)
-             for sec_id, start, end in frames]
+    starts = [container.HEADER_BYTES] + [end for _, _, end in frames]   # back to back
+    rows += [(container.SECTION_NAMES[sec_id], end - start)
+             for (sec_id, _, end), start in zip(frames, starts)]
     rows.append(("total", len(data)))
     for name, size in rows:
         print(f"{name} bytes={size} bits_per_symbol={size * 8 / header.n:.3f}")
@@ -138,6 +139,8 @@ def cmd_inspect(args):
 
 def cmd_bench(args):
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if not strategies:
+        raise InvalidParameterError(f"--strategies {args.strategies!r} names no strategy")
     for s in strategies:
         if s not in engine.STRATEGIES:
             raise UnknownStrategyError(f"unknown strategy {s!r}")
@@ -190,7 +193,9 @@ def run_bench(index, num_queries=1000, pattern_len=3, k=10,
               strategies=("greedy", "dfs", "select"), seed=0):
     """Run the same sampled queries under each strategy and average the
     counters.  Pattern choice is deterministic under seed; timings are
-    reported but vary run to run."""
+    reported but vary run to run.  num_queries may be 0, not negative."""
+    if num_queries < 0:
+        raise InvalidParameterError(f"num_queries = {num_queries}; it must be at least 0")
     rng = random.Random(seed)
     patterns = sample_patterns(index, num_queries, pattern_len, rng) \
         if num_queries else []

@@ -59,7 +59,8 @@ A container whose CRCs are valid is trusted, unchecked, with three things:
     count, loads, and may answer wrongly;
   - the light layout's candidate frequencies, beyond lying in 1..interval
     length and ranking the list: one lowered by 1 loads, and
-    sgst.candidates_of returns it as stored;
+    sgst.candidates_of returns it as stored, to equal and flank answers
+    alike (no query recounts its heap; see engine);
   - the marked nodes' intervals, beyond their order and nesting: a
     childless node's ep shrunk by 1 loads, though no sampling marks it.
 
@@ -170,9 +171,10 @@ def _seal(header, sections):
 
 def read_frames(data):
     """(Header, frames) of a container, each frame a section's (id, start,
-    end), its payload data[start:end] with the CRC.  Checks the header,
-    that the sections are 1, 2, 3 and optionally 4 in that order, and each
-    section's CRC, not the payloads."""
+    end), its payload data[start:end] with the CRC; each frame begins where
+    the header or the frame before it ends.  Checks the header, that the
+    sections are 1, 2, 3 and optionally 4 in that order, and each section's
+    CRC, not the payloads."""
     if len(data) < HEADER_BYTES:
         raise ContainerFormatError("file shorter than the fixed header")
     magic, version, n, d, sigma, g_prime, k_max, variant_tag, step = \

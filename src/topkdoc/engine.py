@@ -7,12 +7,29 @@ are the answer.  Otherwise a bounded min-heap is seeded with them, and the
 chosen strategy repairs the flanks, the positions of [sp, ep] outside the
 node's interval (the covered core).  All three take the same
 (sp, ep, core_sp, core_ep): a length-ordered greedy traversal, a pruned
-DFS, or a per-position select scan.  The heap's members are then recounted
-exactly over the full interval.  Every exact frequency such a query needs
-(xlight's candidates, the select scan's documents, the final recount) is
-read from one count of the interval's slice of the document array, made
-once per interval, or, when the interval holds more than RECOUNT_SLOTS
-slots per frequency read, counted by WaveletTree.doc_freq (frequencies).
+DFS, or a per-position select scan.  The heap's members, ranked, are the
+answer.  The exact frequencies such a query reads (xlight's candidates
+over the core, the select scan's documents over [sp, ep]) come from one
+count of that interval's slice of the document array, or, when it holds
+more than RECOUNT_SLOTS slots per frequency read, from
+WaveletTree.doc_freq (frequencies).  The walks count nothing: a leaf's
+outer length is its document's frequency over [sp, ep].
+
+Every heap member ends with its exact frequency f over [sp, ep], so
+nothing is recounted.  Let T be the heap's k-th frequency
+(kth_frequency, 0 until the heap is full).  T never decreases, since
+offer admits a new document only above it.  Every value held is at most
+the member's f: a seed holds its count over the core, a select offer or
+an emitted leaf holds f itself.  A seed absent from the flanks has core
+count f.  A seed present in them is either offered again, and then holds
+f, or pruned under a node whose outer length, at least f, is at most the
+T of that moment, so f <= T at the end.  If it is still a member then, it
+holds a value c >= T, the heap's minimum, and c <= f, so c = f.  While
+the heap is not full T is 0 and nothing is pruned.  This rests on the
+light layout's stored frequencies, which a load trusts unchecked (see
+container): a tampered one can reach a flank answer as stored, as it
+reaches an equal one.
+
 A query no marked node serves counts its slice of the document array
 instead (SuffixIndex.top_documents), by a Python sort when the slice holds
 at most suffixes.SHORT_SLICE slots and in numpy when it is longer.  With k
@@ -110,7 +127,8 @@ def frequencies(index, sp, ep, m):
     ep], plain ints (0 for a document that owns no slot there), for a
     caller about to read about m of them.
 
-    The one place a locus-served query decides how to count an interval.
+    The one place a locus-served query decides how to count an interval:
+    xlight's core, for its candidates, and [sp, ep] for the select scan.
     It counts the slice of the document array once (SuffixIndex.counts)
     and reads every document from that count, unless the interval holds
     more than RECOUNT_SLOTS slots per frequency, m * RECOUNT_SLOTS in all;
@@ -231,12 +249,13 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
     result when the pattern does not occur at all.  When the marked node
     found spans exactly the pattern's interval, its first k stored
     candidates are the answer, already ranked by candidates_of: no heap,
-    flank traversal, final recount or sort runs, and only xlight counts,
-    reading the candidates returned from one count of the node's slice
-    (frequencies).  When flanks remain, the node's first k candidates seed
-    a heap, the flanks are repaired with the chosen strategy, and every
-    heap member is recounted over the whole interval, the select scan and
-    the recount both reading one count of it.  With no marked node inside,
+    flank traversal or sort runs, and only xlight counts, reading the
+    candidates returned from one count of the node's slice (frequencies).
+    When flanks remain, the node's first k candidates seed a heap, the
+    flanks are repaired with the chosen strategy, and the heap's members,
+    each holding its exact frequency (see the module docstring), are
+    ranked; only the select scan counts the whole interval, and only
+    xlight the core.  With no marked node inside,
     or with k* above k_max or use_sgst=False, the interval's document array
     is counted.
     """
@@ -270,11 +289,10 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
     heap = CandidateHeap(k)
     for doc, freq in seeds:
         heap.offer(doc, freq)
-    freqs = frequencies(index, sp, ep, k)
     scanned = emitted = 0
     if strategy == SELECT:
-        scanned, offered = select_scan(index.suffixes.doc_ids, freqs, sp, ep, core_sp,
-                                       core_ep, heap)
+        scanned, offered = select_scan(index.suffixes.doc_ids, frequencies(index, sp, ep, k),
+                                       sp, ep, core_sp, core_ep, heap)
     else:
         walk = w.restricted_greedy if strategy == GREEDY else w.restricted_dfs
         for doc, freq in walk(sp, ep, core_sp, core_ep, heap.kth_frequency):
@@ -282,8 +300,7 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
             emitted += 1
         offered = emitted
 
-    docs = [doc for doc, _ in heap.members()]
-    pairs = sorted(zip(docs, freqs(docs)), key=lambda p: (-p[1], p[0]))
-    return TopKResult(pairs[:k], pat, k, variant,
+    pairs = sorted(heap.members(), key=lambda p: (-p[1], p[0]))
+    return TopKResult(pairs, pat, k, variant,
                       QueryStats(k_star, g, True, True, core_sp, core_ep, scanned, emitted,
                                  len(seeds) + offered))

@@ -73,8 +73,8 @@ class InvalidParameterError(Error, ValueError):
     """A count or build parameter outside what the call accepts: k or
     g_prime not an integer or below 1, k_max not a power of two, an
     unknown variant, a rank sample step below 1, a bit string holding
-    anything but 0 and 1, or a benchmark pattern length the text cannot
-    supply."""
+    anything but 0 and 1, a benchmark pattern length the text cannot
+    supply, a negative benchmark query count, or no benchmark strategy."""
 
 
 def integer(name, value):

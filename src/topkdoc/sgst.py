@@ -307,7 +307,8 @@ def find_locus(x: SGST, k_star, sp, ep):
 def candidates_of(x: SGST, node: MarkedNode, w: WaveletTree, k=None, freqs=None):
     """Precomputed (doc, freq) list of a marked node, ranked by (-freq, doc).
 
-    Only the first k entries when k is given.  The light layout returns
+    Only the first k entries when k is given, an integer >= 1
+    (InvalidParameterError otherwise).  The light layout returns
     its stored pairs, which the build ranked and the loader checks are
     ranked.  xlight stores no frequencies to check: it recounts the docs
     returned over the node's interval, then ranks them.  freqs, a function
@@ -317,6 +318,8 @@ def candidates_of(x: SGST, node: MarkedNode, w: WaveletTree, k=None, freqs=None)
     """
     lo, hi = x.cand_off[node.rank - 1], x.cand_off[node.rank]
     if k is not None:
+        if k.__class__ is not int or k < 1:
+            k = positive("k", k)
         hi = min(hi, lo + k)
     docs = x.cand_docs[lo:hi]
     if x.cand_freqs is not None:

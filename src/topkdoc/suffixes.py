@@ -242,8 +242,8 @@ class SuffixIndex:
 
     def counts(self, sp, ep):
         """(docs, freqs): count of the slice [sp, ep] of the document array,
-        1 <= sp <= ep <= n unchecked, for top_documents and the query's
-        recount (engine.frequencies)."""
+        1 <= sp <= ep <= n unchecked, for top_documents and the exact
+        frequencies a locus-served query reads (engine.frequencies)."""
         return count(self.doc_ids[sp - 1:ep])
 
 

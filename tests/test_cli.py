@@ -176,6 +176,19 @@ def test_bench_zero_queries(worked_file, capsys):
     assert out.startswith("queries=0")
 
 
+def test_bench_rejects_work_it_would_not_do(worked_file, capsys):
+    # A negative query count and an empty strategy list are errors, not
+    # a report of means over no work.
+    for args in (["--num-queries", "-5"], ["--strategies", ""], ["--strategies", ","]):
+        assert main(["bench", str(worked_file)] + args) == 1
+        assert capsys.readouterr().err.startswith("error:")
+    with pytest.raises(errors.InvalidParameterError, match="names no strategy"):
+        cmd_bench(argparse.Namespace(strategies=" , "))
+    idx = build_index(["ab", "ab"], g_prime=7, k_max=1)
+    with pytest.raises(errors.InvalidParameterError, match="num_queries = -1"):
+        run_bench(idx, num_queries=-1)
+
+
 def test_bench_rejects_unknown_strategy(worked_file, capsys):
     rc = main(["bench", str(worked_file), "--strategies", "greedy,warp"])
     assert rc == 1

@@ -657,6 +657,57 @@ def test_equal_regime_counts_only_xlight_candidates(monkeypatch):
             assert equal >= 300
 
 
+def test_flank_regime_counts_only_xlight_core_and_select_interval(monkeypatch):
+    # Every heap member already holds its exact frequency, so a flank query
+    # counts only what it reads: xlight's seeds over the core, and the
+    # select scan's documents over [sp, ep].  Greedy and DFS on light count
+    # nothing, neither a slice nor, with RECOUNT_SLOTS at 0, by doc_freq.
+    calls, slices = [], []
+    real_doc_freq, real_counts = WaveletTree.doc_freq, SuffixIndex.counts
+
+    def counting(self, doc, l, r):
+        calls.append((doc, l, r))
+        return real_doc_freq(self, doc, l, r)
+
+    def slice_counting(self, sp, ep):
+        slices.append((sp, ep))
+        return real_counts(self, sp, ep)
+
+    monkeypatch.setattr(WaveletTree, "doc_freq", counting)
+    monkeypatch.setattr(SuffixIndex, "counts", slice_counting)
+    docs = revisions_corpus(random.Random(223))
+    for slots in (engine_module.RECOUNT_SLOTS, 0):
+        monkeypatch.setattr(engine_module, "RECOUNT_SLOTS", slots)
+        for variant in ("light", "xlight"):
+            idx = build_index(docs, g_prime=2, k_max=16, variant=variant)
+            x = idx.sgst
+            flank = 0
+            for pattern in occurring_patterns(docs, 3):
+                iv = pattern_interval(idx.suffixes, idx.corpus, pattern)
+                for k in (1, 3, 10):
+                    for strat in STRATEGIES:
+                        calls.clear()
+                        slices.clear()
+                        r = query_topk(idx, pattern, k, strategy=strat)
+                        if regime(idx, r) != FLANK:
+                            continue
+                        flank += 1
+                        core = (r.stats.locus_sp, r.stats.locus_ep)
+                        want = [core] if variant == "xlight" else []
+                        want += [(iv.sp, iv.ep)] if strat == SELECT else []
+                        if slots:
+                            assert calls == [] and slices == want
+                            continue
+                        assert slices == [] and \
+                            list(dict.fromkeys((lo, hi) for _, lo, hi in calls)) == want
+                        if variant == "xlight":
+                            node = find_locus(x, kstar(k), *core)
+                            stored = x.cand_docs[x.cand_off[node.rank - 1]:x.cand_off[node.rank]]
+                            assert calls[:len(stored[:k])] == \
+                                [(doc, *core) for doc in stored[:k]]
+            assert flank >= 90
+
+
 def answer_digest(index, docs):
     """sha256 over (pattern, k, strategy, pairs, stats) of every query, and
     the set of regimes those queries took."""

@@ -8,7 +8,7 @@ from topkdoc import (build_index, build_suffix_array, candidates_of, find_locus,
                      load_index, pattern_interval, save_index)
 from topkdoc.bitrank import RankBitVector
 from topkdoc.corpus import MAX_SYMBOLS
-from topkdoc.errors import KStarNotPrecomputedError
+from topkdoc.errors import InvalidParameterError, KStarNotPrecomputedError
 from topkdoc import sgst
 from topkdoc.sgst import SGST, VARIANTS, build_sgst
 from topkdoc.suffixes import SHORT_SLICE
@@ -295,6 +295,18 @@ def test_dense_build_candidates(dense_index):
     assert candidates_of(x, by_iv[(5, 8)], w) == [(1, 2), (2, 1)]
     assert candidates_of(x, by_iv[(4, 8)], w) == [(1, 2)]
     assert candidates_of(x, by_iv[(12, 13)], w) == [(1, 1)]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_candidates_of_rejects_a_bad_k(variant):
+    # k = -1 once sliced the candidates of the nodes after this one.
+    idx = build_index(["abab", "abba", "bab"], g_prime=1, k_max=4, variant=variant)
+    x, w = idx.sgst, idx.wavelet
+    node = x.node_at(1)
+    for k in (0, -1, 1.5):
+        with pytest.raises(InvalidParameterError):
+            candidates_of(x, node, w, k)
+    assert candidates_of(x, node, w, 2) == candidates_of(x, node, w)[:2] == [(1, 5), (2, 5)]
 
 
 def test_level_nodes_are_the_classes_at_or_above(dense_index):

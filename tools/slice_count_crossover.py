@@ -10,7 +10,8 @@ time is the minimum over PASSES passes.  Both counts must give the same
 pairs.
 
 In recount mode it builds the workload's whole index and times
-engine.frequencies, the recount of a locus-served query, both ways on the
+engine.frequencies, which reads the exact frequencies of a locus-served
+query (xlight's seeds, the select scan's documents), both ways on the
 same slices: one count of the L slots and a read of m of their documents
 (forced by a huge engine.RECOUNT_SLOTS), against m WaveletTree.doc_freq
 calls (RECOUNT_SLOTS = 0).  Both must give the same frequencies.  For each
