@@ -81,13 +81,16 @@ class Corpus:
 def ingest(documents):
     """Build a Corpus from an iterable of non-empty byte strings.
 
-    str inputs are encoded as UTF-8.  Rejects empty documents and documents
-    containing the reserved terminator byte.
+    str inputs are encoded as UTF-8.  Rejects an empty document and one
+    containing the reserved terminator byte, naming its 1-based number, and
+    an empty collection.
     """
     docs = []
-    for raw in documents:
+    for i, raw in enumerate(documents, 1):
         data = raw.encode("utf-8") if isinstance(raw, str) else bytes(raw)
+        if not data:
+            raise EmptyDocumentError(f"document {i} is empty")
         if SENTINEL in data:
-            raise SentinelInDocumentError("documents may not contain byte 0x00")
+            raise SentinelInDocumentError(f"document {i} holds byte 0x00, which is reserved")
         docs.append(data)
     return Corpus.from_text(b"".join(d + bytes([SENTINEL]) for d in docs))

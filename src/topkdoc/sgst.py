@@ -262,10 +262,11 @@ def _ranked(counts, c):
     """The positions of the c largest counts of a dense vector, one count
     per id 0..d, most of them zero, ranked by (-count, position).
 
-    Only the pass's vectors are ranked here; compact counts, which hold no
-    zeros and are far shorter, are ranked by suffixes.ranked.  Every
-    position counted at least as often as the c-th largest count, and at
-    least once, taken ascending and stably sorted by -count, ranks ties
+    Only the pass's vectors are ranked here.  suffixes.ranked, which ranks
+    compact counts and top_documents' dense ones, sorts every entry: on
+    these vectors argmax beats it at c = 1, and the partition at large d.
+    Every position counted at least as often as the c-th largest count, and
+    at least once, taken ascending and stably sorted by -count, ranks ties
     lowest first: the partition skips the sort of the zeros."""
     if c == 1:
         return counts.argmax(keepdims=True)     # the first of the most

@@ -71,12 +71,12 @@ from .errors import (EmptyPatternError, InconsistentIntervalsError, OutOfRangeEr
 DOCUMENT_PATH_TIES = 0.5
 
 # top_documents counts a slice of at most this many slots in Python, past
-# it in numpy; the bound rests on the slice's length alone.  It was fixed
-# before the benchmark was measured, where a probe over random slices of
-# versioned-xlight's document array found numpy ahead at 48 slots (8.5
-# against 9.2 µs).  tools/slice_count_crossover.py times both counts: at
-# seed 201, on a 2-vCPU VM, the Python sort took 2.0 / 3.2 / 5.5 µs at 8 /
-# 16 / 32 slots against numpy's 14.1 / 14.5 / 9.7, and the two met near 64.
+# it in numpy; the bound rests on the slice's length alone.
+# tools/slice_count_crossover.py times both counts: at seed 201, on a
+# 2-vCPU VM, the Python sort took 1.8 / 2.7 / 4.9 / 7.4 µs at 8 / 16 / 32 /
+# 48 slots against numpy's 12.7 / 12.9 / 6.4 / 7.0 (a compact count below
+# 32 slots, a dense one from 32 on, d being 440), so the two meet between
+# 32 and 48.
 SHORT_SLICE = 32
 
 
@@ -140,7 +140,8 @@ class SuffixIndex:
     codes of suffix sa[i]'s first q = 31 // width symbols; first[p], for p
     in 0..2**(t * width), is the first slot whose key's top t codes are at
     least p (t = _table_codes(n, width)), so it starts at 0, ends at n and
-    never decreases.  All four are int32 arrays and read-only.  code maps
+    never decreases.  All four are int32 arrays and read-only.  _ids holds
+    the ids 0..d, read-only, which a dense count ranks by.  code maps
     each byte to its code, 1..sigma + 1 (1 for the terminator) or 0 if
     absent; codes take width bits.
 
@@ -154,7 +155,7 @@ class SuffixIndex:
     searches wrong; the caller checks that it does (sorts_suffixes).
     """
 
-    __slots__ = ("sa", "doc_ids", "keys", "first", "code", "width", "t", "_views")
+    __slots__ = ("sa", "doc_ids", "keys", "first", "code", "width", "t", "_views", "_ids")
 
     def __init__(self, corpus: Corpus, sa, keys=None):
         code, width = _symbol_codes(corpus.alphabet)
@@ -173,6 +174,9 @@ class SuffixIndex:
         for arr in (self.sa, self.doc_ids, self.keys, self.first):
             arr.flags.writeable = False
         self.code, self.width, self.t = tuple(code.tolist()), width, t
+        # The ids 0..d, read-only: the ids of a dense count (top_documents).
+        self._ids = np.arange(corpus.d + 1)
+        self._ids.flags.writeable = False
         # memoryviews yield plain ints, which bisect, slicing and sorted want.
         self._views = (memoryview(keys), memoryview(sa), memoryview(self.doc_ids),
                        memoryview(first))
@@ -230,14 +234,19 @@ class SuffixIndex:
         plain ints, and counted in one pass over its runs: on slices that
         short numpy's fixed cost per call is most of its time (SHORT_SLICE
         = 32 keeps the bound below where the two counts meet).  A longer one
-        is counted by counts and ranked by ranked, as the build's preorder
-        pass ranks a node's sparse counts, so every count is O(L log L) at
-        most, whatever the number of documents."""
+        is ranked by ranked, as the build's preorder pass ranks a node's
+        sparse counts.  When d < 16 L its count is one bincount, a dense
+        vector over the ids up to its largest; otherwise counts counts it.
+        So every count is O(L log L) at most, whatever the number of
+        documents."""
         if not 1 <= sp <= ep <= len(self.sa):
             raise OutOfRangeError(f"interval [{sp}, {ep}] outside 1..{len(self.sa)}")
         k = positive("k", k)
         if ep - sp < SHORT_SLICE:
             return top_of_few(self._views[2][sp - 1:ep], k)
+        if len(self._ids) <= 16 * (ep - sp + 1):
+            counts = np.bincount(self.doc_ids[sp - 1:ep])
+            return ranked(self._ids[:len(counts)], counts, k)
         return ranked(*self.counts(sp, ep), k)
 
     def counts(self, sp, ep):
@@ -253,11 +262,12 @@ def count(ids, weights=None):
     >= 1 holding whole numbers, one per id), the sum of its weights, as
     int64.
 
-    The one count of the document array, for a slice of it
+    The one compact count of the document array, for a slice of it
     (SuffixIndex.counts) and for the parts a node of the build's preorder
     pass sums (sgst._summed): bincount, whose array runs to the largest
     id, or past 16 L one np.unique sort, so it is O(L log L) at most for L
-    ids, whatever the number of documents."""
+    ids, whatever the number of documents.  top_documents counts a slice
+    by bincount alone when d < 16 L, and ranks the dense vector itself."""
     if ids.max() < 16 * len(ids):
         counts = np.bincount(ids, weights)
         ids = np.flatnonzero(counts)
@@ -269,11 +279,23 @@ def count(ids, weights=None):
 
 
 def ranked(ids, counts, k):
-    """The first k (id, count) pairs of count's output by (-count, id), as
-    plain ints, fewer when fewer ids were counted: the ids ascend, so one
-    stable sort by -count keeps ties in that order."""
-    top = np.argsort(-counts, kind="stable")[:k]
-    return list(zip(ids[top].tolist(), counts[top].tolist()))
+    """The first k (id, count) pairs by (-count, id), as plain ints, of
+    counts, int64 counts >= 0 of ids, ascending ints >= 0: count's output,
+    or a dense vector given ids 0..len(counts) - 1.  Zero counts are never
+    listed, so fewer pairs come back when fewer ids were counted.
+
+    Each id is packed with its count into one int64 key, id - (count << b),
+    b the bit length of the largest id, as _sort packs: the keys are
+    distinct and order as (-count, id) does, so one in-place value sort
+    ranks them, and the ids counted at least once hold the negative keys,
+    which come first.  Counts are at most n and ids at most d <= n, both
+    below 2**30, so every key lies within +-2**60."""
+    b = int(ids[-1]).bit_length()
+    mask = (1 << b) - 1
+    key = counts << b
+    np.subtract(ids, key, out=key)
+    key.sort()
+    return [(x & mask, -(x >> b)) for x in key[:k].tolist() if x < 0]
 
 
 def build_suffix_array(corpus: Corpus, wavelet=None) -> SuffixIndex:

@@ -70,6 +70,23 @@ def test_build_line_docs(tmp_path, capsys):
         assert "n=14 d=3" in capsys.readouterr().out
 
 
+def test_build_names_the_rejected_file(worked_dir, tmp_path, capsys):
+    # Files are documents in name order, so an empty b2.txt, after a.txt
+    # and b.txt, is document 3; a 0x00 in c.txt, the fourth, is named
+    # likewise.  With --line-docs an empty line is skipped, not rejected.
+    (worked_dir / "b2.txt").write_bytes(b"")
+    assert main(["build", str(worked_dir), str(tmp_path / "x.idx")]) == 1
+    assert capsys.readouterr().err == "error: document 3 is empty\n"
+    (worked_dir / "b2.txt").write_bytes(b"b")
+    (worked_dir / "c.txt").write_bytes(b"b\x00b")
+    assert main(["build", str(worked_dir), str(tmp_path / "x.idx")]) == 1
+    assert capsys.readouterr().err.startswith("error: document 4 holds byte 0x00")
+    src = tmp_path / "lines.txt"
+    src.write_bytes(b"ab\n\nba\n")
+    assert main(["build", str(src), str(tmp_path / "l.idx"), "--line-docs"]) == 0
+    assert "d=2" in capsys.readouterr().out
+
+
 def test_query_worked(worked_file, capsys):
     assert main(["query", str(worked_file), "ab", "1"]) == 0
     assert capsys.readouterr().out == "1\t2\n"

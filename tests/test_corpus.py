@@ -74,6 +74,17 @@ def test_rejects_terminator_byte():
         ingest([b"a\x00b"])
 
 
+def test_rejections_name_the_document():
+    # The 1-based number of the first empty or 0x00-holding document, as
+    # ingest counts them: str and bytes alike, before any later one.
+    with pytest.raises(EmptyDocumentError, match=r"^document 3 is empty$"):
+        ingest(["ab", b"c", "", "a\x00"])
+    with pytest.raises(SentinelInDocumentError, match=r"^document 2 holds byte 0x00"):
+        ingest([b"ab", "c\x00d", b""])
+    with pytest.raises(EmptyDocumentError, match="at least one document"):
+        ingest([])
+
+
 def test_sigma_counts_distinct_symbols():
     assert ingest(["aaa"]).sigma == 1
     assert ingest(["abc", "cde"]).sigma == 5

@@ -630,6 +630,62 @@ def test_count_and_ranked_match_a_counter(ids, weights, branch, monkeypatch):
     assert cut >= 1
 
 
+@pytest.mark.parametrize("top", [7, 8, 31, 32])
+def test_packed_rank_at_the_bit_length_edges(top, monkeypatch):
+    # ranked packs id - (count << b), b the bit length of the largest id:
+    # 2**b - 1 fills the id bits, 2**b takes one more.  Document i holds
+    # 5 * (i % 3) c's, the last one 5, so counts tie at 10 and at 5 and
+    # every third document has none.  The interval of "c" has 5 (top - 1)
+    # slots or more, more than SHORT_SLICE, and d = top < 16 L, so
+    # top_documents counts it by one bincount into a dense vector, whose
+    # id 0 and zero counts are never listed, and never calls count.
+    docs = ["c" * (5 * (i % 3) if i < top else 5) + "ab" for i in range(1, top + 1)]
+    want = Counter({i: doc.count("c") for i, doc in enumerate(docs, 1) if "c" in doc})
+    ranking = sorted(want.items(), key=lambda p: (-p[1], p[0]))
+    c = ingest(docs)
+    s = build_suffix_array(c)
+    iv = pattern_interval(s, c, "c")
+    assert iv.occurrences > suffixes.SHORT_SLICE and c.d < 16 * iv.occurrences
+    calls = Counter()
+    bincount, count = np.bincount, suffixes.count
+    monkeypatch.setattr(np, "bincount",
+                        lambda *a, **kw: calls.update(["bincount"]) or bincount(*a, **kw))
+    monkeypatch.setattr(suffixes, "count",
+                        lambda *a, **kw: calls.update(["count"]) or count(*a, **kw))
+    dense = np.zeros(top + 1, dtype=np.int64)
+    dense[list(want)] = list(want.values())
+    compact = np.array(sorted(want)), np.array([want[i] for i in sorted(want)])
+    assert compact[0][-1] == top
+    cut = 0
+    for k in range(1, top + 3):
+        got = s.top_documents(iv.sp, iv.ep, k)
+        assert got == ranking[:k]
+        assert all(type(v) is int for pair in got for v in pair)
+        assert suffixes.ranked(np.arange(top + 1), dense, k) == ranking[:k]
+        assert suffixes.ranked(*compact, k) == ranking[:k]
+        cut += k < len(ranking) and ranking[k - 1][1] == ranking[k][1]
+    assert calls == {"bincount": top + 2} and cut >= 2
+
+
+def test_dense_rank_lists_only_counted_documents(monkeypatch):
+    # A dense count over ids 0..d with fewer non-zero ids than k: the two
+    # documents of "c", tied at 50, come back alone and in id order, without
+    # id 0 or any of the eight documents that hold no c.
+    docs = ["ab", "c" * 50, "ba", "c" * 50, *["ab", "ba", "aab"] * 2]
+    c = ingest(docs)
+    s = build_suffix_array(c)
+    iv = pattern_interval(s, c, "c")
+    ranked = []
+    real = suffixes.ranked
+    monkeypatch.setattr(suffixes, "ranked", lambda *a: ranked.append(len(a[0])) or real(*a))
+    for k in (2, 3, 10, 40):
+        assert s.top_documents(iv.sp, iv.ep, k) == [(2, 50), (4, 50)]
+    assert s.top_documents(iv.sp, iv.ep, 1) == [(2, 50)]
+    assert ranked == [5] * 5         # ids 0..4: the vector runs to the largest id
+    dense = np.bincount(s.doc_ids[iv.sp - 1:iv.ep], minlength=c.d + 1)
+    assert suffixes.ranked(np.arange(c.d + 1), dense, c.d + 5) == [(2, 50), (4, 50)]
+
+
 def test_top_documents_rejects_intervals_outside_the_array(worked_suffixes, worked_wavelet):
     # Like greedy_topk, whose answer it lists: a slice from slot 0 would
     # wrap, one past n would be cut short and a reversed one is no slice.

@@ -1,4 +1,5 @@
-"""Time queries by regime, in-process: each regime's share, p50 and p99.
+"""Time queries by regime, in-process: each regime's share, p50, p99, mean
+and share of the summed time.
 
 This script builds one benchmark workload's index, as perfbench/run.py
 does, and sorts its patterns into the three query regimes by what
@@ -8,8 +9,11 @@ repaired) and fallback (no marked node serves it, and its slice of the
 document array is counted).  Every pattern is then queried under each
 strategy PASSES times, one timed call at a time; a pattern's time is the
 fastest of its calls.  For each regime, and for all patterns together, it
-prints the share of the patterns and the p50 and p99 of those times per
-strategy.
+prints the share of the patterns, then per strategy the p50, p99 and mean
+of those times and the regime's share of their sum over all patterns.  A
+throughput such as perfbench's queries_per_s is a mean, so a change to one
+regime moves it by that regime's share of the summed time, which the p50
+and p99 alone cannot size.
 
 Output piped to a reader that stops early, such as head, ends it quietly.
 
@@ -72,16 +76,19 @@ def main(argv):
     times = {s: fastest_us(index, patterns, wl.k, s, passes) for s in STRATEGIES}
     print(f"{argv[1]}, seed {argv[2]}: n = {index.corpus.n}, {len(patterns)} patterns, "
           f"k = {wl.k}, variant {wl.variant}, best of {passes} passes, raw µs")
+    columns = ("p50", "p99", "mean", "time")
     print(f"{'regime':<9} {'patterns':>8} {'share':>7}"
-          + "".join(f" {f'{s} p50':>10} {f'{s} p99':>10}" for s in STRATEGIES))
+          + "".join(f" {f'{s} {c}':>11}" for s in STRATEGIES for c in columns))
     for name in (*REGIMES, "all"):
         rows = [i for i, r in enumerate(regimes) if name in (r, "all")]
         line = f"{name:<9} {len(rows):8d} {len(rows) / len(patterns):7.2%}"
         for s in STRATEGIES:
             if rows:
-                line += " {:10.2f} {:10.2f}".format(*quantiles([times[s][i] for i in rows]))
+                own = [times[s][i] for i in rows]
+                line += " {:11.2f} {:11.2f} {:11.2f} {:11.2%}".format(
+                    *quantiles(own), statistics.fmean(own), sum(own) / sum(times[s]))
             else:
-                line += f" {'-':>10} {'-':>10}"
+                line += f" {'-':>11}" * len(columns)
         print(line)
 
 
