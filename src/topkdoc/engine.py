@@ -8,12 +8,22 @@ chosen strategy repairs the flanks, the positions of [sp, ep] outside the
 node's interval (the covered core).  All three take the same
 (sp, ep, core_sp, core_ep): a length-ordered greedy traversal, a pruned
 DFS, or a per-position select scan.  The heap's members, ranked, are the
-answer.  The exact frequencies such a query reads (xlight's candidates
-over the core, the select scan's documents over [sp, ep]) come from one
-count of that interval's slice of the document array, or, when it holds
-more than RECOUNT_SLOTS slots per frequency read, from
-WaveletTree.doc_freq (frequencies).  The walks count nothing: a leaf's
-outer length is its document's frequency over [sp, ep].
+answer.
+
+Such a query counts nothing but its core, through one reader of it
+(frequencies), and each slot of [sp, ep] at most once:
+- equal: light reads its stored pairs; xlight reads its candidates'
+  frequencies from the reader of the core, which is [sp, ep] itself;
+- flank, greedy and DFS: light counts nothing, and xlight reads only its
+  seeds from the core's reader.  The walks count nothing: a leaf's outer
+  length is its document's frequency over [sp, ep];
+- flank, select: the scan tallies each flank slot as it reads it and adds
+  the document's frequency in the core, read from the core's reader, the
+  one xlight's seeds already read.
+The reader counts the core's slice of the document array once
+(SuffixIndex.counts) and keeps the count, unless the core holds more than
+RECOUNT_SLOTS slots per document a read asks for; then that read calls
+WaveletTree.doc_freq per document.
 
 Every heap member ends with its exact frequency f over [sp, ep], so
 nothing is recounted.  Let T be the heap's k-th frequency
@@ -43,6 +53,7 @@ marked node may return any of them; the count lists the lowest ids.
 """
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,16 +70,18 @@ DFS = "dfs"
 SELECT = "select"
 STRATEGIES = (GREEDY, DFS, SELECT)
 
-# frequencies counts an interval's slice of the document array when it holds
-# at most this many slots per frequency read, and past that calls
-# WaveletTree.doc_freq per document; the bound rests on the slice's length
-# and the frequencies alone.  It was fixed before the benchmark was
-# measured, from tools/slice_count_crossover.py's recount mode at seed 201
-# on a 2-vCPU VM: a count of L slots and a read of m documents took about
-# 11 µs plus 1.5 ns per slot, a doc_freq call about 7 µs, and the count
-# won up to 2,746-3,065 slots per frequency at m = 4 and 3,587-4,059 at
-# m = 10 and 16 on both workloads (it never wins at m = 1).  2048 stays
-# below every one of those crossovers.
+# A read of frequencies' reader counts its interval's slice of the document
+# array when the interval holds at most this many slots per document the
+# read asks for, and past that calls WaveletTree.doc_freq per document; the
+# bound rests on the slice's length and the documents alone.  It was fixed
+# before the benchmark was measured, from tools/slice_count_crossover.py's
+# recount mode at seed 201 on a 2-vCPU VM.  On dense counts (four runs on
+# versioned-xlight, one on dna-uniform) a count of L slots and a read took
+# about 4.5 µs plus 1.5 ns per slot and a doc_freq call about 7.5 µs: the
+# count won up to 2,401-4,126 slots at m = 1, 4,191-6,267 slots per
+# document at m = 4, 4,228-5,166 at m = 10, and 4,045 on dna-uniform and
+# past 65,536 slots on versioned-xlight at m = 16.  2048 stays below every
+# one of those crossovers.
 RECOUNT_SLOTS = 2048
 
 
@@ -86,31 +99,44 @@ class CandidateHeap:
 
     The top is the current k-th best frequency (ties surface the largest
     doc id first, so lower ids survive eviction).  Offering a document
-    already present updates its frequency in place; membership is checked
-    by scanning, which is the right trade-off at these capacities.
+    already present updates its frequency in place; a dict of the members
+    answers membership, since a select scan may offer hundreds of
+    documents.  A locus-served query seeds the heap with its node's first
+    k candidates in one step (seed), then offers what its flanks add.
     """
 
-    __slots__ = ("capacity", "_entries")
+    __slots__ = ("capacity", "_entries", "_held")
 
     def __init__(self, capacity):
         self.capacity = positive("capacity", capacity)
         self._entries = []  # (freq, -doc)
+        self._held = {}     # doc: freq, of the entries
 
     def __len__(self):
         return len(self._entries)
 
     def offer(self, doc, freq):
-        entries = self._entries
-        for i, (f, negd) in enumerate(entries):
-            if negd == -doc:
-                if freq != f:
-                    entries[i] = (freq, negd)
-                    heapq.heapify(entries)
-                return
-        if len(entries) < self.capacity:
+        entries, held = self._entries, self._held
+        f = held.get(doc)
+        if f is not None:
+            if freq != f:
+                entries[entries.index((f, -doc))] = (freq, -doc)
+                heapq.heapify(entries)
+                held[doc] = freq
+        elif len(entries) < self.capacity:
             heapq.heappush(entries, (freq, -doc))
+            held[doc] = freq
         elif freq > entries[0][0]:
-            heapq.heapreplace(entries, (freq, -doc))
+            del held[-heapq.heapreplace(entries, (freq, -doc))[1]]
+            held[doc] = freq
+
+    def seed(self, pairs):
+        """Fill the empty heap with pairs, (doc, freq) of distinct documents
+        and at most capacity of them, by one heapify: the entries that an
+        offer of each would leave, since none is evicted."""
+        self._entries = [(freq, -doc) for doc, freq in pairs]
+        heapq.heapify(self._entries)
+        self._held = dict(pairs)
 
     def kth_frequency(self):
         """Current k-th best frequency; 0 while below capacity."""
@@ -122,54 +148,65 @@ class CandidateHeap:
         return [(-negd, f) for f, negd in self._entries]
 
 
-def frequencies(index, sp, ep, m):
-    """A function from a list of documents to their frequencies in [sp,
-    ep], plain ints (0 for a document that owns no slot there), for a
-    caller about to read about m of them.
+def frequencies(index, sp, ep, m=1):
+    """A reader of [sp, ep], sp <= ep: a function from a list of documents
+    to their frequencies there, plain ints (0 for a document that owns no
+    slot there).
 
-    The one place a locus-served query decides how to count an interval:
-    xlight's core, for its candidates, and [sp, ep] for the select scan.
-    It counts the slice of the document array once (SuffixIndex.counts)
-    and reads every document from that count, unless the interval holds
-    more than RECOUNT_SLOTS slots per frequency, m * RECOUNT_SLOTS in all;
-    then each document is counted by WaveletTree.doc_freq.  The count costs
-    O(L) for L slots, doc_freq O(log d) per document.
+    The one place a locus-served query decides how to count an interval,
+    the covered core, for xlight's seeds and the select scan's documents.
+    Each read decides for itself, by the documents it asks for, at least
+    m: when the interval holds more than RECOUNT_SLOTS slots per document,
+    each is counted by WaveletTree.doc_freq, O(log d) apiece.  Otherwise
+    the slice of the document array is counted once (SuffixIndex.counts),
+    O(L) for L slots, and this read and every later one read that count:
+    a dense one by index, a compact one by binary search.
     """
-    if ep - sp + 1 > RECOUNT_SLOTS * m:
-        doc_freq = index.wavelet.doc_freq
-        return lambda docs: [doc_freq(doc, sp, ep) for doc in docs]
-    ids, counts = index.suffixes.counts(sp, ep)
-    last = len(ids) - 1
+    slots = ep - sp + 1
+    counted = None
 
     def read(docs):
+        nonlocal counted
+        if counted is None:
+            if slots > RECOUNT_SLOTS * max(m, len(docs)):
+                doc_freq = index.wavelet.doc_freq
+                return [doc_freq(doc, sp, ep) for doc in docs]
+            counted = index.suffixes.counts(sp, ep)
+        ids, freqs = counted
+        last = len(ids) - 1
         docs = np.array(docs, dtype=ids.dtype)
+        if ids[last] == last:           # dense: id i reads freqs[i]
+            out = freqs.take(docs, mode="clip")
+            out[docs > last] = 0
+            return out.tolist()
         at = ids.searchsorted(docs)
         np.minimum(at, last, out=at)
-        return np.where(ids[at] == docs, counts[at], 0).tolist()
+        return np.where(ids[at] == docs, freqs[at], 0).tolist()
     return read
 
 
-def select_scan(doc_ids, freqs, sp, ep, core_sp, core_ep, heap: CandidateHeap):
+def select_scan(doc_ids, core, sp, ep, core_sp, core_ep, heap: CandidateHeap):
     """Offer every document of [sp, ep] outside the covered core
-    [core_sp, core_ep].
+    [core_sp, core_ep], with its frequency over [sp, ep].
 
     The core may be empty (core_ep < core_sp), in which case the whole of
     [sp, ep] is scanned.  Each position is one read of doc_ids, the
-    document array (SuffixIndex.doc_ids).  Each distinct document is offered
-    once, in the order of its first position, with its frequency over
-    [sp, ep] read from freqs (see frequencies); repeats would be idempotent
-    offers.  Returns (positions scanned, offers made).
+    document array (SuffixIndex.doc_ids), tallied as it is read.  Each
+    distinct document is offered once, in the order of its first position,
+    with its tally plus its frequency in the core, read from core, a reader
+    of the core (see frequencies) that an empty core leaves unread: no slot
+    of [sp, ep] is counted twice.  Returns (positions scanned, offers made).
     """
-    if core_ep >= core_sp:
-        if not (sp <= core_sp and core_ep <= ep):
-            raise OutOfRangeError("covered core must sit inside the scanned interval")
+    if core_ep < core_sp:
+        flanks, core = doc_ids[sp - 1:ep].tolist(), lambda docs: [0] * len(docs)
+    elif sp <= core_sp and core_ep <= ep:
         flanks = doc_ids[sp - 1:core_sp - 1].tolist() + doc_ids[core_ep:ep].tolist()
     else:
-        flanks = doc_ids[sp - 1:ep].tolist()
-    docs = list(dict.fromkeys(flanks))
-    for doc, freq in zip(docs, freqs(docs)):
-        heap.offer(doc, freq)
-    return len(flanks), len(docs)
+        raise OutOfRangeError("covered core must sit inside the scanned interval")
+    tally = Counter(flanks)
+    for (doc, outer), inner in zip(tally.items(), core(list(tally))):
+        heap.offer(doc, outer + inner)
+    return len(flanks), len(tally)
 
 
 @dataclass
@@ -254,8 +291,8 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
     When flanks remain, the node's first k candidates seed a heap, the
     flanks are repaired with the chosen strategy, and the heap's members,
     each holding its exact frequency (see the module docstring), are
-    ranked; only the select scan counts the whole interval, and only
-    xlight the core.  With no marked node inside,
+    ranked; only xlight's seeds and the select scan count, and only the
+    core, once.  With no marked node inside,
     or with k* above k_max or use_sgst=False, the interval's document array
     is counted.
     """
@@ -279,7 +316,7 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
 
     w = index.wavelet
     _, core_sp, core_ep, _ = locus
-    core = None if x.cand_freqs is not None else frequencies(index, core_sp, core_ep, k)
+    core = None if x.cand_freqs is not None else frequencies(index, core_sp, core_ep)
     seeds = candidates_of(x, locus, w, k, core)
     if core_sp == sp and core_ep == ep:
         # The node's candidates are counted over [sp, ep] itself and ranked.
@@ -287,11 +324,11 @@ def query_topk(index: Index, pattern, k, strategy=GREEDY, use_sgst=True) -> TopK
                           QueryStats(k_star, g, True, True, sp, ep, 0, 0, len(seeds)))
 
     heap = CandidateHeap(k)
-    for doc, freq in seeds:
-        heap.offer(doc, freq)
+    heap.seed(seeds)
     scanned = emitted = 0
     if strategy == SELECT:
-        scanned, offered = select_scan(index.suffixes.doc_ids, frequencies(index, sp, ep, k),
+        scanned, offered = select_scan(index.suffixes.doc_ids,
+                                       core or frequencies(index, core_sp, core_ep),
                                        sp, ep, core_sp, core_ep, heap)
     else:
         walk = w.restricted_greedy if strategy == GREEDY else w.restricted_dfs

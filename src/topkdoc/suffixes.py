@@ -174,7 +174,7 @@ class SuffixIndex:
         for arr in (self.sa, self.doc_ids, self.keys, self.first):
             arr.flags.writeable = False
         self.code, self.width, self.t = tuple(code.tolist()), width, t
-        # The ids 0..d, read-only: the ids of a dense count (top_documents).
+        # The ids 0..d, read-only: the ids of a dense count (counts).
         self._ids = np.arange(corpus.d + 1)
         self._ids.flags.writeable = False
         # memoryviews yield plain ints, which bisect, slicing and sorted want.
@@ -234,26 +234,32 @@ class SuffixIndex:
         plain ints, and counted in one pass over its runs: on slices that
         short numpy's fixed cost per call is most of its time (SHORT_SLICE
         = 32 keeps the bound below where the two counts meet).  A longer one
-        is ranked by ranked, as the build's preorder pass ranks a node's
-        sparse counts.  When d < 16 L its count is one bincount, a dense
-        vector over the ids up to its largest; otherwise counts counts it.
-        So every count is O(L log L) at most, whatever the number of
-        documents."""
+        is counted by counts, a dense bincount when d < 16 L and compact
+        otherwise, and ranked by ranked, as the build's preorder pass ranks
+        a node's sparse counts.  So every count is O(L log L) at most,
+        whatever the number of documents."""
         if not 1 <= sp <= ep <= len(self.sa):
             raise OutOfRangeError(f"interval [{sp}, {ep}] outside 1..{len(self.sa)}")
         k = positive("k", k)
         if ep - sp < SHORT_SLICE:
             return top_of_few(self._views[2][sp - 1:ep], k)
-        if len(self._ids) <= 16 * (ep - sp + 1):
-            counts = np.bincount(self.doc_ids[sp - 1:ep])
-            return ranked(self._ids[:len(counts)], counts, k)
         return ranked(*self.counts(sp, ep), k)
 
     def counts(self, sp, ep):
-        """(docs, freqs): count of the slice [sp, ep] of the document array,
+        """(ids, freqs): count of the slice [sp, ep] of the document array,
         1 <= sp <= ep <= n unchecked, for top_documents and the exact
-        frequencies a locus-served query reads (engine.frequencies)."""
-        return count(self.doc_ids[sp - 1:ep])
+        frequencies a locus-served query reads (engine.frequencies).
+
+        The one count of a slice.  For L slots with d < 16 L it is one
+        bincount, a dense vector over the ids up to the slice's largest,
+        given with those ids, _ids[:len(freqs)]: id i reads freqs[i], and an
+        id past the end owns no slot.  Otherwise it is count's compact
+        output, the ids present, ascending, and their slots."""
+        ids = self.doc_ids[sp - 1:ep]
+        if len(self._ids) <= 16 * len(ids):
+            freqs = np.bincount(ids)
+            return self._ids[:len(freqs)], freqs
+        return count(ids)
 
 
 def count(ids, weights=None):
@@ -266,8 +272,8 @@ def count(ids, weights=None):
     (SuffixIndex.counts) and for the parts a node of the build's preorder
     pass sums (sgst._summed): bincount, whose array runs to the largest
     id, or past 16 L one np.unique sort, so it is O(L log L) at most for L
-    ids, whatever the number of documents.  top_documents counts a slice
-    by bincount alone when d < 16 L, and ranks the dense vector itself."""
+    ids, whatever the number of documents.  SuffixIndex.counts counts a
+    slice by bincount alone, into a dense vector, when d < 16 L."""
     if ids.max() < 16 * len(ids):
         counts = np.bincount(ids, weights)
         ids = np.flatnonzero(counts)

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
 import random
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,9 @@ from topkdoc.errors import (
 from topkdoc.sgst import SGST, candidates_of, find_locus
 from topkdoc.suffixes import SuffixIndex, pattern_interval
 from topkdoc.wavelet import WaveletTree
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 from conftest import (
     acgt_corpus,
@@ -97,9 +102,9 @@ def test_heap_update_in_place():
 
 
 def scan(index, sp, ep, core_sp, core_ep, heap):
-    """select_scan over index's document array, reading its frequencies
-    as query_topk does."""
-    return select_scan(index.suffixes.doc_ids, frequencies(index, sp, ep, heap.capacity),
+    """select_scan over index's document array, reading the core's
+    frequencies as query_topk does."""
+    return select_scan(index.suffixes.doc_ids, frequencies(index, core_sp, core_ep),
                        sp, ep, core_sp, core_ep, heap)
 
 
@@ -657,11 +662,14 @@ def test_equal_regime_counts_only_xlight_candidates(monkeypatch):
             assert equal >= 300
 
 
-def test_flank_regime_counts_only_xlight_core_and_select_interval(monkeypatch):
+def test_flank_regime_counts_only_the_core(monkeypatch):
     # Every heap member already holds its exact frequency, so a flank query
     # counts only what it reads: xlight's seeds over the core, and the
-    # select scan's documents over [sp, ep].  Greedy and DFS on light count
-    # nothing, neither a slice nor, with RECOUNT_SLOTS at 0, by doc_freq.
+    # select scan's documents over the core, their flank slots tallied as
+    # they are read.  Under xlight the scan reads the seeds' own count, so
+    # the core is counted once; no slice of [sp, ep] is ever counted.
+    # Greedy and DFS on light count nothing, neither a slice nor, with
+    # RECOUNT_SLOTS at 0, by doc_freq.
     calls, slices = [], []
     real_doc_freq, real_counts = WaveletTree.doc_freq, SuffixIndex.counts
 
@@ -683,7 +691,6 @@ def test_flank_regime_counts_only_xlight_core_and_select_interval(monkeypatch):
             x = idx.sgst
             flank = 0
             for pattern in occurring_patterns(docs, 3):
-                iv = pattern_interval(idx.suffixes, idx.corpus, pattern)
                 for k in (1, 3, 10):
                     for strat in STRATEGIES:
                         calls.clear()
@@ -693,18 +700,20 @@ def test_flank_regime_counts_only_xlight_core_and_select_interval(monkeypatch):
                             continue
                         flank += 1
                         core = (r.stats.locus_sp, r.stats.locus_ep)
-                        want = [core] if variant == "xlight" else []
-                        want += [(iv.sp, iv.ep)] if strat == SELECT else []
+                        want = [core] if variant == "xlight" or strat == SELECT else []
                         if slots:
                             assert calls == [] and slices == want
                             continue
                         assert slices == [] and \
                             list(dict.fromkeys((lo, hi) for _, lo, hi in calls)) == want
-                        if variant == "xlight":
-                            node = find_locus(x, kstar(k), *core)
-                            stored = x.cand_docs[x.cand_off[node.rank - 1]:x.cand_off[node.rank]]
-                            assert calls[:len(stored[:k])] == \
-                                [(doc, *core) for doc in stored[:k]]
+                        # xlight's seeds first, then, under select, one
+                        # call per document the scan offers.
+                        node = find_locus(x, kstar(k), *core)
+                        seeds = x.cand_docs[x.cand_off[node.rank - 1]:x.cand_off[node.rank]][:k]
+                        read = list(seeds) if variant == "xlight" else []
+                        assert calls[:len(read)] == [(doc, *core) for doc in read]
+                        offered = r.stats.heap_offers - len(seeds) if strat == SELECT else 0
+                        assert len(calls) == len(read) + offered
             assert flank >= 90
 
 
@@ -852,6 +861,114 @@ def test_absent_candidate_reads_zero(monkeypatch):
             queried += len(reaching)
             zeros += sum((doc, 0) in a[0] for a in got if type(a) is tuple)
     assert tampered >= 10 and queried >= 100 and zeros >= 10
+
+
+@pytest.mark.parametrize("name", ["revisions", "short-documents"])
+def test_frequencies_agree_on_every_branch(monkeypatch, name):
+    # A reader gives the same plain-int frequencies, present and absent
+    # documents alike, the lowest and highest ids among them, whether it
+    # reads a dense bincount (revisions: d < 16 L), a compact np.unique
+    # count (short documents: ids past 16 L) or calls doc_freq
+    # (RECOUNT_SLOTS = 0).  A reader read twice counts its slice once.
+    make, seed, params, _ = RECOUNT_CORPORA[name]
+    docs = make(random.Random(seed))
+    idx = build_index(docs, **params)
+    d, doc_ids = idx.corpus.d, idx.suffixes.doc_ids
+    calls = Counter()
+    real_counts, real_doc_freq = SuffixIndex.counts, WaveletTree.doc_freq
+
+    def spy(label, real):
+        return lambda *a, **kw: calls.update([label]) or real(*a, **kw)
+
+    monkeypatch.setattr(SuffixIndex, "counts", spy("counts", real_counts))
+    monkeypatch.setattr(WaveletTree, "doc_freq", spy("doc_freq", real_doc_freq))
+    monkeypatch.setattr(suffixes_module, "count", spy("count", suffixes_module.count))
+    monkeypatch.setattr(np, "unique", spy("unique", np.unique))
+    rng = random.Random(233)
+    default = engine_module.RECOUNT_SLOTS
+    branches = Counter()
+    for _ in range(300):
+        length = rng.choice((1, 2, 5, 20, 60, 200))
+        sp = rng.randint(1, len(doc_ids) - length + 1)
+        ep = sp + length - 1
+        want = Counter(doc_ids[sp - 1:ep].tolist())
+        absent = [doc for doc in rng.sample(range(1, d + 1), 8) if doc not in want]
+        asked = [1, d, *rng.sample(sorted(want), min(3, len(want))), *absent[:3]]
+        for slots in (default, 0):
+            monkeypatch.setattr(engine_module, "RECOUNT_SLOTS", slots)
+            calls.clear()
+            read = frequencies(idx, sp, ep)
+            for _ in range(2):
+                got = read(asked)
+                assert got == [want[doc] for doc in asked]
+                assert all(type(f) is int for f in got)
+            if calls["doc_freq"]:
+                assert not calls["counts"]
+                branches["doc_freq"] += 1
+            else:
+                assert calls["counts"] == 1
+                branches["unique" if calls["unique"] else
+                         "compact" if calls["count"] else "dense"] += 1
+    assert branches["doc_freq"] >= 100
+    assert branches["dense" if name == "revisions" else "unique"] >= 100
+
+
+def test_select_past_the_bound_per_k_reads_one_count(monkeypatch):
+    # The reader decides on each read, by the documents that read asks
+    # for.  A select query of k = 1 or 2 over more than RECOUNT_SLOTS * k
+    # slots reads its few flank documents from one count of the core and
+    # calls no doc_freq; xlight's seeds, a read of at most k documents,
+    # call doc_freq only when the core alone holds more than RECOUNT_SLOTS
+    # slots per seed.  With RECOUNT_SLOTS at 0 the same queries only call
+    # doc_freq.
+    calls, slices = [], []
+    real_doc_freq, real_counts = WaveletTree.doc_freq, SuffixIndex.counts
+
+    def counting(self, doc, l, r):
+        calls.append((doc, l, r))
+        return real_doc_freq(self, doc, l, r)
+
+    def slice_counting(self, sp, ep):
+        slices.append((sp, ep))
+        return real_counts(self, sp, ep)
+
+    monkeypatch.setattr(WaveletTree, "doc_freq", counting)
+    monkeypatch.setattr(SuffixIndex, "counts", slice_counting)
+    wl = workloads.make("versioned-xlight", 201)
+    bound = engine_module.RECOUNT_SLOTS
+    for variant in ("light", "xlight"):
+        idx = build_index(wl.docs, g_prime=wl.g_prime, k_max=wl.k_max, variant=variant)
+        x = idx.sgst
+        past = 0
+        for pattern in wl.patterns:
+            iv = pattern_interval(idx.suffixes, idx.corpus, pattern)
+            for k in (1, 2):
+                if iv.occurrences <= bound * k:
+                    continue
+                for slots in (bound, 0):
+                    monkeypatch.setattr(engine_module, "RECOUNT_SLOTS", slots)
+                    calls.clear()
+                    slices.clear()
+                    r = query_topk(idx, pattern, k, strategy=SELECT)
+                    if regime(idx, r) != FLANK:
+                        break
+                    core = (r.stats.locus_sp, r.stats.locus_ep)
+                    node = find_locus(x, kstar(k), *core)
+                    seeds = x.cand_docs[x.cand_off[node.rank - 1]:x.cand_off[node.rank]][:k]
+                    read = list(seeds) if variant == "xlight" else []
+                    offered = r.stats.heap_offers - len(seeds)
+                    if slots == 0:
+                        assert slices == [] and len(calls) == len(read) + offered
+                        assert {(lo, hi) for _, lo, hi in calls} == {core}
+                        continue
+                    past += 1
+                    assert offered * bound >= core[1] - core[0] + 1
+                    assert slices == [core]
+                    if (core[1] - core[0] + 1) > bound * len(read):
+                        assert calls == [(doc, *core) for doc in read]
+                    else:
+                        assert calls == []
+        assert past >= 8
 
 
 def test_whole_build_memory_budget():

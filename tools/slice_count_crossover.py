@@ -11,10 +11,10 @@ pairs.
 
 In recount mode it builds the workload's whole index and times
 engine.frequencies, which reads the exact frequencies of a locus-served
-query (xlight's seeds, the select scan's documents), both ways on the
-same slices: one count of the L slots and a read of m of their documents
-(forced by a huge engine.RECOUNT_SLOTS), against m WaveletTree.doc_freq
-calls (RECOUNT_SLOTS = 0).  Both must give the same frequencies.  For each
+query over its core (xlight's seeds, the select scan's documents), both
+ways on the same slices: one count of the L slots and one read of m of
+their documents (forced by a huge engine.RECOUNT_SLOTS), against m
+WaveletTree.doc_freq calls (RECOUNT_SLOTS = 0).  Both must give the same frequencies.  For each
 m it prints the longest L at which the count still wins, found by
 interpolating between the two lengths around the crossover, and that L
 per frequency: the slots one doc_freq call is worth.
@@ -69,9 +69,9 @@ def time_recount(index, queries, slots):
     for _ in range(PASSES):
         start = time.perf_counter()
         for sp, ep, docs in queries:
-            frequencies(index, sp, ep, len(docs))(docs)
+            frequencies(index, sp, ep)(docs)
         best = min(best, time.perf_counter() - start)
-    freqs = [frequencies(index, sp, ep, len(docs))(docs) for sp, ep, docs in queries]
+    freqs = [frequencies(index, sp, ep)(docs) for sp, ep, docs in queries]
     return best / len(queries) * 1e6, freqs
 
 
