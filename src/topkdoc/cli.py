@@ -115,23 +115,26 @@ def cmd_query(args):
 
 def cmd_inspect(args):
     """Print the header's fields, then the bytes and bits per symbol of the
-    fixed header and of each section, its frame included; the rows
-    before the total sum to the file size.  A last line gives the wavelet
-    tree's height and the bits stored at each of its levels, top first.
-    The file is loaded first, so a container that does not load is
-    reported as an error."""
+    fixed header and of each section, its frame included, and each
+    section's method and the bytes of its byte-aligned form, inflated when
+    deflated; the rows before the total sum to the file size.  A last line
+    gives the wavelet tree's height and the bits stored at each of its
+    levels, top first.  The file is loaded first, so a container that does
+    not load is reported as an error."""
     with open(args.index, "rb") as fh:
         data = fh.read()
     wavelet = container.deserialize_index(data).wavelet
     header, frames = container.read_frames(data)
     print(" ".join(f"{name}={value}" for name, value in header._asdict().items()))
-    rows = [("header", container.HEADER_BYTES)]
+    rows = [("header", container.HEADER_BYTES, "")]
     starts = [container.HEADER_BYTES] + [end for _, _, end in frames]   # back to back
-    rows += [(container.SECTION_NAMES[sec_id], end - start)
-             for (sec_id, _, end), start in zip(frames, starts)]
-    rows.append(("total", len(data)))
-    for name, size in rows:
-        print(f"{name} bytes={size} bits_per_symbol={size * 8 / header.n:.3f}")
+    for (sec_id, payload_start, end), start in zip(frames, starts):
+        method, inflated = container.section_method(data, payload_start, end)
+        rows.append((container.SECTION_NAMES[sec_id], end - start,
+                     f" method={method} inflated_bytes={inflated}"))
+    rows.append(("total", len(data), ""))
+    for name, size, extra in rows:
+        print(f"{name} bytes={size} bits_per_symbol={size * 8 / header.n:.3f}{extra}")
     print(f"wavelet height={wavelet.height} "
           f"level_bits={','.join(str(len(level)) for level in wavelet.levels)}")
     return 0

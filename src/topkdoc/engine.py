@@ -148,19 +148,20 @@ class CandidateHeap:
         return [(-negd, f) for f, negd in self._entries]
 
 
-def frequencies(index, sp, ep, m=1):
+def frequencies(index, sp, ep):
     """A reader of [sp, ep], sp <= ep: a function from a list of documents
     to their frequencies there, plain ints (0 for a document that owns no
     slot there).
 
     The one place a locus-served query decides how to count an interval,
     the covered core, for xlight's seeds and the select scan's documents.
-    Each read decides for itself, by the documents it asks for, at least
-    m: when the interval holds more than RECOUNT_SLOTS slots per document,
-    each is counted by WaveletTree.doc_freq, O(log d) apiece.  Otherwise
-    the slice of the document array is counted once (SuffixIndex.counts),
-    O(L) for L slots, and this read and every later one read that count:
-    a dense one by index, a compact one by binary search.
+    Each read decides for itself, by the documents it asks for: when the
+    interval holds more than RECOUNT_SLOTS slots per document, each is
+    counted by WaveletTree.doc_freq, O(log d) apiece, and an empty read
+    makes no count.  Otherwise the slice of the document array is counted
+    once (SuffixIndex.counts), O(L) for L slots, and this read and every
+    later one read that count: a dense one by index, a compact one by
+    binary search.
     """
     slots = ep - sp + 1
     counted = None
@@ -168,7 +169,7 @@ def frequencies(index, sp, ep, m=1):
     def read(docs):
         nonlocal counted
         if counted is None:
-            if slots > RECOUNT_SLOTS * max(m, len(docs)):
+            if slots > RECOUNT_SLOTS * len(docs):
                 doc_freq = index.wavelet.doc_freq
                 return [doc_freq(doc, sp, ep) for doc in docs]
             counted = index.suffixes.counts(sp, ep)

@@ -158,6 +158,19 @@ def mark_nodes(corpus, s, g_prime, k_max):
     return [iv[0] for iv in order], [iv[1] for iv in order], [classes[iv] for iv in order]
 
 
+def most_marked(n, g_prime, k_max):
+    """(nodes, candidates): the most that mark_nodes and count_candidates
+    write over n suffixes.  Level 1 has w windows and level 2**i has
+    w >> i, and a node of class >= 2**i is the node of a level-2**i window
+    (a level's window nodes are among the level below's), so there are at
+    most w nodes.  A node of class 2**j lists at most 2**j candidates,
+    1 + 2**0 + 2**1 + ... + 2**(j - 1): 1 for level 1 and 2**(i - 1) for
+    each level 2**i above it that it belongs to.  Summed over the nodes,
+    that is at most w + the sum over i >= 1 of (w >> i) * 2**(i - 1)."""
+    w = len(range(1, n - g_prime + 1, g_prime))
+    return w, w + sum((w >> i) << (i - 1) for i in range(1, k_max.bit_length()))
+
+
 def count_candidates(doc_ids, d, sp, ep, cls):
     """Each node's top cls documents of doc_ids[sp - 1:ep], ranked by
     (-freq, doc) as SuffixIndex.top_documents ranks them: the m + 1

@@ -135,6 +135,19 @@ def _shape(d):
         lo, hi = _children(lo, hi)
 
 
+def _node_bits(cum, lo, hi):
+    """The bits stored by each node over ids lo..hi, none for a leaf, with
+    cum the prefix sums of the document lengths."""
+    return np.where(lo < hi, cum[hi] - cum[lo - 1], 0)
+
+
+def level_sizes(lengths):
+    """The bits stored at each level, top first, by the tree over the
+    document array of documents holding lengths[j - 1] slots each."""
+    cum = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    return [int(_node_bits(cum, lo, hi).sum()) for lo, hi in _shape(len(lengths))]
+
+
 def _split(node, i, j):
     """project without its checks, for 1 <= i <= j <= node.size."""
     before = node.before
@@ -174,20 +187,19 @@ class WaveletTree:
         lengths[j - 1] slots each, from its levels' packed bits, top level
         first, each a (little-endian u64 words, bit count) pair.
 
-        With cum the prefix sums of the lengths, each level must hold the
-        bits of its internal nodes, the node over ids lo..hi holding
-        cum[hi] - cum[lo - 1] of them, cum[hi] - cum[mid] ones; one
-        vectorised rank pass per level checks them, and raises
+        With cum the prefix sums of the lengths, each level holds the bits
+        of its internal nodes, the node over ids lo..hi holding
+        cum[hi] - cum[lo - 1] of them: each level's bit count must be the
+        one level_sizes gives, which the caller checks as it reads the
+        level.  Each node must hold cum[hi] - cum[mid] ones; one vectorised
+        rank pass per level checks them, and raises
         InconsistentIntervalsError otherwise.  A tree that passes routes
         exactly each document's length to its leaf.
         """
         self = cls.__new__(cls)
         self._layout(len(lengths), lengths)
-        for t, ((words, nbits), (lo, hi), offsets, before) in enumerate(
-                zip(levels, _shape(self.d), self._offsets, self._before, strict=True)):
-            if nbits != offsets[-1]:
-                raise InconsistentIntervalsError(f"level {t} holds {nbits} bits; the document "
-                                                 f"lengths give {offsets[-1]}")
+        for (words, _), (lo, hi), offsets, before in zip(
+                levels, _shape(self.d), self._offsets, self._before, strict=True):
             ones, want = np.diff(ranks1(words, offsets)), np.diff(before)
             bad = np.flatnonzero(ones != want)
             if bad.size:
@@ -209,7 +221,7 @@ class WaveletTree:
         self.n = int(cum[-1])
         self._offsets, self._before = [], []
         for lo, hi in _shape(d):
-            size = np.where(lo < hi, cum[hi] - cum[lo - 1], 0)
+            size = _node_bits(cum, lo, hi)
             ones = cum[hi] - cum[(lo + hi) // 2]
             self._offsets.append(np.concatenate(([0], np.cumsum(size))))
             self._before.append(np.concatenate(([0], np.cumsum(ones))))

@@ -111,6 +111,18 @@ def test_query_missing_index(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def inspect_rows(lines, n):
+    """The size rows of inspect's output, between its first and last
+    lines, as name -> {column: value}; checks each row's bits per symbol."""
+    rows = {}
+    for line in lines[1:-1]:
+        name, *columns = line.split()
+        rows[name] = dict(column.split("=") for column in columns)
+        assert float(rows[name]["bits_per_symbol"]) == \
+            pytest.approx(int(rows[name]["bytes"]) * 8 / n, abs=1e-3)
+    return rows
+
+
 def test_inspect_sections_sum_to_file_size(worked_dir, tmp_path, capsys):
     for extra in ([], ["--include-sa", "--variant", "xlight"]):
         idx = tmp_path / "inspect.idx"
@@ -121,16 +133,43 @@ def test_inspect_sections_sum_to_file_size(worked_dir, tmp_path, capsys):
         lines = capsys.readouterr().out.splitlines()
         variant = "xlight" if extra else "light"
         assert lines[0] == f"n=14 d=3 sigma=2 g_prime=1 k_max=4 variant={variant}"
-        rows = {}
-        for line in lines[1:-1]:
-            name, size, bits = line.split()
-            rows[name] = int(size.removeprefix("bytes="))
-            assert float(bits.removeprefix("bits_per_symbol=")) == \
-                pytest.approx(rows[name] * 8 / 14, abs=1e-3)
+        rows = {name: int(row["bytes"]) for name, row in inspect_rows(lines, 14).items()}
         sections = ["corpus", "wavelet", "sgst"] + (["suffix_array"] if extra else [])
         assert list(rows) == ["header"] + sections + ["total"]
         assert rows["header"] == 62
         assert rows["total"] == idx.stat().st_size == sum(rows.values()) - rows["total"]
+
+
+def test_inspect_shows_each_sections_method(tmp_path, capsys):
+    # Revisions of one text: the corpus and the wavelet tree deflate.  A
+    # stored section's byte-aligned form is its payload after the method
+    # byte: its row less the 16-byte frame, that byte and the CRC.
+    rng = random.Random(5)
+    words = ["".join(rng.choice("abcdefgh") for _ in range(rng.randint(2, 6)))
+             for _ in range(40)]
+    text = [rng.choice(words) for _ in range(200)]
+    src = tmp_path / "revisions"
+    src.mkdir()
+    for i in range(30):
+        text[rng.randrange(len(text))] = rng.choice(words)
+        (src / f"{i:02}.txt").write_text(" ".join(text))
+    idx = tmp_path / "revisions.idx"
+    assert main(["build", str(src), str(idx), "--gprime", "8", "--include-sa"]) == 0
+    n = int(capsys.readouterr().out.split()[0].removeprefix("n="))
+    assert main(["inspect", str(idx)]) == 0
+    rows = inspect_rows(capsys.readouterr().out.splitlines(), n)
+    assert list(rows) == ["header", "corpus", "wavelet", "sgst", "suffix_array", "total"]
+    assert "method" not in rows["header"] and "method" not in rows["total"]
+    sizes = {name: int(row["bytes"]) for name, row in rows.items()}
+    assert sizes["total"] == idx.stat().st_size == sum(sizes.values()) - sizes["total"]
+    methods = {name: row["method"] for name, row in rows.items() if "method" in row}
+    assert methods["corpus"] == methods["wavelet"] == "deflate"
+    for name, method in methods.items():
+        inflated = int(rows[name]["inflated_bytes"])
+        if method == "deflate":
+            assert inflated > sizes[name]
+        else:
+            assert method == "stored" and inflated == sizes[name] - 16 - 1 - 4
 
 
 def test_inspect_prints_the_wavelet_levels(tmp_path, capsys):
@@ -148,9 +187,8 @@ def test_inspect_prints_the_wavelet_levels(tmp_path, capsys):
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == "wavelet height=3 level_bits=15,15,6"
     level_bytes = sum(8 + 1 + (bits + 7) // 8 for bits in (15, 15, 6))
-    wavelet_row = 16 + 8 + level_bytes + 4      # frame, d, levels, CRC
     assert main(["inspect", str(idx)]) == 0
-    assert f"wavelet bytes={wavelet_row} " in capsys.readouterr().out
+    assert f" inflated_bytes={level_bytes}\nsgst " in capsys.readouterr().out
 
 
 def test_inspect_rejects_a_damaged_index(worked_file, capsys):

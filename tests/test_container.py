@@ -4,6 +4,7 @@ import random
 import struct
 import time
 import tracemalloc
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,8 @@ from topkdoc.container import (HEADER_BYTES, VERSION, Header, _corpus_payload, _
                                _unpack, _wavelet_payload, deserialize_index, read_frames,
                                serialize_index)
 from topkdoc.errors import ContainerFormatError, VersionMismatchError
-from topkdoc.wavelet import _Node
+from topkdoc.sgst import most_marked
+from topkdoc.wavelet import _Node, level_sizes
 
 from conftest import (acgt_corpus, doc_frequency_map, document_path_calls, naive_topk,
                       occurring_patterns, random_docs, revisions_corpus)
@@ -38,23 +40,28 @@ def section_spans(blob):
     return spans
 
 
-# The fields of each section in stored order: u64 scalars, packed fields
-# and, closing the wavelet section, its levels.  xlight stores no freqs.
+# The fields of each section's byte-aligned form in stored order: u64
+# scalars, packed fields and the wavelet section's levels.  xlight stores
+# no freqs.
 LAYOUT = {1: ("table", "codes", "ends"),
-          2: ("d", "levels"),
+          2: ("levels",),
           3: ("nodes", "cands", "sp", "ep", "cls", "off", "docs", "freqs"),
           4: ("sa",)}
-SCALARS = {"d", "nodes", "cands"}
+SCALARS = {"nodes", "cands"}
 
 
 def unseal(blob):
     """(header, fields) of a container: the 7 header integers, and each
     field by name, a scalar as an int, a packed field as [values, width],
-    the wavelet's levels as a list of [length in bits, packed bytes]."""
+    the wavelet's levels as a list of [length in bits, packed bytes]; under
+    "method", each section's method byte by section id."""
     header = list(struct.unpack_from("<7Q", blob, 6))
-    fields = {}
+    fields = {"method": {}}
     for sec_id, start, end in read_frames(blob)[1]:
-        payload, pos = blob[start:end - 4], 0
+        method, payload, pos = blob[start], blob[start + 1:end - 4], 0
+        fields["method"][sec_id] = method
+        if method == 1:
+            payload = zlib.decompress(payload)
         for name in LAYOUT[sec_id]:
             if pos == len(payload):
                 break
@@ -79,9 +86,12 @@ def unseal(blob):
 
 
 def reseal(header, fields):
-    """The container unseal took apart, as edited, every CRC recomputed."""
+    """The container unseal took apart, as edited, each section written by
+    the method it had, every CRC recomputed."""
     sections = []
     for sec_id, names in LAYOUT.items():
+        if sec_id not in fields["method"]:
+            continue
         parts = []
         for name in names:
             if name not in fields:
@@ -95,9 +105,10 @@ def reseal(header, fields):
                 values, width = value
                 assert all(0 <= v < 1 << width for v in values), (name, width)
                 parts.append(struct.pack("<QB", len(values), width) + _pack(values, width))
-        if parts:
-            sections.append((sec_id, b"".join(parts)))
-    return _seal(struct.pack("<4sH7Q", b"TKDI", 4, *header), sections)
+        payload = b"".join(parts)
+        method = fields["method"][sec_id]
+        sections.append((sec_id, bytes([method]) + (zlib.compress(payload) if method else payload)))
+    return _seal(struct.pack("<4sH7Q", b"TKDI", 5, *header), sections)
 
 
 def level_bits(fields):
@@ -158,20 +169,20 @@ def test_roundtrip_preserves_everything(variant):
 
 # sha256 of serialize_index for fixed seeded corpora, every level of each
 # holding marked nodes.  A change to the container bytes needs a format
-# version bump, not new digests; these are format version 4's.
+# version bump, not new digests; these are format version 5's.
 FROZEN_CONTAINERS = {
     "acgt-light": (
         acgt_corpus, 211, dict(g_prime=10, k_max=16, variant="light"),
-        "a180f1ad66d62e1c9d43f8eff33fe7cf8a9077f20eaa547b354440a85ac45d9e"),
+        "147a7436ce11b3989722ccee331f65c3135f1719be9e083738a6ef67af8da2d1"),
     # Revisions repeat long stretches: lcp values reach several hundred.
     "revisions-xlight": (
         revisions_corpus, 223, dict(g_prime=8, k_max=16, variant="xlight"),
-        "311d7980aa3f5149d9755bb4741a1e5062cc1ba3dd0c6104022c295557a216f4"),
+        "a6d7db3cf026ddbbc3a2eba5744cc9f3d30bd507ad387b5292676182d474aa5b"),
     # g' = 1 samples every slot.
     "dense-light": (
         lambda rng: random_docs(rng, max_docs=6, max_total=150, sigma=2), 227,
         dict(g_prime=1, k_max=8, variant="light"),
-        "c7b429efb562275232e1f979b05c3885cb455041ab03c788b7dd317edfd1b065"),
+        "34f0c29a7fe67d328545723e3acd7ae9c96ca62dea989ece8485fc06fc9a228a"),
 }
 
 
@@ -287,6 +298,8 @@ def test_edge_shapes_round_trip(shape, variant, include_sa):
     idx = build_index(docs, variant=variant, **params)
     blob = serialize_index(idx, include_sa)
     header, fields = unseal(blob)
+    if fields["method"][1]:         # a deflated corpus holds its codes one byte each
+        widths = {name: 8 if name == "codes" else width for name, width in widths.items()}
     assert {name: fields[name][1] for name in widths} == widths
     assert reseal(header, fields) == blob
     if shape == "no marked node":
@@ -303,17 +316,12 @@ def test_edge_shapes_round_trip(shape, variant, include_sa):
     assert answers(back, docs) == answers(idx, docs)
 
 
-@pytest.mark.parametrize("variant", ["light", "xlight"])
-def test_whole_container_fuzz(variant):
-    # Every single-bit flip of a small container, header included, is
-    # rejected with a topkdoc error, and so is every cut of it short but
-    # one: the cut just before the optional suffix-array section loads,
-    # rebuilds the suffix array and answers every query exactly as the
-    # intact container does.
-    rng = random.Random(263)
-    docs = ["".join(rng.choice("abc") for _ in range(rng.randint(4, 10))) for _ in range(4)]
-    idx = build_index(docs, g_prime=2, k_max=4, variant=variant)
-    blob = serialize_index(idx, include_suffix_array=True)
+def fuzz(docs, idx, blob, label):
+    """Every single-bit flip of blob, a container of idx over docs with a
+    suffix-array section, header included, is rejected with a topkdoc
+    error, and so is every cut of it short but one: the cut just before
+    the suffix-array section loads, rebuilds the suffix array and answers
+    every query exactly as the intact container does.  All within 5 s."""
     queries = [(p, k, s) for p in occurring_patterns(docs, 2) for k in (1, 3) for s in STRATEGIES]
     want = [query_topk(idx, *q).pairs for q in queries]
     for (pattern, k, _), pairs in zip(queries, want):
@@ -341,8 +349,185 @@ def test_whole_container_fuzz(variant):
     assert cuts["loaded"] == 1 and outcome(blob[:sa_start]) == "loaded"
     assert outcome(blob) == "loaded"
     assert elapsed < 5, elapsed
-    print(f"{variant}: {len(blob)} bytes; bit flips {dict(flips)}; cuts {dict(cuts)}; "
+    print(f"{label}: {len(blob)} bytes; bit flips {dict(flips)}; cuts {dict(cuts)}; "
           f"{elapsed:.2f} s")
+
+
+@pytest.mark.parametrize("variant", ["light", "xlight"])
+def test_whole_container_fuzz(variant):
+    rng = random.Random(263)
+    docs = ["".join(rng.choice("abc") for _ in range(rng.randint(4, 10))) for _ in range(4)]
+    idx = build_index(docs, g_prime=2, k_max=4, variant=variant)
+    fuzz(docs, idx, serialize_index(idx, include_suffix_array=True), variant)
+
+
+@pytest.mark.parametrize("variant", ["light", "xlight"])
+def test_whole_deflated_container_fuzz(variant):
+    # Eight copies of one short text: the writer deflates the corpus, the
+    # wavelet tree and the sampled tree.  A packed suffix array deflates
+    # longer than it is stored at this size, so the container is resealed
+    # with it deflated as well, which a load accepts: every section then
+    # inflates, and the flips and cuts reach each inflate.
+    docs = ["abababab"] * 8
+    idx = build_index(docs, g_prime=2, k_max=4, variant=variant)
+    header, fields = unseal(serialize_index(idx, include_suffix_array=True))
+    assert fields["method"] == {1: 1, 2: 1, 3: 1, 4: 0}
+    fields["method"][4] = 1
+    blob = reseal(header, fields)
+    back = deserialize_index(blob)
+    assert np.array_equal(back.suffixes.sa, idx.suffixes.sa)
+    fuzz(docs, idx, blob, f"deflated {variant}")
+
+
+def with_payload(blob, sec_id, payload):
+    """blob with section sec_id's payload, method byte included, replaced,
+    every CRC recomputed."""
+    sections = [(i, blob[start:end - 4]) for i, start, end in read_frames(blob)[1]]
+    return _seal(blob[:HEADER_LEN], [(i, payload if i == sec_id else p) for i, p in sections])
+
+
+def aligned_forms(blob):
+    """Each section's byte-aligned form, inflated when deflated, by id."""
+    return {sec_id: zlib.decompress(blob[start + 1:end - 4]) if blob[start] else
+            blob[start + 1:end - 4] for sec_id, start, end in read_frames(blob)[1]}
+
+
+@pytest.mark.parametrize("sec_id", [1, 2, 3, 4])
+def test_deflate_bomb_rejected_within_a_memory_bound(sec_id):
+    # A section whose stream holds its real byte-aligned form and then 64
+    # MiB of zeros is inflated no further than its layout: the load parses
+    # the form and rejects the rest, holding far less than the bomb.  The
+    # stream is compressed in chunks, so the test never holds it inflated.
+    docs = ["abababab"] * 8
+    blob = serialize_index(build_index(docs, g_prime=2, k_max=4), include_suffix_array=True)
+    form = aligned_forms(blob)[sec_id]
+    packer, chunk = zlib.compressobj(), bytes(1 << 20)
+    stream = [packer.compress(form)] + [packer.compress(chunk) for _ in range(64)]
+    bomb = with_payload(blob, sec_id, b"\1" + b"".join(stream) + packer.flush())
+    del stream
+    assert len(bomb) < len(chunk)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContainerFormatError, match=f"section {sec_id}'s stream does not end"):
+            deserialize_index(bomb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def _hostile_streams():
+    """(name, edit of a container's payloads by section id, reason): each
+    writes one section as no writer would."""
+    def cut(payloads):
+        payloads[1] = payloads[1][:-3]             # into the Adler-32 trailer
+    def trailing(payloads):
+        payloads[1] += b"\0"
+    def cut_midway(payloads):
+        payloads[2] = payloads[2][:len(payloads[2]) // 2]
+    def method_2(payloads):
+        payloads[3] = b"\2" + payloads[3][1:]
+    def garbage(payloads):
+        payloads[3] = b"\1" + bytes(range(7, 40))
+    return [("stream cut short", cut, "does not end"),
+            ("stream cut midway", cut_midway, "payload ended inside a field"),
+            ("bytes after the stream", trailing, "bytes after its deflate stream"),
+            ("method byte 2", method_2, "method 2"),
+            ("no zlib stream", garbage, "does not inflate")]
+
+
+@pytest.mark.parametrize("case", _hostile_streams(), ids=lambda case: case[0])
+def test_hostile_deflate_streams_rejected(case):
+    _, edit, reason = case
+    blob = serialize_index(build_index(["abababab"] * 8, g_prime=2, k_max=4))
+    payloads = {sec_id: blob[start:end - 4] for sec_id, start, end in read_frames(blob)[1]}
+    assert {sec_id: p[0] for sec_id, p in payloads.items()} == {1: 1, 2: 1, 3: 1}
+    edit(payloads)
+    with pytest.raises(ContainerFormatError, match=reason):
+        deserialize_index(_seal(blob[:HEADER_LEN], sorted(payloads.items())))
+
+
+def test_corpus_codes_take_the_width_of_their_method():
+    # A stored corpus must hold its codes at their minimal width, a deflated
+    # one at width 8: each written the other way is rejected.
+    blob = serialize_index(build_index(["abc", "cab", "bca"], g_prime=1, k_max=2))
+    header, fields = unseal(blob)
+    assert fields["method"][1] == 1 and fields["codes"][1] == 8
+    for method, width in ((0, 8), (1, 2), (0, 2)):
+        bad = dict(fields, codes=[fields["codes"][0], width],
+                   method={**fields["method"], 1: method})
+        if (method, width) == (0, 2):               # as a writer would store it
+            assert query_topk(deserialize_index(reseal(header, bad)), "ab", 2).pairs == \
+                [(1, 1), (2, 1)]
+            continue
+        with pytest.raises(ContainerFormatError, match="count or width"):
+            deserialize_index(reseal(header, bad))
+
+
+def _hostile_counts():
+    """(name, section the bomb replaces, edit of the header giving the
+    bytes the bomb's stream opens with, reason): each claims counts that no
+    text of the header's n holds."""
+    def nodes(header):
+        return struct.pack("<QQ", 1 << 40, 0)
+
+    def candidates(header):
+        return struct.pack("<QQ", 1, most_marked(header[0], header[3], header[4])[1] + 1)
+
+    def d(header):
+        header[1] = 1 << 40
+        return b""
+
+    def sigma(header):
+        header[2] = 1 << 40
+        return b""
+
+    return [("sampled-tree nodes", 3, nodes, "writes at most"),
+            ("sampled-tree candidates", 3, candidates, "writes at most"),
+            ("header d", 1, d, "not one a text of n = 72 holds"),
+            ("header sigma", 1, sigma, "not one a text of n = 72 holds")]
+
+
+@pytest.mark.parametrize("case", _hostile_counts(), ids=lambda case: case[0])
+def test_hostile_counts_do_not_size_an_inflate(case):
+    # The header's d and sigma size the corpus's inflate, and the sampled
+    # tree's two leading counts its own: counts above what a text of n
+    # symbols holds (d above n / 2, sigma above 255, more than
+    # sgst.most_marked) are rejected before they do.  Here they stand in
+    # front of 64 MiB of zeros, and the load holds far less than the bomb.
+    _, sec_id, edit, reason = case
+    blob = serialize_index(build_index(["abababab"] * 8, g_prime=2, k_max=4))
+    header = list(struct.unpack_from("<7Q", blob, 6))
+    packer, chunk = zlib.compressobj(), bytes(1 << 20)
+    stream = [packer.compress(edit(header))] + [packer.compress(chunk) for _ in range(64)]
+    sections = [(i, blob[start:end - 4]) for i, start, end in read_frames(blob)[1]]
+    sections[sec_id - 1] = (sec_id, b"\1" + b"".join(stream) + packer.flush())
+    del stream
+    bomb = _seal(struct.pack("<4sH7Q", b"TKDI", 5, *header), sections)
+    assert len(bomb) < len(chunk)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContainerFormatError, match=reason):
+            deserialize_index(bomb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_sampled_tree_counts_are_held_to_most_marked():
+    # A stored sampled tree is held to the same counts as a deflated one,
+    # and counts at the bound pass on to the fields they size.
+    blob = serialize_index(build_index(["abababab"] * 8, g_prime=2, k_max=4))
+    header, fields = unseal(blob)
+    most_nodes, most_cands = most_marked(header[0], header[3], header[4])
+    for method in (0, 1):
+        fields["method"][3] = method
+        for nodes, cands, reason in ((most_nodes + 1, 0, "writes at most"),
+                                     (1, most_cands + 1, "writes at most"),
+                                     (most_nodes, most_cands, "count or width")):
+            with pytest.raises(ContainerFormatError, match=reason):
+                deserialize_index(reseal(header, dict(fields, nodes=nodes, cands=cands)))
 
 
 def test_unknown_sections_are_rejected():
@@ -416,8 +601,8 @@ def test_bad_magic_rejected():
 def test_version_mismatch_rejected():
     idx = build_index(["ab"], g_prime=1, k_max=1)
     blob = serialize_index(idx)
-    assert struct.unpack_from("<H", blob, 4) == (VERSION,) == (4,)
-    for version in (1, 2, 3, VERSION + 1):
+    assert struct.unpack_from("<H", blob, 4) == (VERSION,) == (5,)
+    for version in (1, 2, 3, 4, VERSION + 1):
         with pytest.raises(VersionMismatchError):
             deserialize_index(blob[:4] + struct.pack("<H", version) + blob[6:])
 
@@ -441,6 +626,7 @@ def test_header_payload_disagreement_rejected():
     # Every section is resealed, so each case reaches the check it names,
     # not the CRC.
     blob = serialize_index(build_index(["abab", "abba", "bab"], g_prime=1, k_max=4))
+    assert unseal(blob)[1]["method"] == {1: 1, 2: 1, 3: 1}
     for field, value, reason in ((0, 99, "count or width"),      # claim n=99
                                  (1, 4, "count or width"),       # claim d=4
                                  (2, 3, "count or width"),       # claim sigma=3
@@ -458,6 +644,7 @@ def test_corrupted_text_rejected():
     idx = build_index(["abab", "abba", "bab"], g_prime=1, k_max=4)
     blob = serialize_index(idx)
     header, fields = unseal(blob)
+    assert fields["method"][1] == 1
     assert fields["ends"] == [[5, 10, 14], 4]               # abab.abba.bab.
     assert bytes(fields["table"][0]) == b"ab"
 
@@ -495,7 +682,7 @@ def _set_field(name, values=None, width=None, append=None):
 
 # Each case writes one packed corpus field as no build would, then reseals.
 PACKED_CORPUS_CASES = {
-    # sigma = 3 codes take 2 bits, so a code of 3 fits and is outside the table.
+    # A code of 3 fits the codes' width and lies outside the sigma = 3 table.
     "code outside table": (_set_codes(2, 3), "outside the symbol table"),
     "unused symbol": (_set_codes(2, 1), "lacks"),
     "table descends": (_set_field("table", values=list(b"acb")), "strictly ascending"),
@@ -515,7 +702,7 @@ def test_packed_corpus_fields_validated_at_load(case):
     blob = serialize_index(build_index(["abc", "cab", "bca"], g_prime=1, k_max=2))
     header, fields = unseal(blob)
     assert fields["table"] == [list(b"abc"), 8] and fields["ends"] == [[4, 8, 12], 4]
-    assert fields["codes"][1] == 2
+    assert fields["method"][1] == 1 and fields["codes"][1] == 8     # deflated: a byte a code
     edit, reason = PACKED_CORPUS_CASES[case]
     with pytest.raises(ContainerFormatError, match=reason):
         deserialize_index(edited(blob, edit))
@@ -536,6 +723,7 @@ def test_sgst_arrays_validated_at_load(variant):
     blob = serialize_index(idx)
     x, n = idx.sgst, idx.corpus.n
     assert unseal(blob)[1]["sp"] == [x.sp_arr.tolist(), 4]
+    assert unseal(blob)[1]["method"][3] == 1
     # A node holding at least two candidates, and the slot of its first one.
     r = next(r for r in range(x.node_count) if x.cand_off[r + 1] - x.cand_off[r] >= 2)
     c = x.cand_off[r]
@@ -574,6 +762,7 @@ def test_candidate_store_bit_flips():
     blob = serialize_index(idx)
     header, fields = unseal(blob)
     x, d = idx.sgst, idx.corpus.d
+    assert fields["method"][3] == 1
     assert fields["docs"][0] == x.cand_docs.tolist()
     assert fields["freqs"][0] == x.cand_freqs.tolist()
     owner = [r for r in range(x.node_count)
@@ -686,6 +875,7 @@ def test_wavelet_bit_lengths_validated_at_load():
     idx = build_index(docs, g_prime=2, k_max=4)
     blob = serialize_index(idx)
     header, fields = unseal(blob)
+    assert fields["method"][2] == 1
     d = idx.corpus.d
     levels = level_bits(fields)
     assert len(levels) == (d - 1).bit_length()
@@ -761,6 +951,7 @@ def test_document_counts_checked_against_their_lengths():
     other = build_index([base[0][:-1], base[1] + "a", *base[2:]], g_prime=4, k_max=4)
     assert other.corpus.n == idx.corpus.n
     header, fields = unseal(serialize_index(idx))
+    assert fields["method"][2] == 1
     bad = reseal(header, dict(fields, levels=unseal(serialize_index(other))[1]["levels"]))
     with pytest.raises(ContainerFormatError, match="ids 1..2 holds .* ones"):
         deserialize_index(bad)
@@ -850,6 +1041,7 @@ def test_sampled_trees_validated_at_load():
     # nest or be disjoint: find_locus's binary search assumes all three.
     idx = build_index(["abab", "abba", "bab"], g_prime=1, k_max=8, variant="light")
     blob = serialize_index(idx)
+    assert unseal(blob)[1]["method"][3] == 1
     x = idx.sgst
     sp, ep = list(x.sp_arr), list(x.ep_arr)
     # Node j starts strictly inside an earlier node i that ends before n.
@@ -961,20 +1153,21 @@ def test_stored_suffix_array_sorts_beyond_its_keys():
 
 
 def test_oversized_header_rejected_before_allocating():
-    # A 234-byte container with valid CRCs, sigma = d = 1 and n = 2**40:
-    # its n - 1 codes take 0 bits, so unpacking them would allocate n bytes.
+    # A 229-byte container with valid CRCs, sigma = d = 1 and n = 2**40,
+    # every section stored: its n - 1 codes take 0 bits, so unpacking them
+    # would allocate n bytes.
     n = 2**40
 
     def field(count, width, data=b""):
         return struct.pack("<QB", count, width) + data
 
-    corpus = field(1, 8, b"a") + field(n - 1, 0) + field(1, 41, n.to_bytes(6, "little"))
-    wavelet = struct.pack("<Q", 1)
-    sgst = (struct.pack("<QQ", 0, 0) + field(0, 41) + field(0, 41) + field(0, 0)
+    corpus = b"\0" + field(1, 8, b"a") + field(n - 1, 0) + field(1, 41, n.to_bytes(6, "little"))
+    wavelet = b"\0"
+    sgst = (b"\0" + struct.pack("<QQ", 0, 0) + field(0, 41) + field(0, 41) + field(0, 0)
             + field(1, 0) + field(0, 1) + field(0, 41))
-    blob = _seal(struct.pack("<4sH7Q", b"TKDI", 4, n, 1, 1, 1, 1, 0, 64),
+    blob = _seal(struct.pack("<4sH7Q", b"TKDI", 5, n, 1, 1, 1, 1, 0, 64),
                  [(1, corpus), (2, wavelet), (3, sgst)])
-    assert len(blob) == 234
+    assert len(blob) == 229
     tracemalloc.start()
     try:
         with pytest.raises(ContainerFormatError, match="exceeds"):
@@ -1046,7 +1239,7 @@ def test_loaded_wavelet_tree_memory():
     del idx
     tracemalloc.start()
     try:
-        wavelet = _read_wavelet(payload, corpus)
+        wavelet = _read_wavelet(payload, corpus, level_sizes(corpus.lengths))
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

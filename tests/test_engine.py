@@ -850,7 +850,7 @@ def test_absent_candidate_reads_zero(monkeypatch):
                        x.cls_arr.obj, x.cand_off.obj, cand_docs, None)
             want = candidates_of(bad, node, w)
             assert (doc, 0) in want
-            counted = frequencies(idx, node.sp, node.ep, len(want))
+            counted = frequencies(idx, node.sp, node.ep)
             assert candidates_of(bad, node, w, None, counted) == want
             tampered += 1
             # Only a pattern whose interval holds the node can reach it.
@@ -911,6 +911,62 @@ def test_frequencies_agree_on_every_branch(monkeypatch, name):
                          "compact" if calls["count"] else "dense"] += 1
     assert branches["doc_freq"] >= 100
     assert branches["dense" if name == "revisions" else "unique"] >= 100
+
+
+def spy_calls(monkeypatch, calls, owner, name):
+    """Replace owner.name by a wrapper that counts its calls in calls[name]."""
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+def test_frequencies_counts_up_to_the_bound_and_no_further(monkeypatch):
+    # A read of k documents over exactly RECOUNT_SLOTS * k slots counts the
+    # slice once; over one slot more it calls doc_freq once per document.
+    # An empty read makes no count and calls nothing.
+    docs = revisions_corpus(random.Random(271))
+    idx = build_index(docs, g_prime=8, k_max=4)
+    bound, d, doc_ids = engine_module.RECOUNT_SLOTS, idx.corpus.d, idx.suffixes.doc_ids
+    assert idx.corpus.n > 2 * bound + 1
+    calls = Counter()
+    spy_calls(monkeypatch, calls, SuffixIndex, "counts")
+    spy_calls(monkeypatch, calls, WaveletTree, "doc_freq")
+    for k in (1, 2):
+        asked = [1, d][:k]
+        for slots, want in ((bound * k, {"counts": 1}), (bound * k + 1, {"doc_freq": k})):
+            for sp in (1, idx.corpus.n - slots + 1):
+                calls.clear()
+                ep = sp + slots - 1
+                in_slice = Counter(doc_ids[sp - 1:ep].tolist())
+                assert frequencies(idx, sp, ep)(asked) == [in_slice[doc] for doc in asked]
+                assert calls == want, (k, slots, sp)
+    calls.clear()
+    assert frequencies(idx, 1, 5)([]) == [] and not calls
+
+
+def test_slice_count_is_dense_from_sixteen_slots_per_id(monkeypatch):
+    # SuffixIndex.counts counts L slots into a dense vector when d + 1 <= 16 L
+    # and compactly (suffixes.count) one slot shorter.  d = 31: dense at
+    # L = 2, compact at L = 1; both give the slice's exact counts.
+    idx = build_index([f"d{i}" for i in range(31)], g_prime=4, k_max=4)
+    s, d = idx.suffixes, idx.corpus.d
+    assert d + 1 == 16 * 2
+    calls = Counter()
+    spy_calls(monkeypatch, calls, suffixes_module, "count")
+    for length, dense in ((2, True), (1, False)):
+        for sp in range(1, idx.corpus.n - length + 2):
+            calls.clear()
+            ids, freqs = s.counts(sp, sp + length - 1)
+            want = Counter(s.doc_ids[sp - 1:sp + length - 1].tolist())
+            assert {i: f for i, f in zip(ids.tolist(), freqs.tolist()) if f} == want
+            if dense:
+                assert ids.tolist() == list(range(len(freqs))) and not calls
+            else:
+                assert ids.tolist() == sorted(want) and calls["count"] == 1
 
 
 def test_select_past_the_bound_per_k_reads_one_count(monkeypatch):

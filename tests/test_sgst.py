@@ -123,6 +123,22 @@ def test_counted_candidates_match_greedy_topk(variant, g_prime):
     assert nodes > 100 and ties > 10
 
 
+@pytest.mark.parametrize("k_max", [1, 4, 32])
+@pytest.mark.parametrize("g_prime", [1, 2, 5])
+def test_builds_mark_no_more_than_most_marked(g_prime, k_max):
+    # most_marked bounds, from n, g_prime and k_max alone, the nodes and
+    # candidates a build stores: a load rejects a sampled tree above it
+    # before its counts size anything.
+    rng = random.Random(163 + g_prime * k_max)
+    corpora = [random_docs(rng, max_docs=12, max_total=300, sigma=s) for s in (2, 4, 20)]
+    corpora += [revisions_corpus(rng), [chr(97 + i) * 3 for i in range(20)]]
+    for docs in corpora:
+        c, _, _, x = build_all(docs, g_prime=g_prime, k_max=k_max)
+        nodes, candidates = sgst.most_marked(c.n, g_prime, k_max)
+        assert x.node_count <= nodes and x.cand_off[-1] <= candidates
+        assert sum(x.cls_arr) <= candidates
+
+
 def test_build_makes_no_traversal(monkeypatch):
     def refuse(*args):
         raise AssertionError("build_sgst traversed the wavelet tree")

@@ -9,7 +9,7 @@ import pytest
 
 from topkdoc.bitrank import RankBitVector
 from topkdoc.errors import InconsistentIntervalsError, OutOfRangeError, ValueOutOfRangeError
-from topkdoc.wavelet import WaveletTree
+from topkdoc.wavelet import WaveletTree, level_sizes
 
 from conftest import WORKED_D, WORKED_ROOT_BITMAP
 
@@ -106,6 +106,16 @@ def test_levels_concatenate_their_nodes_bits():
                 assert len(level) == len(values)
             else:
                 assert all(node.hi - node.lo == 1 for node in nodes)
+
+
+def test_level_sizes_are_the_levels_bit_counts():
+    # level_sizes gives, from the document lengths alone, each level's bit
+    # count: what a load sizes each wavelet level, and its inflate, by.
+    rng = random.Random(89)
+    for d in (1, 2, 3, 5, 7, 8, 13, 32, 33):
+        values = [rng.randint(1, d) for _ in range(rng.randint(1, 120))]
+        lengths = np.bincount(values, minlength=d + 1)[1:]
+        assert level_sizes(lengths) == [len(level) for level in WaveletTree(values, d).levels]
 
 
 def test_dropped_tree_needs_no_cycle_collector():
